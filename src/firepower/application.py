@@ -15,8 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trees
-from .dataset import ComponentDef, Configuration, Dataset, write_text_atomic
-from .errors import ValidationError
+from .dataset import (
+    ComponentDef,
+    Configuration,
+    Dataset,
+    component_from_dict,
+    component_to_dict,
+    design_matrix,
+    feature_row,
+    read_json_file,
+    schema_errors,
+    write_text_atomic,
+)
+from .errors import SchemaError, ValidationError
 from .knowledge import (
     RETRAIN,
     KnowledgeBase,
@@ -56,14 +67,7 @@ class EventModel:
     model: GbtModel
 
     def predict(self, comp: ComponentDef, config: Configuration, event_stats: dict) -> float:
-        vec = [float(config.params[p]) for p in comp.hw_params]
-        for name in comp.event_stats:
-            if name not in event_stats:
-                raise ValidationError(
-                    f"missing event statistic {name!r} for component {comp.name!r}"
-                )
-            vec.append(float(event_stats[name]))
-        return self.model.predict(vec)
+        return self.model.predict(feature_row(comp, config, event_stats))
 
 
 @dataclass
@@ -109,15 +113,6 @@ def retrain_hardware_model(
     return trees.fit_linear_one_feature(x, y, feature_index=comp.hw_params.index(important_param))
 
 
-def effective_hw_predict(
-    hw: EffectiveHardwareModel,
-    comp: ComponentDef,
-    config: Configuration,
-    epsilon: float = DEFAULT_EPSILON,
-) -> float:
-    return hw.predict(comp, config, epsilon)
-
-
 def train_event_model(
     ds_target_train: Dataset,
     comp: ComponentDef,
@@ -125,7 +120,12 @@ def train_event_model(
     hp: GbtHyperparams,
     epsilon: float = DEFAULT_EPSILON,
 ) -> EventModel:
-    rows = []
+    if not ds_target_train.samples:
+        raise ValidationError("no training samples for the event model")
+    # The hardware factor depends on the configuration alone.
+    hw_by_config = {
+        cfg.id: hw.predict(comp, cfg, epsilon) for cfg in ds_target_train.configurations
+    }
     labels = []
     for sample in ds_target_train.samples:
         if comp.name not in sample.component_power:
@@ -133,20 +133,9 @@ def train_event_model(
                 f"sample ({sample.config_id}, {sample.workload}) "
                 f"lacks a label for {comp.name!r}"
             )
-        cfg = ds_target_train.config(sample.config_id)
-        vec = [float(cfg.params[p]) for p in comp.hw_params]
-        for name in comp.event_stats:
-            if name not in sample.event_stats:
-                raise ValidationError(
-                    f"sample ({sample.config_id}, {sample.workload}) "
-                    f"lacks event statistic {name!r}"
-                )
-            vec.append(sample.event_stats[name])
-        rows.append(vec)
-        labels.append(sample.component_power[comp.name] / hw.predict(comp, cfg, epsilon))
-    if not rows:
-        raise ValidationError("no training samples for the event model")
-    return EventModel(component=comp.name, model=trees.fit_gbt(np.array(rows), np.array(labels), hp))
+        labels.append(sample.component_power[comp.name] / hw_by_config[sample.config_id])
+    X = design_matrix(ds_target_train, comp)
+    return EventModel(component=comp.name, model=trees.fit_gbt(X, np.array(labels), hp))
 
 
 def build_target_model(
@@ -201,15 +190,7 @@ def model_to_dict(m: FirePowerModel) -> dict:
     return {
         "target_architecture": m.target_architecture,
         "epsilon": m.epsilon,
-        "component_table": [
-            {
-                "name": c.name,
-                "hw_params": list(c.hw_params),
-                "event_stats": list(c.event_stats),
-                "important_param": c.important_param,
-            }
-            for c in m.component_table
-        ],
+        "component_table": [component_to_dict(c) for c in m.component_table],
         "per_component": {
             name: {
                 "hw": {
@@ -225,36 +206,29 @@ def model_to_dict(m: FirePowerModel) -> dict:
     }
 
 
+@schema_errors("model")
 def model_from_dict(doc: dict) -> FirePowerModel:
-    from .dataset import ComponentDef
-
-    table = tuple(
-        ComponentDef(
-            name=c["name"],
-            hw_params=tuple(c["hw_params"]),
-            event_stats=tuple(c["event_stats"]),
-            important_param=c["important_param"],
-        )
-        for c in doc["component_table"]
-    )
     per_component = {}
     for name, entry in doc["per_component"].items():
         hw_doc = entry["hw"]
-        hw = EffectiveHardwareModel(
-            component=name,
-            variant=hw_doc["variant"],
-            gbt=trees.gbt_from_dict(hw_doc["gbt"]) if hw_doc["gbt"] is not None else None,
-            linear=trees.linear_from_dict(hw_doc["linear"])
-            if hw_doc["linear"] is not None
-            else None,
-            important_param=hw_doc["important_param"],
-        )
+        variant = hw_doc["variant"]
+        if variant == INHERITED:
+            hw = EffectiveHardwareModel(name, variant, gbt=trees.gbt_from_dict(hw_doc["gbt"]))
+        elif variant == RETRAINED:
+            hw = EffectiveHardwareModel(
+                name,
+                variant,
+                linear=trees.linear_from_dict(hw_doc["linear"]),
+                important_param=hw_doc["important_param"],
+            )
+        else:
+            raise SchemaError(f"model: component {name!r} has unknown hw variant {variant!r}")
         ev = EventModel(component=name, model=trees.gbt_from_dict(entry["event"]))
         per_component[name] = (hw, ev)
     return FirePowerModel(
         target_architecture=doc["target_architecture"],
         per_component=per_component,
-        component_table=table,
+        component_table=tuple(component_from_dict(c) for c in doc["component_table"]),
         epsilon=doc["epsilon"],
     )
 
@@ -264,5 +238,4 @@ def save_model(m: FirePowerModel, path: str | os.PathLike):
 
 
 def load_model(path: str | os.PathLike) -> FirePowerModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json_file(path, "model"))

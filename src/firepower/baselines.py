@@ -1,6 +1,7 @@
 """Baseline power models: monolithic calibration-style regressors, their
-per-component variant, pseudo-label transfer wrappers, and the
-no-retraining ablation of the main method."""
+per-component variant and pseudo-label transfer wrappers.  The
+no-retraining ablation of the main method is
+`build_target_model(..., force_no_retrain=True)`."""
 
 from __future__ import annotations
 
@@ -10,10 +11,8 @@ from typing import Callable
 import numpy as np
 
 from . import trees
-from .application import FirePowerModel, build_target_model
-from .dataset import Dataset, PowerSample
+from .dataset import ComponentDef, Dataset, design_matrix
 from .errors import ModelError, ValidationError
-from .knowledge import KnowledgeBase
 from .trees import GbtHyperparams, GbtModel
 
 TRANSFER_EPSILON = 1e-9
@@ -40,59 +39,35 @@ def event_stat_names(ds: Dataset) -> list[str]:
     return names
 
 
-def sample_features(ds: Dataset, sample: PowerSample, event_names: list[str], use_M: bool):
-    cfg = ds.config(sample.config_id)
-    vec = [float(cfg.params[p]) for p in ds.registry.canonical]
-    for name in event_names:
-        if name not in sample.event_stats:
+def monolithic_matrix(ds: Dataset, event_names: list[str], use_M: bool) -> np.ndarray:
+    """Whole-core rows: every canonical parameter, then every event statistic,
+    then (with use_M) the analytical estimate."""
+    core = ComponentDef("core", ds.registry.canonical, tuple(event_names))
+    X = design_matrix(ds, core)
+    if not use_M:
+        return X
+    for s in ds.samples:
+        if s.analytical_estimate is None:
             raise ValidationError(
-                f"sample ({sample.config_id}, {sample.workload}) lacks event {name!r}"
-            )
-        vec.append(sample.event_stats[name])
-    if use_M:
-        if sample.analytical_estimate is None:
-            raise ValidationError(
-                f"sample ({sample.config_id}, {sample.workload}) "
+                f"sample ({s.config_id}, {s.workload}) "
                 "has no analytical estimate but use_M was requested"
             )
-        vec.append(sample.analytical_estimate)
-    return vec
+    return np.column_stack([X, [s.analytical_estimate for s in ds.samples]])
 
 
 @dataclass
 class MonolithicModel:
     model: GbtModel
     event_names: list[str]
-    uses_analytical_feature: bool
-
-    def features(self, ds: Dataset, sample: PowerSample):
-        return sample_features(ds, sample, self.event_names, self.uses_analytical_feature)
-
-    def predict(self, ds: Dataset, sample: PowerSample) -> float:
-        return self.model.predict(self.features(ds, sample))
 
 
 def train_monolithic(ds_train: Dataset, use_M: bool, hp: GbtHyperparams) -> MonolithicModel:
     if not ds_train.samples:
         raise ValidationError("empty training dataset")
     names = event_stat_names(ds_train)
-    X = np.array([sample_features(ds_train, s, names, use_M) for s in ds_train.samples])
+    X = monolithic_matrix(ds_train, names, use_M)
     y = np.array([s.total_power for s in ds_train.samples])
-    return MonolithicModel(
-        model=trees.fit_gbt(X, y, hp), event_names=names, uses_analytical_feature=use_M
-    )
-
-
-def component_features(ds: Dataset, comp, sample: PowerSample):
-    cfg = ds.config(sample.config_id)
-    vec = [float(cfg.params[p]) for p in comp.hw_params]
-    for name in comp.event_stats:
-        if name not in sample.event_stats:
-            raise ValidationError(
-                f"sample ({sample.config_id}, {sample.workload}) lacks event {name!r}"
-            )
-        vec.append(sample.event_stats[name])
-    return vec
+    return MonolithicModel(model=trees.fit_gbt(X, y, hp), event_names=names)
 
 
 def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dict[str, GbtModel]:
@@ -100,17 +75,10 @@ def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dic
         raise ValidationError("empty training dataset")
     models = {}
     for comp in ds_train.component_table:
-        X = np.array([component_features(ds_train, comp, s) for s in ds_train.samples])
+        X = design_matrix(ds_train, comp)
         y = np.array([s.component_power[comp.name] for s in ds_train.samples])
         models[comp.name] = trees.fit_gbt(X, y, hp)
     return models
-
-
-def predict_per_component_total(ds: Dataset, models: dict[str, GbtModel], sample: PowerSample) -> float:
-    return sum(
-        models[comp.name].predict(component_features(ds, comp, sample))
-        for comp in ds.component_table
-    )
 
 
 @dataclass
@@ -118,35 +86,29 @@ class TransferWrapper:
     """Pseudo-label transfer: scale the nearest labeled target sample's
     label by the source model's prediction ratio."""
 
-    source: Callable[[np.ndarray], float]
+    source_many: Callable[[np.ndarray], np.ndarray]  # batched source model
     pool_features: np.ndarray  # m x d, raw feature space
     pool_labels: np.ndarray
+    pool_source_preds: np.ndarray
     mean: np.ndarray
     std: np.ndarray
     keep: np.ndarray  # features with nonzero pool std
-    source_many: Callable[[np.ndarray], np.ndarray] | None = None
-    pool_source_preds: np.ndarray | None = None
 
     @classmethod
-    def build(cls, source, pool_features, pool_labels, source_many=None) -> "TransferWrapper":
+    def build(cls, source_many, pool_features, pool_labels) -> "TransferWrapper":
         pool_features = np.asarray(pool_features, dtype=float)
         pool_labels = np.asarray(pool_labels, dtype=float)
         if pool_features.ndim != 2 or pool_features.shape[0] == 0:
             raise ModelError("labeled pool must be a nonempty matrix")
-        mean = pool_features.mean(axis=0)
         std = pool_features.std(axis=0)
-        keep = std > 0
-        if source_many is None:
-            source_many = lambda X: np.array([source(x) for x in X])  # noqa: E731
         return cls(
-            source=source,
+            source_many=source_many,
             pool_features=pool_features,
             pool_labels=pool_labels,
-            mean=mean,
-            std=std,
-            keep=keep,
-            source_many=source_many,
             pool_source_preds=source_many(pool_features),
+            mean=pool_features.mean(axis=0),
+            std=std,
+            keep=std > 0,
         )
 
     def nearest_index(self, x: np.ndarray) -> int:
@@ -158,19 +120,15 @@ class TransferWrapper:
             dists = np.zeros(self.pool_features.shape[0])
         return int(np.argmin(dists))  # ties: earliest pool index
 
-
-def transfer_predict(w: TransferWrapper, test_features) -> float:
-    x = np.asarray(test_features, dtype=float)
-    i = w.nearest_index(x)
-    label = float(w.pool_labels[i])
-    if np.array_equal(x, w.pool_features[i]):
-        return label  # distance-0 shortcut, exact on pool members
-    p_t = w.source(x)
-    p_l = w.source(w.pool_features[i])
-    return p_t / max(p_l, TRANSFER_EPSILON) * label
-
-
-def firepower_without_retraining(
-    kb: KnowledgeBase, ds_target_train: Dataset, hp: GbtHyperparams | None = None
-) -> FirePowerModel:
-    return build_target_model(kb, ds_target_train, hp, force_no_retrain=True)
+    def predict_many(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        preds = np.empty(X.shape[0])
+        p_t = self.source_many(X)
+        for i, x in enumerate(X):
+            j = self.nearest_index(x)
+            label = float(self.pool_labels[j])
+            if np.array_equal(x, self.pool_features[j]):
+                preds[i] = label  # distance-0 shortcut, exact on pool members
+            else:
+                preds[i] = p_t[i] / max(self.pool_source_preds[j], TRANSFER_EPSILON) * label
+        return preds

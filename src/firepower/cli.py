@@ -38,25 +38,35 @@ PER_SAMPLE_HEADER = "config_id,workload,component,predicted_mw,label_mw"
 RESULTS_HEADER = "method,k,seed,mape_percent,pearson_r"
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(message)
 
 
 def _apply_config_file(args: argparse.Namespace):
     """Fill unset options from --config; flags win, file beats defaults."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"cannot read config file {args.config}: {exc}")
+    if not isinstance(doc, dict):
+        _usage_error(f"config file {args.config} must hold a JSON object")
     valid = set(vars(args)) - {"func", "command", "config"}
     for key, value in doc.items():
         if key not in valid:
-            print(f"error: unknown config key {key!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        if getattr(args, key, None) in (None, False):
+            _usage_error(f"unknown config key {key!r}")
+        # An explicit 0 or 0.0 is a value; only None and an unset switch are unset.
+        current = getattr(args, key)
+        if current is None or current is False:
             setattr(args, key, value)
 
 

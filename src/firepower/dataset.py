@@ -12,7 +12,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import AliasError, ParseError, SchemaError, ValidationError
 
@@ -168,11 +172,23 @@ class Dataset:
     component_table: tuple[ComponentDef, ...]
     registry: ParameterRegistry = field(default_factory=builtin_registry)
 
+    @cached_property
+    def _config_index(self) -> dict[str, Configuration]:
+        return {cfg.id: cfg for cfg in self.configurations}
+
+    @cached_property
+    def _samples_by_config(self) -> dict[str, list[PowerSample]]:
+        """Each configuration's samples, in their original order."""
+        groups: dict[str, list[PowerSample]] = {}
+        for s in self.samples:
+            groups.setdefault(s.config_id, []).append(s)
+        return groups
+
     def config(self, config_id: str) -> Configuration:
-        for cfg in self.configurations:
-            if cfg.id == config_id:
-                return cfg
-        raise ValidationError(f"unknown configuration id {config_id!r}")
+        try:
+            return self._config_index[config_id]
+        except KeyError:
+            raise ValidationError(f"unknown configuration id {config_id!r}") from None
 
     def component(self, name: str) -> ComponentDef:
         for comp in self.component_table:
@@ -184,7 +200,7 @@ class Dataset:
         return [cfg.id for cfg in self.configurations]
 
     def samples_of(self, config_id: str) -> list[PowerSample]:
-        return [s for s in self.samples if s.config_id == config_id]
+        return list(self._samples_by_config.get(config_id, ()))
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -202,27 +218,38 @@ def _parse_registry(doc: dict) -> ParameterRegistry:
     return ParameterRegistry(canonical=canonical, aliases=aliases)
 
 
+def component_to_dict(c: ComponentDef) -> dict:
+    return {
+        "name": c.name,
+        "hw_params": list(c.hw_params),
+        "event_stats": list(c.event_stats),
+        "important_param": c.important_param,
+    }
+
+
+def component_from_dict(entry: dict, registry: ParameterRegistry | None = None) -> ComponentDef:
+    """Inverse of component_to_dict.  With a registry, parameter names are
+    canonicalized first; aliased names may merge, keeping first occurrences."""
+    name = _require(entry, "name", "component_table")
+    hw_params = _require(entry, "hw_params", f"component {name}")
+    important = entry.get("important_param")
+    if registry is not None:
+        hw_params = dict.fromkeys(registry.canonicalize(p) for p in hw_params)
+        if important is not None:
+            important = registry.canonicalize(important)
+    return ComponentDef(
+        name=name,
+        hw_params=tuple(hw_params),
+        event_stats=tuple(entry.get("event_stats", ())),
+        important_param=important,
+    )
+
+
 def _parse_component_table(doc: dict, registry: ParameterRegistry) -> tuple[ComponentDef, ...]:
     raw = doc.get("component_table")
     if raw is None:
         return tuple(builtin_component_table())
-    table = []
-    for entry in raw:
-        name = _require(entry, "name", "component_table")
-        hw_params = [registry.canonicalize(p) for p in _require(entry, "hw_params", name)]
-        # Aliased names may merge; keep first occurrence order.
-        hw_params = list(dict.fromkeys(hw_params))
-        important = entry.get("important_param")
-        if important is not None:
-            important = registry.canonicalize(important)
-        table.append(
-            ComponentDef(
-                name=name,
-                hw_params=tuple(hw_params),
-                event_stats=tuple(entry.get("event_stats", ())),
-                important_param=important,
-            )
-        )
+    table = [component_from_dict(entry, registry) for entry in raw]
     if len({c.name for c in table}) != len(table):
         raise ValidationError("duplicate component names in component_table")
     return tuple(table)
@@ -288,6 +315,31 @@ def _parse_sample(entry: dict, table: tuple[ComponentDef, ...]) -> PowerSample:
     )
 
 
+def read_json_file(path: str | os.PathLike, kind: str):
+    """Parse a JSON file; an unreadable or malformed one raises ParseError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+@contextmanager
+def schema_errors(kind: str):
+    """Report a missing key or a misshapen value in a `kind` document as a
+    SchemaError, not a bare KeyError, TypeError, AttributeError or
+    ValueError.  Usable as a decorator on the document decoders."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{kind}: missing field {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise SchemaError(f"{kind}: malformed document ({exc})") from exc
+
+
+@schema_errors("dataset")
 def dataset_from_dict(doc: dict) -> Dataset:
     if not isinstance(doc, dict):
         raise SchemaError("dataset document must be a mapping")
@@ -322,14 +374,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read dataset file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed dataset file {path}: {exc}") from exc
-    return dataset_from_dict(doc)
+    return dataset_from_dict(read_json_file(path, "dataset"))
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
@@ -339,15 +384,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
             "canonical": list(ds.registry.canonical),
             "aliases": dict(ds.registry.aliases),
         },
-        "component_table": [
-            {
-                "name": c.name,
-                "hw_params": list(c.hw_params),
-                "event_stats": list(c.event_stats),
-                "important_param": c.important_param,
-            }
-            for c in ds.component_table
-        ],
+        "component_table": [component_to_dict(c) for c in ds.component_table],
         "configurations": [{"id": c.id, "params": dict(c.params)} for c in ds.configurations],
         "samples": [
             {
@@ -364,13 +401,17 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def write_text_atomic(path: str | os.PathLike, text: str):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The file
+    gets the mode a plain open() would give it (0o666 less the umask)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -428,18 +469,25 @@ def few_shot_split(ds: Dataset, labeled_config_ids: list[str]) -> tuple[Dataset,
     return subset(True), subset(False)
 
 
-def feature_vector(
-    ds: Dataset, comp: ComponentDef, sample: PowerSample, include_events: bool = False
-) -> list[float]:
-    """[H_i values in hw_params order] then optionally [E_i values in order]."""
-    cfg = ds.config(sample.config_id)
-    vec = [float(cfg.params[p]) for p in comp.hw_params]
-    if include_events:
-        for name in comp.event_stats:
-            if name not in sample.event_stats:
-                raise ValidationError(
-                    f"sample ({sample.config_id}, {sample.workload}) "
-                    f"lacks event statistic {name!r}"
-                )
-            vec.append(sample.event_stats[name])
-    return vec
+def feature_row(comp: ComponentDef, cfg: Configuration, event_stats: dict) -> list[float]:
+    """[H_i values in comp.hw_params order] then [E_i values in comp.event_stats order]."""
+    row = [float(cfg.params[p]) for p in comp.hw_params]
+    for name in comp.event_stats:
+        if name not in event_stats:
+            raise ValidationError(
+                f"configuration {cfg.id!r} lacks event statistic {name!r} "
+                f"for component {comp.name!r}"
+            )
+        row.append(float(event_stats[name]))
+    return row
+
+
+def design_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
+    """One feature_row per sample, in sample order: n_samples x (|H_i| + |E_i|)."""
+    rows = []
+    for s in ds.samples:
+        try:
+            rows.append(feature_row(comp, ds.config(s.config_id), s.event_stats))
+        except ValidationError as exc:
+            raise ValidationError(f"sample ({s.config_id}, {s.workload}): {exc}") from None
+    return np.array(rows)

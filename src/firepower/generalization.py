@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .application import DEFAULT_EPSILON
-from .dataset import Dataset, average_power_per_config
+from .dataset import Dataset
 from .errors import ModelError, ValidationError
-from .knowledge import KnowledgeBase
+from .knowledge import KnowledgeBase, hardware_training_matrix
 from .metrics import mape
 
 DEFAULT_GATE_THRESHOLD = 10.0  # percent
@@ -69,16 +69,10 @@ def evaluate_generalization(
         raise ValidationError("no target configurations to evaluate against")
     per_component: dict[str, ComponentVerdict] = {}
     for comp in kb.component_table:
-        model = kb.per_component[comp.name].hardware_model
-        averages = average_power_per_config(ds_target_train, comp.name)
-        preds = []
-        labels = []
-        for cfg in ds_target_train.configurations:
-            raw = model.predict([float(cfg.params[p]) for p in comp.hw_params])
-            preds.append(max(raw, epsilon))
-            labels.append(averages[cfg.id])
+        X, labels = hardware_training_matrix(ds_target_train, comp)
+        preds = np.maximum(kb.per_component[comp.name].hardware_model.predict_many(X), epsilon)
         s = ideal_scaling_factor(preds, labels)
-        observed = mape([s * p for p in preds], labels)
+        observed = mape(s * preds, labels)
         verdict = HIGH if observed < threshold else LOW
         per_component[comp.name] = ComponentVerdict(
             component=comp.name,

@@ -8,16 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines
 from .application import build_target_model
 from .baselines import (
     METHOD_KEYS,
     TransferWrapper,
-    sample_features,
+    monolithic_matrix,
     train_monolithic,
     train_monolithic_per_component,
 )
-from .dataset import Dataset, few_shot_split
+from .dataset import Dataset, design_matrix, few_shot_split
 from .errors import ValidationError
 from .knowledge import KnowledgeBase, extract_knowledge
 from .metrics import mape, pearson_r
@@ -51,24 +50,10 @@ def _firepower_totals(model, test: Dataset) -> list[float]:
         hw_by_config = {
             cfg.id: hw.predict(comp, cfg, model.epsilon) for cfg in test.configurations
         }
-        X = np.array([baselines.component_features(test, comp, s) for s in test.samples])
-        ev_preds = ev.model.predict_many(X)
+        ev_preds = ev.model.predict_many(design_matrix(test, comp))
         hw_preds = np.array([hw_by_config[s.config_id] for s in test.samples])
         totals += hw_preds * ev_preds
     return list(totals)
-
-
-def _transfer_totals(w: TransferWrapper, features: np.ndarray) -> np.ndarray:
-    preds = np.empty(features.shape[0])
-    p_t = w.source_many(features)
-    for i, x in enumerate(features):
-        j = w.nearest_index(x)
-        label = float(w.pool_labels[j])
-        if np.array_equal(x, w.pool_features[j]):
-            preds[i] = label
-        else:
-            preds[i] = p_t[i] / max(w.pool_source_preds[j], baselines.TRANSFER_EPSILON) * label
-    return preds
 
 
 def _method_predictions(
@@ -82,42 +67,29 @@ def _method_predictions(
 ) -> list[float]:
     if method == "mcpat_calib":
         model = train_monolithic(train, use_M, hp)
-        X = np.array([model.features(test, s) for s in test.samples])
+        X = monolithic_matrix(test, model.event_names, use_M)
         return list(model.model.predict_many(X))
     if method == "mcpat_calib_component":
         models = train_monolithic_per_component(train, hp)
         totals = np.zeros(len(test.samples))
         for comp in test.component_table:
-            X = np.array([baselines.component_features(test, comp, s) for s in test.samples])
-            totals += models[comp.name].predict_many(X)
+            totals += models[comp.name].predict_many(design_matrix(test, comp))
         return list(totals)
     if method == "mcpat_calib_transfer":
         source = sources["monolithic"]
-        pool = np.array(
-            [sample_features(train, s, source.event_names, use_M) for s in train.samples]
-        )
+        pool = monolithic_matrix(train, source.event_names, use_M)
         labels = np.array([s.total_power for s in train.samples])
-        w = TransferWrapper.build(source.model.predict, pool, labels, source.model.predict_many)
-        X = np.array(
-            [sample_features(test, s, source.event_names, use_M) for s in test.samples]
-        )
-        return list(_transfer_totals(w, X))
+        w = TransferWrapper.build(source.model.predict_many, pool, labels)
+        return list(w.predict_many(monolithic_matrix(test, source.event_names, use_M)))
     if method == "mcpat_calib_component_transfer":
         comp_sources = sources["per_component"]
         totals = np.zeros(len(test.samples))
         for comp in train.component_table:
-            pool = np.array(
-                [baselines.component_features(train, comp, s) for s in train.samples]
-            )
             labels = np.array([s.component_power[comp.name] for s in train.samples])
             w = TransferWrapper.build(
-                comp_sources[comp.name].predict,
-                pool,
-                labels,
-                comp_sources[comp.name].predict_many,
+                comp_sources[comp.name].predict_many, design_matrix(train, comp), labels
             )
-            X = np.array([baselines.component_features(test, comp, s) for s in test.samples])
-            totals += _transfer_totals(w, X)
+            totals += w.predict_many(design_matrix(test, comp))
         return list(totals)
     if method == "firepower_no_retrain":
         model = build_target_model(kb, train, hp, force_no_retrain=True)

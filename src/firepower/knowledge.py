@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trees
-from .dataset import ComponentDef, Dataset, average_power_per_config, write_text_atomic
+from .dataset import (
+    ComponentDef,
+    Dataset,
+    average_power_per_config,
+    component_from_dict,
+    component_to_dict,
+    read_json_file,
+    schema_errors,
+    write_text_atomic,
+)
 from .errors import ModelError, ValidationError
 from .trees import GbtHyperparams, GbtModel
 
@@ -137,15 +146,7 @@ def knowledge_base_to_dict(kb: KnowledgeBase) -> dict:
     return {
         "known_architecture": kb.known_architecture,
         "threshold": kb.threshold,
-        "component_table": [
-            {
-                "name": c.name,
-                "hw_params": list(c.hw_params),
-                "event_stats": list(c.event_stats),
-                "important_param": c.important_param,
-            }
-            for c in kb.component_table
-        ],
+        "component_table": [component_to_dict(c) for c in kb.component_table],
         "per_component": {
             name: {
                 "hardware_model": trees.gbt_to_dict(ck.hardware_model),
@@ -157,16 +158,8 @@ def knowledge_base_to_dict(kb: KnowledgeBase) -> dict:
     }
 
 
+@schema_errors("knowledge base")
 def knowledge_base_from_dict(doc: dict) -> KnowledgeBase:
-    table = tuple(
-        ComponentDef(
-            name=c["name"],
-            hw_params=tuple(c["hw_params"]),
-            event_stats=tuple(c["event_stats"]),
-            important_param=c["important_param"],
-        )
-        for c in doc["component_table"]
-    )
     per_component = {
         name: ComponentKnowledge(
             component=name,
@@ -180,7 +173,7 @@ def knowledge_base_from_dict(doc: dict) -> KnowledgeBase:
         known_architecture=doc["known_architecture"],
         threshold=doc["threshold"],
         per_component=per_component,
-        component_table=table,
+        component_table=tuple(component_from_dict(c) for c in doc["component_table"]),
     )
 
 
@@ -189,5 +182,4 @@ def save_knowledge_base(kb: KnowledgeBase, path: str | os.PathLike):
 
 
 def load_knowledge_base(path: str | os.PathLike) -> KnowledgeBase:
-    with open(path) as fh:
-        return knowledge_base_from_dict(json.load(fh))
+    return knowledge_base_from_dict(read_json_file(path, "knowledge base"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .dataset import (
     PowerSample,
     builtin_component_table,
     builtin_registry,
+    read_json_file,
+    schema_errors,
     write_text_atomic,
 )
 from .errors import ValidationError
@@ -351,46 +353,18 @@ def spec_to_dict(spec: SynthSpec) -> dict:
         "known_arch": spec.known_arch,
         "target_arch": spec.target_arch,
         "workload_base": list(spec.workload_base),
+        # Tuples become JSON lists; keys follow ComponentGen's field order.
         "components": [
-            {
-                "name": g.name,
-                "hw_params": list(g.hw_params),
-                "ref_param": g.ref_param,
-                "hw_form_known": g.hw_form_known,
-                "hw_form_target": g.hw_form_target,
-                "hw_coeffs_known": list(g.hw_coeffs_known),
-                "hw_coeffs_target": list(g.hw_coeffs_target),
-                "arch_scale_known": g.arch_scale_known,
-                "arch_scale_target": g.arch_scale_target,
-                "event_stat": g.event_stat,
-                "event_coeffs_known": list(g.event_coeffs_known),
-                "event_coeffs_target": list(g.event_coeffs_target),
-                "dominant_param": g.dominant_param,
-                "dissimilar": g.dissimilar,
-            }
+            {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(g).items()}
             for g in spec.components
         ],
     }
 
 
+@schema_errors("synthetic spec")
 def spec_from_dict(doc: dict) -> SynthSpec:
     components = tuple(
-        ComponentGen(
-            name=g["name"],
-            hw_params=tuple(g["hw_params"]),
-            ref_param=g["ref_param"],
-            hw_form_known=g["hw_form_known"],
-            hw_form_target=g["hw_form_target"],
-            hw_coeffs_known=tuple(g["hw_coeffs_known"]),
-            hw_coeffs_target=tuple(g["hw_coeffs_target"]),
-            arch_scale_known=g["arch_scale_known"],
-            arch_scale_target=g["arch_scale_target"],
-            event_stat=g["event_stat"],
-            event_coeffs_known=tuple(g["event_coeffs_known"]),
-            event_coeffs_target=tuple(g["event_coeffs_target"]),
-            dominant_param=g["dominant_param"],
-            dissimilar=g["dissimilar"],
-        )
+        ComponentGen(**{k: tuple(v) if isinstance(v, list) else v for k, v in g.items()})
         for g in doc["components"]
     )
     return SynthSpec(
@@ -411,5 +385,4 @@ def save_spec(spec: SynthSpec, path: str | os.PathLike):
 
 
 def load_spec(path: str | os.PathLike) -> SynthSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(read_json_file(path, "synthetic spec"))

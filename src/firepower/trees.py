@@ -207,10 +207,6 @@ def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
     )
 
 
-def predict_gbt(m: GbtModel, x) -> float:
-    return m.predict(x)
-
-
 def feature_importance(m: GbtModel) -> np.ndarray:
     """Normalized impurity-decrease importance; uniform if nothing gained."""
     total = float(m.cumulative_gain.sum())
@@ -247,10 +243,6 @@ def fit_linear_one_feature(x, y, feature_index: int = 0) -> LinearModel:
     return LinearModel(
         feature_index=feature_index, slope=slope, intercept=ym - slope * xm, is_constant=False
     )
-
-
-def predict_linear(m: LinearModel, x: float) -> float:
-    return m.predict(x)
 
 
 # --- serialization ----------------------------------------------------------

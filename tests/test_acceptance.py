@@ -21,7 +21,7 @@ from firepower.application import (
     save_model,
     train_event_model,
 )
-from firepower.baselines import METHOD_KEYS, TransferWrapper, transfer_predict
+from firepower.baselines import METHOD_KEYS, TransferWrapper
 from firepower.cli import main
 from firepower.dataset import (
     Dataset,
@@ -223,15 +223,16 @@ def test_event_model_ratio_contract():
 
 
 def test_transfer_formula():
-    source = lambda v: 3.0 * float(v[0]) + 1.0  # noqa: E731
+    source = lambda X: 3.0 * X[:, 0] + 1.0  # noqa: E731
     pool = [[1.0], [5.0]]
     labels = [8.0, 40.0]
     w = TransferWrapper.build(source, pool, labels)
     cases = [(2.0, 0), (4.5, 1), (10.0, 1)]
+    preds = w.predict_many([[x] for x, _ in cases])
     worst = 0.0
-    for x, j in cases:
-        expected = source([x]) / source(pool[j]) * labels[j]
-        worst = max(worst, abs(transfer_predict(w, [x]) - expected))
+    for (x, j), pred in zip(cases, preds):
+        expected = (3.0 * x + 1.0) / (3.0 * pool[j][0] + 1.0) * labels[j]
+        worst = max(worst, abs(pred - expected))
     check("transfer formula", worst <= 1e-12, f"max |error| {worst:.1e} over hand cases")
 
 

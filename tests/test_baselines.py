@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from firepower.application import INHERITED
+from firepower.application import INHERITED, build_target_model
 from firepower.baselines import (
     METHOD_KEYS,
-    MonolithicModel,
     TransferWrapper,
     event_stat_names,
-    firepower_without_retraining,
-    predict_per_component_total,
-    sample_features,
+    monolithic_matrix,
     train_monolithic,
     train_monolithic_per_component,
-    transfer_predict,
 )
+from firepower.dataset import feature_row
 from firepower.errors import ModelError, ValidationError
+from firepower.harness import _method_predictions
 from firepower.trees import GbtHyperparams
 
 
@@ -34,61 +32,65 @@ def test_event_names_follow_component_table(tiny_dataset):
 
 
 def test_sample_features_layout(tiny_dataset):
+    # The monolithic baseline's rows: 14 canonical parameters, then events.
+    X = monolithic_matrix(tiny_dataset, ["front_act", "core_act"], use_M=False)
+    assert X.shape == (len(tiny_dataset.samples), 14 + 2)
     sample = tiny_dataset.samples[0]
-    vec = sample_features(tiny_dataset, sample, ["front_act", "core_act"], use_M=False)
-    assert len(vec) == 14 + 2
     cfg = tiny_dataset.config(sample.config_id)
-    assert vec[:14] == [float(cfg.params[p]) for p in tiny_dataset.registry.canonical]
-    assert vec[14:] == [1.0, 2.0]
+    assert list(X[0, :14]) == [float(cfg.params[p]) for p in tiny_dataset.registry.canonical]
+    assert list(X[0, 14:]) == [1.0, 2.0]
 
 
 def test_sample_features_requires_analytical_estimate(tiny_dataset):
-    sample = tiny_dataset.samples[0]
     with pytest.raises(ValidationError):
-        sample_features(tiny_dataset, sample, [], use_M=True)
+        monolithic_matrix(tiny_dataset, [], use_M=True)
 
 
 def test_monolithic_fits_training_data(tiny_dataset, small_hp):
     model = train_monolithic(tiny_dataset, use_M=False, hp=GbtHyperparams())
-    preds = [model.predict(tiny_dataset, s) for s in tiny_dataset.samples]
+    X = monolithic_matrix(tiny_dataset, model.event_names, use_M=False)
+    preds = model.model.predict_many(X)
     labels = [s.total_power for s in tiny_dataset.samples]
-    assert float(np.abs(np.array(preds) - labels).mean()) < 0.5
+    assert float(np.abs(preds - labels).mean()) < 0.5
 
 
 def test_per_component_total_additivity(tiny_dataset, small_hp):
+    # The harness scores this baseline as the sum of the per-component
+    # models over each component's design matrix; every total must equal
+    # the sum of that sample's scalar component predictions.
     models = train_monolithic_per_component(tiny_dataset, small_hp)
     assert set(models) == {"Front", "Core", "Other Logic"}
-    from firepower.baselines import component_features
-
-    sample = tiny_dataset.samples[0]
-    total = predict_per_component_total(tiny_dataset, models, sample)
-    parts = sum(
-        models[c.name].predict(component_features(tiny_dataset, c, sample))
-        for c in tiny_dataset.component_table
+    totals = _method_predictions(
+        "mcpat_calib_component", None, tiny_dataset, tiny_dataset, small_hp, False, {}
     )
-    assert total == parts
+    for total, sample in zip(totals, tiny_dataset.samples):
+        cfg = tiny_dataset.config(sample.config_id)
+        parts = sum(
+            models[c.name].predict(feature_row(c, cfg, sample.event_stats))
+            for c in tiny_dataset.component_table
+        )
+        assert total == parts
 
 
 def test_transfer_formula_hand_case():
     # Source model: f(x) = 2x. Pool holds one labeled point (x=1, L=10);
     # predicting at x=3 must give (f(3)/f(1)) * 10 = 30.
-    source = lambda x: 2.0 * float(x[0])  # noqa: E731
+    source = lambda X: 2.0 * X[:, 0]  # noqa: E731
     w = TransferWrapper.build(source, [[1.0], [4.0]], [10.0, 40.0])
-    assert transfer_predict(w, [3.0]) == pytest.approx((6.0 / 2.0) * 10.0, abs=1e-12)
+    assert w.predict_many([[3.0]])[0] == pytest.approx((6.0 / 2.0) * 10.0, abs=1e-12)
 
 
 def test_transfer_exact_on_pool_members():
-    source = lambda x: float(x[0]) ** 2 + 1.0  # noqa: E731
+    source = lambda X: X[:, 0] ** 2 + 1.0  # noqa: E731
     pool = [[1.0, 2.0], [3.0, 5.0]]
     labels = [7.0, 11.0]
     w = TransferWrapper.build(source, pool, labels)
-    assert transfer_predict(w, [1.0, 2.0]) == 7.0
-    assert transfer_predict(w, [3.0, 5.0]) == 11.0
+    assert list(w.predict_many(pool)) == [7.0, 11.0]
 
 
 def test_transfer_nearest_neighbor_standardized():
     # Feature 1 has a huge raw scale; z-scoring keeps feature 0 relevant.
-    source = lambda x: 1.0  # noqa: E731
+    source = lambda X: np.ones(len(X))  # noqa: E731
     pool = [[0.0, 0.0], [1.0, 1000.0]]
     w = TransferWrapper.build(source, pool, [5.0, 9.0])
     assert w.nearest_index(np.array([0.1, 950.0])) == 1
@@ -96,7 +98,7 @@ def test_transfer_nearest_neighbor_standardized():
 
 
 def test_transfer_drops_zero_variance_features():
-    source = lambda x: float(x[0])  # noqa: E731
+    source = lambda X: X[:, 0]  # noqa: E731
     pool = [[1.0, 7.0], [2.0, 7.0]]  # second feature is constant in the pool
     w = TransferWrapper.build(source, pool, [1.0, 2.0])
     assert list(w.keep) == [True, False]
@@ -104,7 +106,7 @@ def test_transfer_drops_zero_variance_features():
 
 
 def test_transfer_tie_breaks_to_earliest_pool_index():
-    source = lambda x: float(x[0])  # noqa: E731
+    source = lambda X: X[:, 0]  # noqa: E731
     pool = [[1.0], [3.0]]
     w = TransferWrapper.build(source, pool, [10.0, 30.0])
     assert w.nearest_index(np.array([2.0])) == 0
@@ -112,7 +114,7 @@ def test_transfer_tie_breaks_to_earliest_pool_index():
 
 def test_transfer_rejects_empty_pool():
     with pytest.raises(ModelError):
-        TransferWrapper.build(lambda x: 1.0, np.empty((0, 2)), np.empty(0))
+        TransferWrapper.build(lambda X: np.ones(len(X)), np.empty((0, 2)), np.empty(0))
 
 
 def test_no_retrain_wrapper(kb0, synth_pair, small_hp):
@@ -121,5 +123,5 @@ def test_no_retrain_wrapper(kb0, synth_pair, small_hp):
     from firepower.harness import choose_labeled_configs
 
     train, _ = few_shot_split(ds_target, choose_labeled_configs(ds_target, 2, 0))
-    model = firepower_without_retraining(kb0, train, small_hp)
+    model = build_target_model(kb0, train, small_hp, force_no_retrain=True)
     assert all(hw.variant == INHERITED for hw, _ in model.per_component.values())

@@ -253,3 +253,111 @@ def test_unknown_config_key_rejected(workspace, tmp_path):
         ]
     )
     assert code == EXIT_USAGE
+
+
+def test_explicit_zero_flags_beat_config_file(workspace, tmp_path):
+    # 0 and 0.0 are values, not "unset": the file must not override them.
+    cfg = tmp_path / "extract.json"
+    cfg.write_text(json.dumps({"threshold": 0.5, "n_estimators": 5}))
+    known = str(workspace / "data" / "known.json")
+    kb = tmp_path / "kb.json"
+    args = ["extract", "--known", known, "--out", str(kb), "--threshold", "0", "--config", str(cfg)]
+    assert main(args) == EXIT_OK
+    from firepower.knowledge import load_knowledge_base
+
+    assert load_knowledge_base(kb).threshold == 0.0
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({"seeds": 10, "n_estimators": 5}))
+    out = tmp_path / "exp"
+    code = main(
+        [
+            "experiment",
+            "--known",
+            known,
+            "--target",
+            str(workspace / "data" / "target.json"),
+            "--seeds",
+            "0",
+            "--out",
+            str(out),
+            "--config",
+            str(cfg),
+        ]
+    )
+    assert code == EXIT_OK
+    assert (out / "results.csv").read_text().splitlines() == [
+        "method,k,seed,mape_percent,pearson_r"
+    ]
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]", None])
+def test_bad_config_file_is_usage_error(workspace, tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    if content is not None:  # None: the file does not exist
+        cfg.write_text(content)
+    code = main(
+        [
+            "extract",
+            "--known",
+            str(workspace / "data" / "known.json"),
+            "--out",
+            str(tmp_path / "kb.json"),
+            "--config",
+            str(cfg),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _edited_copy(src, dst, edit):
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+    return str(dst)
+
+
+def test_kb_missing_key_is_data_error(workspace, tmp_path, capsys):
+    kb = _edited_copy(workspace / "kb.json", tmp_path / "kb.json", lambda d: d.pop("threshold"))
+    code = main(
+        [
+            "build",
+            "--kb",
+            kb,
+            "--target-train",
+            str(workspace / "data" / "target.json"),
+            "--out",
+            str(tmp_path / "model.json"),
+        ]
+        + HP_FLAGS
+    )
+    assert code == EXIT_DATA
+    assert "threshold" in capsys.readouterr().err
+
+
+def _predict_with_model(workspace, tmp_path, edit) -> int:
+    model = _edited_copy(workspace / "model.json", tmp_path / "model.json", edit)
+    return main(
+        [
+            "predict",
+            "--model",
+            model,
+            "--input",
+            str(workspace / "data" / "target.json"),
+            "--out",
+            str(tmp_path / "preds.csv"),
+        ]
+    )
+
+
+def test_model_missing_key_is_data_error(workspace, tmp_path):
+    assert _predict_with_model(workspace, tmp_path, lambda d: d.pop("epsilon")) == EXIT_DATA
+
+
+def test_model_unknown_hw_variant_is_data_error(workspace, tmp_path, capsys):
+    def edit(doc):
+        doc["per_component"]["BPTAGE"]["hw"]["variant"] = "borrowed"
+
+    assert _predict_with_model(workspace, tmp_path, edit) == EXIT_DATA
+    assert "borrowed" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import stat
 
 import pytest
 
@@ -13,7 +15,8 @@ from firepower.dataset import (
     builtin_registry,
     dataset_from_dict,
     dataset_to_dict,
-    feature_vector,
+    design_matrix,
+    feature_row,
     few_shot_split,
     load_dataset,
     save_dataset,
@@ -200,19 +203,22 @@ def test_few_shot_split_rejects_degenerate_cases(tiny_dataset):
 def test_feature_vector_ordering(tiny_dataset):
     sample = tiny_dataset.samples[0]
     comp = tiny_dataset.component("Front")
-    assert feature_vector(tiny_dataset, comp, sample) == [4.0, 8.0]
-    assert feature_vector(tiny_dataset, comp, sample, include_events=True) == [
-        4.0,
-        8.0,
-        1.0,
-    ]
+    cfg = tiny_dataset.config(sample.config_id)
+    assert feature_row(comp, cfg, sample.event_stats) == [4.0, 8.0, 1.0]
+    hw_only = ComponentDef(name="Front", hw_params=comp.hw_params)
+    assert feature_row(hw_only, cfg, sample.event_stats) == [4.0, 8.0]
+    X = design_matrix(tiny_dataset, comp)
+    assert X.shape == (len(tiny_dataset.samples), 3)
+    assert list(X[0]) == [4.0, 8.0, 1.0]
 
 
 def test_feature_vector_missing_event(tiny_dataset):
     sample = tiny_dataset.samples[0]
     comp = ComponentDef(name="Front", hw_params=("FetchWidth",), event_stats=("absent",))
-    with pytest.raises(ValidationError):
-        feature_vector(tiny_dataset, comp, sample, include_events=True)
+    with pytest.raises(ValidationError, match="absent"):
+        feature_row(comp, tiny_dataset.config(sample.config_id), sample.event_stats)
+    with pytest.raises(ValidationError, match=r"sample \(C1, w0\).*absent"):
+        design_matrix(tiny_dataset, comp)
 
 
 def test_malformed_file(tmp_path):
@@ -232,3 +238,13 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, tiny_dataset):
     save_dataset(tiny_dataset, path)  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
     json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_honours_umask(tmp_path, tiny_dataset, umask):
+    old = os.umask(umask)
+    try:
+        save_dataset(tiny_dataset, tmp_path / "ds.json")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "ds.json").st_mode) == 0o666 & ~umask

@@ -13,7 +13,6 @@ from firepower.trees import (
     gbt_to_dict,
     linear_from_dict,
     linear_to_dict,
-    predict_linear,
 )
 
 
@@ -157,7 +156,7 @@ def test_linear_constant_fallback():
 
 def test_linear_trivial_predictions():
     m = fit_linear_one_feature([0.0, 1.0], [0.0, 2.0])
-    assert predict_linear(m, 3.0) == pytest.approx(6.0)
+    assert m.predict(3.0) == pytest.approx(6.0)
 
 
 @given(
