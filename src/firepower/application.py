@@ -44,57 +44,56 @@ RETRAINED = "retrained"
 
 @dataclass
 class EffectiveHardwareModel:
+    """F_hw for one component: the inherited GBT over H_i, or a retrained
+    one-parameter linear model reading H_i[feature_index]."""
+
     component: str
-    variant: str  # INHERITED or RETRAINED
-    gbt: GbtModel | None = None
-    linear: LinearModel | None = None
-    important_param: str | None = None
+    model: GbtModel | LinearModel
+
+    @property
+    def variant(self) -> str:
+        return RETRAINED if isinstance(self.model, LinearModel) else INHERITED
 
     def predict(self, comp: ComponentDef, config: Configuration, epsilon: float) -> float:
         for p in comp.hw_params:
             if p not in config.params:
                 raise ValidationError(f"configuration {config.id!r} lacks parameter {p!r}")
-        if self.variant == INHERITED:
-            raw = self.gbt.predict([float(config.params[p]) for p in comp.hw_params])
-        else:
-            raw = self.linear.predict(config.params[self.important_param])
-        return max(raw, epsilon)
+        return max(self.model.predict([float(config.params[p]) for p in comp.hw_params]), epsilon)
 
-
-@dataclass
-class EventModel:
-    component: str
-    model: GbtModel
-
-    def predict(self, comp: ComponentDef, config: Configuration, event_stats: dict) -> float:
-        return self.model.predict(feature_row(comp, config, event_stats))
+    def predict_samples(self, ds: Dataset, comp: ComponentDef, epsilon: float) -> np.ndarray:
+        """The clamped factor of each sample of ds, in sample order."""
+        # The hardware factor depends on the configuration alone.
+        by_config = {cfg.id: self.predict(comp, cfg, epsilon) for cfg in ds.configurations}
+        return np.array([by_config[s.config_id] for s in ds.samples])
 
 
 @dataclass
 class FirePowerModel:
+    """Per component, P_i = F_hw(H_i) * event GBT(H_i, E_i)."""
+
     target_architecture: str
-    per_component: dict[str, tuple[EffectiveHardwareModel, EventModel]]
+    per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]]
     component_table: tuple[ComponentDef, ...]
     epsilon: float = DEFAULT_EPSILON
 
-    def _component(self, name: str) -> ComponentDef:
-        for comp in self.component_table:
-            if comp.name == name:
-                return comp
-        raise ValidationError(f"unknown component {name!r}")
-
     def predict_component_power(
-        self, comp_name: str, config: Configuration, event_stats: dict
+        self, comp: ComponentDef, config: Configuration, event_stats: dict
     ) -> float:
-        comp = self._component(comp_name)
-        hw, ev = self.per_component[comp_name]
-        return hw.predict(comp, config, self.epsilon) * ev.predict(comp, config, event_stats)
-
-    def predict_total_power(self, config: Configuration, event_stats: dict) -> float:
-        return sum(
-            self.predict_component_power(comp.name, config, event_stats)
-            for comp in self.component_table
+        hw, event = self.per_component[comp.name]
+        return hw.predict(comp, config, self.epsilon) * event.predict(
+            feature_row(comp, config, event_stats)
         )
+
+    def predict_components(self, ds: Dataset) -> np.ndarray:
+        """(n_samples, n_components) predictions, columns in table order;
+        each entry equals predict_component_power on that sample."""
+        out = np.empty((len(ds.samples), len(self.component_table)))
+        for j, comp in enumerate(self.component_table):
+            hw, event = self.per_component[comp.name]
+            out[:, j] = hw.predict_samples(ds, comp, self.epsilon) * event.predict_many(
+                design_matrix(ds, comp)
+            )
+        return out
 
 
 def retrain_hardware_model(
@@ -106,11 +105,9 @@ def retrain_hardware_model(
         )
     if not ds_target_train.configurations:
         raise ValidationError("no target configurations to retrain on")
-    _, y = hardware_training_matrix(ds_target_train, comp)
-    x = np.array(
-        [float(cfg.params[important_param]) for cfg in ds_target_train.configurations]
-    )
-    return trees.fit_linear_one_feature(x, y, feature_index=comp.hw_params.index(important_param))
+    X, y = hardware_training_matrix(ds_target_train, comp)
+    j = comp.hw_params.index(important_param)
+    return trees.fit_linear_one_feature(X[:, j], y, feature_index=j)
 
 
 def train_event_model(
@@ -118,31 +115,25 @@ def train_event_model(
     comp: ComponentDef,
     hw: EffectiveHardwareModel,
     hp: GbtHyperparams,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EventModel:
+) -> GbtModel:
+    """Fit the event GBT on the ratio labels P_i / F_hw."""
     if not ds_target_train.samples:
         raise ValidationError("no training samples for the event model")
-    # The hardware factor depends on the configuration alone.
-    hw_by_config = {
-        cfg.id: hw.predict(comp, cfg, epsilon) for cfg in ds_target_train.configurations
-    }
-    labels = []
+    factors = hw.predict_samples(ds_target_train, comp, DEFAULT_EPSILON)
     for sample in ds_target_train.samples:
         if comp.name not in sample.component_power:
             raise ValidationError(
                 f"sample ({sample.config_id}, {sample.workload}) "
                 f"lacks a label for {comp.name!r}"
             )
-        labels.append(sample.component_power[comp.name] / hw_by_config[sample.config_id])
-    X = design_matrix(ds_target_train, comp)
-    return EventModel(component=comp.name, model=trees.fit_gbt(X, np.array(labels), hp))
+    power = np.array([s.component_power[comp.name] for s in ds_target_train.samples])
+    return trees.fit_gbt(design_matrix(ds_target_train, comp), power / factors, hp)
 
 
 def build_target_model(
     kb: KnowledgeBase,
     ds_target_train: Dataset,
     hp: GbtHyperparams | None = None,
-    epsilon: float = DEFAULT_EPSILON,
     force_no_retrain: bool = False,
 ) -> FirePowerModel:
     hp = hp or GbtHyperparams()
@@ -152,7 +143,7 @@ def build_target_model(
         raise ValidationError(
             "knowledge base and target dataset disagree on the component table"
         )
-    per_component: dict[str, tuple[EffectiveHardwareModel, EventModel]] = {}
+    per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]] = {}
     for comp in ds_target_train.component_table:
         ck = kb.per_component[comp.name]
         retrain = ck.strategy.kind == RETRAIN and not force_no_retrain
@@ -162,28 +153,51 @@ def build_target_model(
             values = {cfg.params[ck.strategy.param] for cfg in ds_target_train.configurations}
             retrain = len(values) > 1
         if retrain:
-            linear = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
-            hw = EffectiveHardwareModel(
-                component=comp.name,
-                variant=RETRAINED,
-                linear=linear,
-                important_param=ck.strategy.param,
-            )
+            hw_model = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
         else:
-            hw = EffectiveHardwareModel(
-                component=comp.name, variant=INHERITED, gbt=ck.hardware_model
-            )
-        ev = train_event_model(ds_target_train, comp, hw, hp, epsilon)
-        per_component[comp.name] = (hw, ev)
+            hw_model = ck.hardware_model
+        hw = EffectiveHardwareModel(component=comp.name, model=hw_model)
+        per_component[comp.name] = (hw, train_event_model(ds_target_train, comp, hw, hp))
     return FirePowerModel(
         target_architecture=ds_target_train.architecture,
         per_component=per_component,
         component_table=ds_target_train.component_table,
-        epsilon=epsilon,
     )
 
 
 # --- serialization ----------------------------------------------------------
+
+
+def _hw_to_dict(hw: EffectiveHardwareModel, comp: ComponentDef) -> dict:
+    if hw.variant == RETRAINED:
+        return {
+            "variant": RETRAINED,
+            "gbt": None,
+            "linear": trees.linear_to_dict(hw.model),
+            "important_param": comp.hw_params[hw.model.feature_index],
+        }
+    return {
+        "variant": INHERITED,
+        "gbt": trees.gbt_to_dict(hw.model),
+        "linear": None,
+        "important_param": None,
+    }
+
+
+def _hw_from_dict(doc: dict, comp: ComponentDef) -> EffectiveHardwareModel:
+    variant = doc["variant"]
+    if variant == INHERITED:
+        return EffectiveHardwareModel(comp.name, trees.gbt_from_dict(doc["gbt"]))
+    if variant != RETRAINED:
+        raise SchemaError(f"model: component {comp.name!r} has unknown hw variant {variant!r}")
+    linear = trees.linear_from_dict(doc["linear"])
+    j = linear.feature_index
+    if not (0 <= j < len(comp.hw_params) and comp.hw_params[j] == doc["important_param"]):
+        raise SchemaError(
+            f"model: component {comp.name!r} retrained hw model reads feature {j!r}, "
+            f"not its important parameter {doc['important_param']!r} among {comp.hw_params}"
+        )
+    return EffectiveHardwareModel(comp.name, linear)
 
 
 def model_to_dict(m: FirePowerModel) -> dict:
@@ -192,43 +206,32 @@ def model_to_dict(m: FirePowerModel) -> dict:
         "epsilon": m.epsilon,
         "component_table": [component_to_dict(c) for c in m.component_table],
         "per_component": {
-            name: {
-                "hw": {
-                    "variant": hw.variant,
-                    "gbt": trees.gbt_to_dict(hw.gbt) if hw.gbt is not None else None,
-                    "linear": trees.linear_to_dict(hw.linear) if hw.linear is not None else None,
-                    "important_param": hw.important_param,
-                },
-                "event": trees.gbt_to_dict(ev.model),
+            comp.name: {
+                "hw": _hw_to_dict(m.per_component[comp.name][0], comp),
+                "event": trees.gbt_to_dict(m.per_component[comp.name][1]),
             }
-            for name, (hw, ev) in m.per_component.items()
+            for comp in m.component_table
         },
     }
 
 
 @schema_errors("model")
 def model_from_dict(doc: dict) -> FirePowerModel:
-    per_component = {}
-    for name, entry in doc["per_component"].items():
-        hw_doc = entry["hw"]
-        variant = hw_doc["variant"]
-        if variant == INHERITED:
-            hw = EffectiveHardwareModel(name, variant, gbt=trees.gbt_from_dict(hw_doc["gbt"]))
-        elif variant == RETRAINED:
-            hw = EffectiveHardwareModel(
-                name,
-                variant,
-                linear=trees.linear_from_dict(hw_doc["linear"]),
-                important_param=hw_doc["important_param"],
-            )
-        else:
-            raise SchemaError(f"model: component {name!r} has unknown hw variant {variant!r}")
-        ev = EventModel(component=name, model=trees.gbt_from_dict(entry["event"]))
-        per_component[name] = (hw, ev)
+    table = tuple(component_from_dict(c) for c in doc["component_table"])
+    entries = doc["per_component"]
+    if sorted(entries) != sorted(c.name for c in table):
+        raise SchemaError("model: per_component does not match the component table")
+    per_component = {
+        comp.name: (
+            _hw_from_dict(entries[comp.name]["hw"], comp),
+            trees.gbt_from_dict(entries[comp.name]["event"]),
+        )
+        for comp in table
+    }
     return FirePowerModel(
         target_architecture=doc["target_architecture"],
         per_component=per_component,
-        component_table=tuple(component_from_dict(c) for c in doc["component_table"]),
+        component_table=table,
         epsilon=doc["epsilon"],
     )
 

@@ -14,18 +14,11 @@ import sys
 
 from . import synthgen
 from .application import build_target_model, load_model, save_model
-from .baselines import METHOD_KEYS
 from .dataset import load_dataset, save_dataset, write_text_atomic
 from .errors import FirePowerError, GateError
 from .generalization import evaluate_generalization
 from .harness import run_experiment, summarize
-from .knowledge import (
-    DEFAULT_THRESHOLD,
-    RETRAIN,
-    extract_knowledge,
-    load_knowledge_base,
-    save_knowledge_base,
-)
+from .knowledge import RETRAIN, extract_knowledge, load_knowledge_base, save_knowledge_base
 from .metrics import mape, pearson_r
 from .trees import GbtHyperparams
 
@@ -70,11 +63,18 @@ def _apply_config_file(args: argparse.Namespace):
             setattr(args, key, value)
 
 
+def _given(**options) -> dict:
+    """The options that were set, so the library defaults fill the rest."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _gbt_hyperparams(args) -> GbtHyperparams:
     return GbtHyperparams(
-        n_estimators=args.n_estimators if args.n_estimators is not None else 100,
-        max_depth=args.max_depth if args.max_depth is not None else 3,
-        learning_rate=args.learning_rate if args.learning_rate is not None else 0.3,
+        **_given(
+            n_estimators=args.n_estimators,
+            max_depth=args.max_depth,
+            learning_rate=args.learning_rate,
+        )
     )
 
 
@@ -86,8 +86,7 @@ def _add_gbt_flags(sub):
 
 def cmd_extract(args) -> int:
     ds = load_dataset(args.known)
-    threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    kb = extract_knowledge(ds, _gbt_hyperparams(args), threshold)
+    kb = extract_knowledge(ds, _gbt_hyperparams(args), **_given(threshold=args.threshold))
     save_knowledge_base(kb, args.out)
     print(f"{'Component':<16} {'Strategy':<12} Important parameter")
     for name, ck in kb.per_component.items():
@@ -102,8 +101,7 @@ def cmd_extract(args) -> int:
 def cmd_build(args) -> int:
     kb = load_knowledge_base(args.kb)
     train = load_dataset(args.target_train)
-    gate = args.gate_threshold if args.gate_threshold is not None else 10.0
-    report = evaluate_generalization(kb, train, threshold=gate)
+    report = evaluate_generalization(kb, train, **_given(threshold=args.gate_threshold))
     model = build_target_model(kb, train, _gbt_hyperparams(args))
     save_model(model, args.out)
     report_path = args.report if args.report else args.out + ".generalization.csv"
@@ -128,7 +126,7 @@ def cmd_predict(args) -> int:
         cfg = ds.config(sample.config_id)
         total = 0.0
         for comp in model.component_table:
-            pred = model.predict_component_power(comp.name, cfg, sample.event_stats)
+            pred = model.predict_component_power(comp, cfg, sample.event_stats)
             total += pred
             label = sample.component_power.get(comp.name)
             rows.append(
@@ -141,8 +139,7 @@ def cmd_predict(args) -> int:
         totals_pred.append(total)
         totals_label.append(sample.total_power)
     write_text_atomic(args.out, "\n".join(rows) + "\n")
-    labeled = all(s.component_power or s.total_power for s in ds.samples)
-    if labeled and len(totals_pred) >= 2:
+    if len(totals_pred) >= 2:
         m = mape(totals_pred, totals_label)
         r = pearson_r(totals_pred, totals_label)
         summary_path = args.out + ".summary.csv"
@@ -155,17 +152,16 @@ def cmd_predict(args) -> int:
 def cmd_experiment(args) -> int:
     ds_known = load_dataset(args.known)
     ds_target = load_dataset(args.target)
-    ks = [int(v) for v in args.ks.split(",")] if args.ks else [2, 3, 4]
-    seeds = list(range(args.seeds if args.seeds is not None else 10))
-    methods = args.methods.split(",") if args.methods else list(METHOD_KEYS)
     results = run_experiment(
         ds_known,
         ds_target,
-        methods=methods,
-        ks=ks,
-        seeds=seeds,
+        methods=args.methods.split(",") if args.methods else None,
+        seeds=list(range(args.seeds if args.seeds is not None else 10)),
         hp=_gbt_hyperparams(args),
-        threshold=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD,
+        **_given(
+            ks=[int(v) for v in args.ks.split(",")] if args.ks else None,
+            threshold=args.threshold,
+        ),
     )
     os.makedirs(args.out, exist_ok=True)
     lines = [RESULTS_HEADER]

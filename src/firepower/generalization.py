@@ -63,14 +63,13 @@ def evaluate_generalization(
     kb: KnowledgeBase,
     ds_target_train: Dataset,
     threshold: float = DEFAULT_GATE_THRESHOLD,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> GeneralizationReport:
     if not ds_target_train.configurations:
         raise ValidationError("no target configurations to evaluate against")
     per_component: dict[str, ComponentVerdict] = {}
     for comp in kb.component_table:
         X, labels = hardware_training_matrix(ds_target_train, comp)
-        preds = np.maximum(kb.per_component[comp.name].hardware_model.predict_many(X), epsilon)
+        preds = np.maximum(kb.per_component[comp.name].hardware_model.predict_many(X), DEFAULT_EPSILON)
         s = ideal_scaling_factor(preds, labels)
         observed = mape(s * preds, labels)
         verdict = HIGH if observed < threshold else LOW

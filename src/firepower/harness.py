@@ -18,7 +18,7 @@ from .baselines import (
 )
 from .dataset import Dataset, design_matrix, few_shot_split
 from .errors import ValidationError
-from .knowledge import KnowledgeBase, extract_knowledge
+from .knowledge import DEFAULT_THRESHOLD, KnowledgeBase, extract_knowledge
 from .metrics import mape, pearson_r
 from .trees import GbtHyperparams
 
@@ -41,19 +41,6 @@ def choose_labeled_configs(ds_target: Dataset, k: int, seed: int) -> list[str]:
     ids = sorted(ds_target.config_ids())
     rng = np.random.default_rng([seed, k])
     return [ids[i] for i in rng.choice(len(ids), size=k, replace=False)]
-
-
-def _firepower_totals(model, test: Dataset) -> list[float]:
-    totals = np.zeros(len(test.samples))
-    for comp in test.component_table:
-        hw, ev = model.per_component[comp.name]
-        hw_by_config = {
-            cfg.id: hw.predict(comp, cfg, model.epsilon) for cfg in test.configurations
-        }
-        ev_preds = ev.model.predict_many(design_matrix(test, comp))
-        hw_preds = np.array([hw_by_config[s.config_id] for s in test.samples])
-        totals += hw_preds * ev_preds
-    return list(totals)
 
 
 def _method_predictions(
@@ -91,12 +78,14 @@ def _method_predictions(
             )
             totals += w.predict_many(design_matrix(test, comp))
         return list(totals)
-    if method == "firepower_no_retrain":
-        model = build_target_model(kb, train, hp, force_no_retrain=True)
-        return _firepower_totals(model, test)
-    if method == "firepower":
-        model = build_target_model(kb, train, hp)
-        return _firepower_totals(model, test)
+    if method in ("firepower", "firepower_no_retrain"):
+        no_retrain = method == "firepower_no_retrain"
+        model = build_target_model(kb, train, hp, force_no_retrain=no_retrain)
+        totals = np.zeros(len(test.samples))
+        # Column by column in table order: the sums CLI predict forms per sample.
+        for column in model.predict_components(test).T:
+            totals += column
+        return list(totals)
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -107,7 +96,7 @@ def run_experiment(
     ks: list[int] = (2, 3, 4),
     seeds: list[int] = (0,),
     hp: GbtHyperparams | None = None,
-    threshold: float = 0.95,
+    threshold: float = DEFAULT_THRESHOLD,
     use_M: bool = False,
 ) -> list[EvalResult]:
     methods = list(methods) if methods else list(METHOD_KEYS)

@@ -76,10 +76,10 @@ def hardware_training_matrix(ds: Dataset, comp: ComponentDef):
     return X, y
 
 
-def train_hardware_model(ds: Dataset, comp: ComponentDef, hp: GbtHyperparams) -> GbtModel:
-    if len(ds.configurations) < 2:
+def train_hardware_model(X: np.ndarray, y: np.ndarray, hp: GbtHyperparams) -> GbtModel:
+    """Fit F_hw on hardware_training_matrix's (X, y)."""
+    if len(X) < 2:
         raise ValidationError("need at least 2 configurations to train a hardware model")
-    X, y = hardware_training_matrix(ds, comp)
     return trees.fit_gbt(X, y, hp)
 
 
@@ -114,9 +114,9 @@ def extract_knowledge(
         raise ValidationError("known-architecture dataset has no samples")
     per_component: dict[str, ComponentKnowledge] = {}
     for comp in ds_known.component_table:
-        model = train_hardware_model(ds_known, comp, hp)
+        X, y = hardware_training_matrix(ds_known, comp)
+        model = train_hardware_model(X, y, hp)
         importance = compute_importance(model, comp)
-        _, y = hardware_training_matrix(ds_known, comp)
         # A flat label profile means no parameter is informative at all;
         # whatever gains the boosting stage scraped off residual noise do
         # not indicate a dominating parameter, so such components inherit.

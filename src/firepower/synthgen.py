@@ -53,9 +53,6 @@ PARAM_RANGES = {
 # How strongly event-statistic values depend on the configuration.
 EVENT_CONFIG_COUPLING = 0.05
 
-HW_FORMS = ("linear", "product", "polynomial", "constant", "reversed")
-
-
 def _pnorm(name: str, value: float) -> float:
     lo, hi = PARAM_RANGES[name]
     return (float(value) - lo) / (hi - lo)
@@ -162,10 +159,6 @@ class GroundTruth:
             self.component_power(arch, gen.name, params, workload)
             for gen in self.spec.components
         )
-
-
-def truth_component_power(truth: GroundTruth, comp: str, params, workload: str, arch="target"):
-    return truth.component_power(arch, comp, params, workload)
 
 
 def default_spec(

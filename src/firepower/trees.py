@@ -222,8 +222,8 @@ class LinearModel:
     intercept: float
     is_constant: bool = False
 
-    def predict(self, x: float) -> float:
-        return self.slope * float(x) + self.intercept
+    def predict(self, row) -> float:
+        return self.slope * float(row[self.feature_index]) + self.intercept
 
 
 def fit_linear_one_feature(x, y, feature_index: int = 0) -> LinearModel:

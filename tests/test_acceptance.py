@@ -13,7 +13,6 @@ import pytest
 
 import firepower as fp
 from firepower.application import (
-    RETRAINED,
     EffectiveHardwareModel,
     build_target_model,
     load_model,
@@ -28,12 +27,18 @@ from firepower.dataset import (
     PowerSample,
     dataset_from_dict,
     dataset_to_dict,
+    design_matrix,
     few_shot_split,
     load_dataset,
     save_dataset,
 )
 from firepower.generalization import HIGH, LOW, evaluate_generalization
-from firepower.harness import choose_labeled_configs, run_experiment, summarize
+from firepower.harness import (
+    _method_predictions,
+    choose_labeled_configs,
+    run_experiment,
+    summarize,
+)
 from firepower.knowledge import (
     RETRAIN,
     extract_knowledge,
@@ -204,16 +209,10 @@ def test_event_model_ratio_contract():
     )
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
     y = [flat.samples_of(cfg.id)[0].component_power["Front"] for cfg in flat.configurations]
-    hw = EffectiveHardwareModel(
-        component="Front",
-        variant=RETRAINED,
-        linear=fit_linear_one_feature(x, y),
-        important_param="FetchWidth",
-    )
+    j = comp.hw_params.index("FetchWidth")
+    hw = EffectiveHardwareModel("Front", fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, GbtHyperparams())
-    preds = [
-        ev.predict(comp, flat.config(s.config_id), s.event_stats) for s in flat.samples
-    ]
+    preds = list(ev.predict_many(design_matrix(flat, comp)))
     ok = all(0.99 <= p <= 1.01 for p in preds)
     check(
         "event-model ratio contract",
@@ -260,7 +259,7 @@ def test_gbt_engine():
     )
 
 
-def test_metrics_against_oracles(synth_pair, kb0, small_hp):
+def test_metrics_against_oracles(tmp_path, synth_pair, kb0, small_hp):
     rng = np.random.default_rng(42)
     worst_m = worst_r = 0.0
     for _ in range(1000):
@@ -276,24 +275,33 @@ def test_metrics_against_oracles(synth_pair, kb0, small_hp):
 
     _, ds_target, _ = synth_pair
     train, test = few_shot_split(ds_target, choose_labeled_configs(ds_target, 3, 0))
+    # The batched predictor the harness scores and the scalar one CLI
+    # predict writes agree bit for bit, also after a save/load round trip.
     model = build_target_model(kb0, train, small_hp)
-    additive = True
-    for _ in range(1000):
-        sample = test.samples[int(rng.integers(len(test.samples)))]
-        cfg = test.config(sample.config_id)
-        events = {k: v * float(rng.uniform(0.5, 1.5)) for k, v in sample.event_stats.items()}
-        total = model.predict_total_power(cfg, events)
-        parts = sum(
-            model.predict_component_power(c.name, cfg, events)
-            for c in model.component_table
-        )
-        if total != parts:
-            additive = False
+    save_model(model, tmp_path / "model.json")
+    batched = model.predict_components(test)
+    mismatches = 0
+    for m in (model, load_model(tmp_path / "model.json")):
+        again = m.predict_components(test)
+        for i, sample in enumerate(test.samples):
+            cfg = test.config(sample.config_id)
+            for j, comp in enumerate(m.component_table):
+                scalar = m.predict_component_power(comp, cfg, sample.event_stats)
+                mismatches += int(again[i, j] != scalar or batched[i, j] != scalar)
+    # The harness total is the row sum in component-table order.
+    totals = _method_predictions("firepower", kb0, train, test, small_hp, False, {})
+    additive = len(totals) == len(test.samples)
+    for total, row in zip(totals, batched):
+        acc = 0.0
+        for value in row:
+            acc += value
+        additive = additive and total == acc
     check(
         "metrics",
-        worst_m <= 1e-12 and worst_r <= 1e-12 and additive,
+        worst_m <= 1e-12 and worst_r <= 1e-12 and mismatches == 0 and additive,
         f"mape err {worst_m:.1e}, pearson err {worst_r:.1e}, "
-        f"additivity exact on 1000 random inputs={additive}",
+        f"{mismatches} batched/scalar mismatches over {batched.size} entries x 2 models, "
+        f"harness total = table-order row sum: {additive}",
     )
 
 

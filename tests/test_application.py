@@ -13,12 +13,12 @@ from firepower.application import (
     save_model,
     train_event_model,
 )
-from firepower.dataset import Dataset, few_shot_split
+from firepower.dataset import Dataset, design_matrix, few_shot_split
 from firepower.errors import ValidationError
-from firepower.harness import choose_labeled_configs
+from firepower.harness import _method_predictions, choose_labeled_configs
 from firepower.knowledge import RETRAIN
 from firepower.metrics import mape
-from firepower.trees import GbtHyperparams, fit_linear_one_feature
+from firepower.trees import LinearModel, fit_linear_one_feature
 
 
 @pytest.fixture(scope="module")
@@ -31,25 +31,28 @@ def target_model(kb0, synth_pair, small_hp):
 
 def test_strategies_map_to_variants(target_model, kb0):
     model, _, _ = target_model
-    for name, (hw, ev) in model.per_component.items():
-        strategy = kb0.per_component[name].strategy
+    for comp in model.component_table:
+        hw, _ = model.per_component[comp.name]
+        strategy = kb0.per_component[comp.name].strategy
         if strategy.kind == RETRAIN:
             assert hw.variant == RETRAINED
-            assert hw.important_param == strategy.param
+            assert isinstance(hw.model, LinearModel)
+            assert comp.hw_params[hw.model.feature_index] == strategy.param
         else:
             assert hw.variant == INHERITED
-            assert hw.gbt is kb0.per_component[name].hardware_model
+            assert hw.model is kb0.per_component[comp.name].hardware_model
 
 
-def test_total_is_sum_of_components(target_model):
-    model, _, test = target_model
-    for sample in test.samples[:10]:
+def test_total_is_sum_of_components(target_model, kb0, small_hp):
+    # The harness scores the per-sample sum, in table order, of the
+    # scalar per-component predictions that CLI predict writes.
+    model, train, test = target_model
+    totals = _method_predictions("firepower", kb0, train, test, small_hp, False, {})
+    for sample, total in zip(test.samples[:10], totals):
         cfg = test.config(sample.config_id)
-        total = model.predict_total_power(cfg, sample.event_stats)
-        parts = sum(
-            model.predict_component_power(c.name, cfg, sample.event_stats)
-            for c in model.component_table
-        )
+        parts = 0.0
+        for c in model.component_table:
+            parts += model.predict_component_power(c, cfg, sample.event_stats)
         assert total == parts
 
 
@@ -58,7 +61,8 @@ def test_predictions_nonnegative(target_model):
     for sample in test.samples:
         cfg = test.config(sample.config_id)
         for comp in model.component_table:
-            assert model.predict_component_power(comp.name, cfg, sample.event_stats) >= 0.0
+            assert model.predict_component_power(comp, cfg, sample.event_stats) >= 0.0
+    assert (model.predict_components(test) >= 0.0).all()
 
 
 def test_build_is_deterministic(kb0, synth_pair, small_hp):
@@ -121,25 +125,15 @@ def test_event_ratio_contract(tiny_dataset, small_hp):
     )
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
     y = [flat.samples_of(cfg.id)[0].component_power["Front"] for cfg in flat.configurations]
-    hw = EffectiveHardwareModel(
-        component="Front",
-        variant=RETRAINED,
-        linear=fit_linear_one_feature(x, y),
-        important_param="FetchWidth",
-    )
+    j = comp.hw_params.index("FetchWidth")
+    hw = EffectiveHardwareModel("Front", fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, small_hp)
-    for sample in flat.samples:
-        cfg = flat.config(sample.config_id)
-        assert 0.99 <= ev.predict(comp, cfg, sample.event_stats) <= 1.01
+    preds = ev.predict_many(design_matrix(flat, comp))
+    assert ((0.99 <= preds) & (preds <= 1.01)).all()
 
 
 def test_epsilon_clamp():
-    hw = EffectiveHardwareModel(
-        component="X",
-        variant=RETRAINED,
-        linear=fit_linear_one_feature([1.0, 2.0], [1.0, 0.0]),
-        important_param="FetchWidth",
-    )
+    hw = EffectiveHardwareModel("X", fit_linear_one_feature([1.0, 2.0], [1.0, 0.0]))
     comp = fp.ComponentDef(name="X", hw_params=("FetchWidth",), important_param="FetchWidth")
     cfg = fp.Configuration(id="c", architecture="a", params={"FetchWidth": 50})
     assert hw.predict(comp, cfg, 1e-9) == 1e-9
@@ -166,12 +160,8 @@ def test_no_retrain_scale_compensation(small_hp):
         labeled = choose_labeled_configs(ds_target, 4, 0)
         train, test = few_shot_split(ds_target, labeled)
         model = build_target_model(kb, train, small_hp, force_no_retrain=True)
-        preds, labels = [], []
-        for smp in test.samples:
-            cfg = test.config(smp.config_id)
-            preds.append(model.predict_total_power(cfg, smp.event_stats))
-            labels.append(smp.total_power)
-        return mape(preds, labels)
+        preds = model.predict_components(test).sum(axis=1)
+        return mape(preds, [smp.total_power for smp in test.samples])
 
     assert abs(heldout_mape(spec) - heldout_mape(unit_spec)) < 2.0
 
@@ -187,11 +177,7 @@ def test_model_round_trip(tmp_path, target_model):
     save_model(model, path)
     again = load_model(path)
     assert model_to_dict(again) == model_to_dict(model)
-    sample = test.samples[0]
-    cfg = test.config(sample.config_id)
-    assert again.predict_total_power(cfg, sample.event_stats) == model.predict_total_power(
-        cfg, sample.event_stats
-    )
+    assert np.array_equal(again.predict_components(test), model.predict_components(test))
 
 
 def test_dict_round_trip(target_model):

@@ -361,3 +361,40 @@ def test_model_unknown_hw_variant_is_data_error(workspace, tmp_path, capsys):
 
     assert _predict_with_model(workspace, tmp_path, edit) == EXIT_DATA
     assert "borrowed" in capsys.readouterr().err
+
+
+def _retrained_hw(doc):
+    """The hw entry and hw_params of a retrained multi-parameter component."""
+    table = {c["name"]: c["hw_params"] for c in doc["component_table"]}
+    for name, entry in doc["per_component"].items():
+        if entry["hw"]["variant"] == "retrained" and len(table[name]) > 1:
+            return entry["hw"], table[name]
+    raise AssertionError("no retrained multi-parameter component in the model")
+
+
+@pytest.mark.parametrize("where", ["past_end", "negative", "other_param"])
+def test_model_linear_feature_index_is_checked(workspace, tmp_path, capsys, where):
+    def edit(doc):
+        hw, params = _retrained_hw(doc)
+        j = hw["linear"]["feature_index"]
+        moved = {"past_end": len(params), "negative": -1, "other_param": (j + 1) % len(params)}
+        hw["linear"]["feature_index"] = moved[where]
+
+    assert _predict_with_model(workspace, tmp_path, edit) == EXIT_DATA
+    assert "important parameter" in capsys.readouterr().err
+
+
+def test_model_component_missing_from_per_component_is_data_error(workspace, tmp_path, capsys):
+    assert (
+        _predict_with_model(workspace, tmp_path, lambda d: d["per_component"].pop("BPTAGE"))
+        == EXIT_DATA
+    )
+    assert "component table" in capsys.readouterr().err
+
+
+def test_unset_gbt_flags_take_library_defaults():
+    from firepower.cli import _gbt_hyperparams, build_parser
+    from firepower.trees import GbtHyperparams
+
+    args = build_parser().parse_args(["extract", "--known", "k.json", "--out", "kb.json"])
+    assert _gbt_hyperparams(args) == GbtHyperparams()

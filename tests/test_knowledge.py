@@ -1,6 +1,7 @@
 import pytest
 
 import firepower as fp
+from firepower import knowledge
 from firepower.dataset import Dataset
 from firepower.errors import ValidationError
 from firepower.knowledge import (
@@ -9,6 +10,7 @@ from firepower.knowledge import (
     Strategy,
     compute_importance,
     extract_knowledge,
+    hardware_training_matrix,
     knowledge_base_from_dict,
     knowledge_base_to_dict,
     load_knowledge_base,
@@ -95,13 +97,13 @@ def test_train_hardware_model_needs_two_configs(tiny_dataset):
     train, _ = few_shot_split(tiny_dataset, ["C1"])
     comp = tiny_dataset.component("Front")
     with pytest.raises(ValidationError):
-        train_hardware_model(train, comp, fp.GbtHyperparams())
+        train_hardware_model(*hardware_training_matrix(train, comp), fp.GbtHyperparams())
 
 
 def test_compute_importance_checks_feature_count(tiny_dataset, small_hp):
     comp_front = tiny_dataset.component("Front")
     comp_core = tiny_dataset.component("Core")
-    model = train_hardware_model(tiny_dataset, comp_front, small_hp)
+    model = train_hardware_model(*hardware_training_matrix(tiny_dataset, comp_front), small_hp)
     bad = fp.fit_gbt([[1.0], [2.0]], [1.0, 2.0], small_hp)
     assert set(compute_importance(model, comp_front)) == set(comp_front.hw_params)
     from firepower.errors import ModelError
@@ -136,3 +138,18 @@ def test_knowledge_base_round_trip(tmp_path, kb0):
 def test_round_trip_preserves_dict_form(kb0):
     doc = knowledge_base_to_dict(kb0)
     assert knowledge_base_to_dict(knowledge_base_from_dict(doc)) == doc
+
+
+def test_extract_averages_each_component_once(monkeypatch, synth_pair):
+    ds_known, _, _ = synth_pair
+    calls = []
+    average = knowledge.average_power_per_config
+
+    def counting(ds, name):
+        calls.append(name)
+        return average(ds, name)
+
+    monkeypatch.setattr(knowledge, "average_power_per_config", counting)
+    extract_knowledge(ds_known, fp.GbtHyperparams(n_estimators=1))
+    assert calls == [c.name for c in ds_known.component_table]
+    assert len(calls) == 22

@@ -14,7 +14,6 @@ from firepower.synthgen import (
     save_spec,
     spec_from_dict,
     spec_to_dict,
-    truth_component_power,
 )
 
 
@@ -67,7 +66,7 @@ def test_noise_free_samples_match_ground_truth():
         cfg = ds_target.config(s.config_id)
         for name, power in s.component_power.items():
             assert power == pytest.approx(
-                truth_component_power(truth, name, cfg.params, s.workload), rel=1e-12
+                truth.component_power("target", name, cfg.params, s.workload), rel=1e-12
             )
         assert s.total_power == pytest.approx(
             truth.total_power("target", cfg.params, s.workload), rel=1e-12
@@ -80,7 +79,7 @@ def test_noisy_samples_stay_close_to_truth(synth_pair):
     for s in ds_target.samples[:40]:
         cfg = ds_target.config(s.config_id)
         for name, power in s.component_power.items():
-            expected = truth_component_power(truth, name, cfg.params, s.workload)
+            expected = truth.component_power("target", name, cfg.params, s.workload)
             assert abs(power / expected - 1.0) <= 5.0 * sigma
 
 
@@ -152,10 +151,5 @@ def test_structural_fidelity_noise_free(small_hp):
     kb = fp.extract_knowledge(ds_known, small_hp)
     train, test = few_shot_split(ds_target, choose_labeled_configs(ds_target, 4, 0))
     model = build_target_model(kb, train, small_hp)
-    preds = []
-    labels = []
-    for s in test.samples:
-        cfg = test.config(s.config_id)
-        preds.append(model.predict_total_power(cfg, s.event_stats))
-        labels.append(s.total_power)
-    assert mape(preds, labels) < 3.0
+    preds = model.predict_components(test).sum(axis=1)
+    assert mape(preds, [s.total_power for s in test.samples]) < 3.0

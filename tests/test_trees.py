@@ -151,12 +151,15 @@ def test_linear_constant_fallback():
     m = fit_linear_one_feature([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     assert m.is_constant
     assert m.slope == 0.0
-    assert m.predict(100.0) == pytest.approx(2.0)
+    assert m.predict([100.0]) == pytest.approx(2.0)
 
 
 def test_linear_trivial_predictions():
     m = fit_linear_one_feature([0.0, 1.0], [0.0, 2.0])
-    assert m.predict(3.0) == pytest.approx(6.0)
+    assert m.predict([3.0]) == pytest.approx(6.0)
+    # A retrained model reads its own feature of the H_i row.
+    m = fit_linear_one_feature([0.0, 1.0], [0.0, 2.0], feature_index=1)
+    assert m.predict([50.0, 3.0]) == pytest.approx(6.0)
 
 
 @given(
