@@ -42,7 +42,40 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
-def _apply_config_file(args: argparse.Namespace):
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _name_list(text: str) -> list[str]:
+    return text.split(",")
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value as its flag would give it; ValueError on a wrong type.
+
+    Switches take true/false, numeric flags a JSON number, list flags a
+    nonempty JSON list or a comma-separated string, and every other flag a
+    string.
+    """
+    if action.nargs == 0:
+        ok = type(value) is bool
+    elif action.type is int:
+        ok = type(value) is int
+    elif action.type is float:
+        ok = type(value) in (int, float)
+    elif action.type in (_int_list, _name_list) and type(value) is list:
+        item = int if action.type is _int_list else str
+        ok = bool(value) and all(type(v) is item for v in value)
+    else:
+        ok = type(value) is str
+        if ok and action.type is not None:
+            return action.type(value)
+    if not ok:
+        raise ValueError(f"{json.dumps(value)} is not a valid --{action.dest.replace('_', '-')} value")
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Fill unset options from --config; flags win, file beats defaults."""
     if not getattr(args, "config", None):
         return
@@ -54,9 +87,15 @@ def _apply_config_file(args: argparse.Namespace):
     if not isinstance(doc, dict):
         _usage_error(f"config file {args.config} must hold a JSON object")
     valid = set(vars(args)) - {"func", "command", "config"}
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in doc.items():
         if key not in valid:
             _usage_error(f"unknown config key {key!r}")
+        try:
+            value = _config_value(actions[key], value)
+        except ValueError as exc:
+            _usage_error(f"config key {key!r}: {exc}")
         # An explicit 0 or 0.0 is a value; only None and an unset switch are unset.
         current = getattr(args, key)
         if current is None or current is False:
@@ -155,11 +194,11 @@ def cmd_experiment(args) -> int:
     results = run_experiment(
         ds_known,
         ds_target,
-        methods=args.methods.split(",") if args.methods else None,
+        methods=args.methods,
         seeds=list(range(args.seeds if args.seeds is not None else 10)),
         hp=_gbt_hyperparams(args),
         **_given(
-            ks=[int(v) for v in args.ks.split(",")] if args.ks else None,
+            ks=args.ks,
             threshold=args.threshold,
         ),
     )
@@ -234,9 +273,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run the few-shot comparison protocol")
     p.add_argument("--known", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--ks", default=None)
+    p.add_argument("--ks", type=_int_list, default=None)
     p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--methods", default=None)
+    p.add_argument("--methods", type=_name_list, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
@@ -256,7 +295,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

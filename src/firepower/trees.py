@@ -32,12 +32,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def evaluate(self, x: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature_index] <= node.threshold else node.right
-        return node.value
-
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
         self._fill(X, np.arange(X.shape[0]), out)
@@ -84,10 +78,15 @@ class GbtModel:
             raise ModelError(
                 f"expected {self.feature_count} features, got shape {x.shape}"
             )
+        # Python floats and an inline walk: one call scores one sample, and
+        # a float comparison is the same whether made in Python or numpy.
+        row = x.tolist()
         out = self.base_prediction
         lr = self.hyperparams.learning_rate
-        for tree in self.trees:
-            out += lr * tree.evaluate(x)
+        for node in self.trees:
+            while node.left is not None:
+                node = node.left if row[node.feature_index] <= node.threshold else node.right
+            out += lr * node.value
         return out
 
     def predict_many(self, X) -> np.ndarray:
@@ -103,72 +102,126 @@ def _leaf_value(residual_sum: float, count: int, l2: float) -> float:
     return residual_sum / (count + l2)
 
 
-def _node_sse(sq_sum: float, residual_sum: float, count: int, l2: float) -> float:
+def _sse(sq_sum, residual_sum, count, l2):
+    """SSE of a node that predicts its leaf value; scalars or arrays."""
     v = _leaf_value(residual_sum, count, l2)
     return sq_sum - 2.0 * v * residual_sum + count * v * v
 
 
-def _best_split(X: np.ndarray, r: np.ndarray, hp: GbtHyperparams):
-    """Exact search over all features and midpoints; returns the best split.
+def _level_splits(X, grouped, r, rows, sums, sq_sums, hp: GbtHyperparams):
+    """The best split of each open node of one level, all searched at once.
 
-    Ties resolved toward the lowest feature index, then the lowest
-    threshold.  Returns None when no split beats MIN_SPLIT_GAIN.
+    ``rows`` holds each node's rows in sample order, ``sums`` and ``sq_sums``
+    the pairwise sums of their residuals and squared residuals, and
+    ``grouped``, per feature, the stable sort of the nodes' rows, grouped by
+    node in the order of ``rows``.  The layout is padded at the end to
+    (features, nodes, largest node), and cumulative sums run along its last
+    axis in the same sequential order as over one node alone.  Returns
+    (feature, gain, threshold) per node; the gain is -inf where no split is
+    allowed.
+    """
+    d, n = grouped.shape
+    m = len(rows)
+    l2 = hp.l2_leaf_reg
+    counts = np.array([idx.size for idx in rows])
+    width = int(counts.max())
+    starts = np.cumsum(counts) - counts
+    samples = grouped[:, np.minimum(starts[:, None] + np.arange(width), n - 1)]
+    xs = X[samples, np.arange(d)[:, None, None]]
+    rs = r[samples]
+    # Lane t splits after the node's t-th sorted row: t + 1 rows go left.
+    # Sums and squares, left and right, are one array so each step of the
+    # SSE formula runs once for both sides.  (np.add.accumulate is
+    # np.cumsum without its Python wrapper.)
+    sides = np.empty((2, 2, d, m, width))
+    np.add.accumulate(rs, axis=2, out=sides[0, 0])
+    np.add.accumulate(rs * rs, axis=2, out=sides[1, 0])
+    del samples, rs  # each padded array is freed once used, to keep the peak low
+    np.subtract(np.array([sums, sq_sums])[:, None, :, None], sides[:, 0], out=sides[:, 1])
+    sides = sides[..., :-1]
+    sizes = np.empty((2, 1, m, width - 1))
+    sizes[0] = np.arange(1, width)
+    np.subtract(counts[:, None], sizes[0], out=sizes[1])
+    parent_sse = _sse(np.array(sq_sums), np.array(sums), counts, l2)
+    # Padded lanes may divide by zero; they are masked out below.
+    with np.errstate(all="ignore"):
+        sse = _sse(sides[1], sides[0], sizes, l2)
+        del sides
+        gain = parent_sse[:, None] - (sse[0] + sse[1])
+    gain[(xs[:, :, 1:] <= xs[:, :, :-1]) | (np.minimum(sizes[0], sizes[1]) < hp.min_samples_leaf)] = -np.inf
+    at = gain.argmax(axis=2)
+    best = gain.max(axis=2)
+    best[np.isnan(best)] = -np.inf  # a NaN gain never beats the best so far
+    splits = []
+    for k, j in enumerate(best.argmax(axis=0).tolist()):
+        i = at[j, k]
+        splits.append((j, float(best[j, k]), float((xs[j, k, i] + xs[j, k, i + 1]) / 2.0)))
+    return splits
+
+
+def _grow_tree(X, order, r, hp: GbtHyperparams, gains: np.ndarray):
+    """Grow one tree level by level; returns it and its value on each row of X.
+
+    The search is exact: every midpoint between distinct consecutive values
+    of every feature, ties going to the lowest feature index, then the
+    lowest threshold.  ``order`` holds the stable argsort of each column of
+    X, one row per feature; filtered to a node's rows it is the node's own
+    stable sort.  The trees are those a node-by-node recursion grows, bit
+    for bit: node sums are numpy's pairwise sums over the node's rows in
+    sample order (padding would change their last bits), and the split
+    gains are added to ``gains`` in preorder, the recursion's order.
     """
     n, d = X.shape
     l2 = hp.l2_leaf_reg
-    total_sum = float(r.sum())
-    total_sq = float((r * r).sum())
-    parent_sse = _node_sse(total_sq, total_sum, n, l2)
-
-    best_gain = MIN_SPLIT_GAIN
-    best = None
-    for j in range(d):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        rs = r[order]
-        cum = np.cumsum(rs)
-        cum_sq = np.cumsum(rs * rs)
-        # Candidate boundaries between distinct consecutive values.
-        distinct = xs[1:] > xs[:-1]
-        counts = np.arange(1, n)
-        ok = distinct & (counts >= hp.min_samples_leaf) & (n - counts >= hp.min_samples_leaf)
-        if not ok.any():
-            continue
-        idx = np.nonzero(ok)[0]
-        nl = idx + 1
-        sl = cum[idx]
-        sql = cum_sq[idx]
-        nr = n - nl
-        sr = total_sum - sl
-        sqr = total_sq - sql
-        vl = sl / (nl + l2)
-        vr = sr / (nr + l2)
-        sse = (sql - 2.0 * vl * sl + nl * vl * vl) + (sqr - 2.0 * vr * sr + nr * vr * vr)
-        gains = parent_sse - sse
-        k = int(np.argmax(gains))
-        gain = float(gains[k])
-        if gain > best_gain:
-            best_gain = gain
-            i = idx[k]
-            threshold = (xs[i] + xs[i + 1]) / 2.0
-            mask = X[:, j] <= threshold
-            best = (j, threshold, mask, gain)
-    return best
-
-
-def _build_tree(X, r, depth, hp, gains: np.ndarray) -> TreeNode:
-    n = X.shape[0]
-    l2 = hp.l2_leaf_reg
-    if depth >= hp.max_depth or n < 2 * hp.min_samples_leaf:
-        return TreeNode(value=_leaf_value(float(r.sum()), n, l2))
-    split = _best_split(X, r, hp)
-    if split is None:
-        return TreeNode(value=_leaf_value(float(r.sum()), n, l2))
-    j, threshold, mask, gain = split
-    gains[j] += gain
-    left = _build_tree(X[mask], r[mask], depth + 1, hp, gains)
-    right = _build_tree(X[~mask], r[~mask], depth + 1, hp, gains)
-    return TreeNode(feature_index=j, threshold=threshold, left=left, right=right)
+    root = TreeNode()
+    values = np.empty(n)
+    split_gain: dict[int, float] = {}
+    level = [(root, np.arange(n))]
+    for depth in range(hp.max_depth + 1):
+        nodes, rows, sums, sq_sums = [], [], [], []
+        for node, idx in level:
+            r_node = r[idx]
+            total = float(r_node.sum())
+            if depth == hp.max_depth or idx.size < 2 * hp.min_samples_leaf:
+                node.value = _leaf_value(total, idx.size, l2)
+                values[idx] = node.value
+                continue
+            nodes.append(node)
+            rows.append(idx)
+            sums.append(total)
+            sq_sums.append(float((r_node * r_node).sum()))
+        if not nodes:
+            break
+        if depth == 0:
+            grouped = order
+        else:
+            # Each feature's sorted rows, grouped by node; closed rows last.
+            slot = np.full(n, len(nodes))
+            for k, idx in enumerate(rows):
+                slot[idx] = k
+            grouped = order[np.arange(d)[:, None], np.argsort(slot[order], axis=1, kind="stable")]
+        splits = _level_splits(X, grouped, r, rows, sums, sq_sums, hp)
+        level = []
+        for node, idx, total, (j, gain, threshold) in zip(nodes, rows, sums, splits):
+            if not gain > MIN_SPLIT_GAIN:
+                node.value = _leaf_value(total, idx.size, l2)
+                values[idx] = node.value
+                continue
+            goes_left = X[idx, j] <= threshold
+            node.feature_index = j
+            node.threshold = threshold
+            node.left = TreeNode()
+            node.right = TreeNode()
+            split_gain[id(node)] = gain
+            level.append((node.left, idx[goes_left]))
+            level.append((node.right, idx[~goes_left]))
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            gains[node.feature_index] += split_gain[id(node)]
+            stack += [node.right, node.left]
+    return root, values
 
 
 def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
@@ -186,16 +239,15 @@ def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
     base = float(y.mean())
     gains = np.zeros(d)
     trees: list[TreeNode] = []
-    # Training predictions accumulate through the same per-row evaluation
-    # path used at inference time.
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     pred = np.full(n, base)
     sse_trace: list[float] = []
     lr = hp.learning_rate
     for _ in range(hp.n_estimators):
         residual = y - pred
-        root = _build_tree(X, residual, 0, hp, gains)
+        root, values = _grow_tree(X, order, residual, hp, gains)
         trees.append(root)
-        pred += lr * root.evaluate_many(X)
+        pred += lr * values
         sse_trace.append(float(((y - pred) ** 2).sum()))
     return GbtModel(
         base_prediction=base,

@@ -311,6 +311,68 @@ def test_bad_config_file_is_usage_error(workspace, tmp_path, capsys, content):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _experiment_with_config(workspace, tmp_path, doc):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(doc))
+    data = workspace / "data"
+    argv = ["experiment", "--known", str(data / "known.json"), "--target", str(data / "target.json")]
+    return main(argv + ["--out", str(tmp_path / "exp"), "--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "lists",
+    [{"ks": [2, 3], "methods": ["mcpat_calib"]}, {"ks": "2,3", "methods": "mcpat_calib"}],
+)
+def test_config_file_takes_json_lists(workspace, tmp_path, lists):
+    code = _experiment_with_config(workspace, tmp_path, {"seeds": 1, "n_estimators": 5, **lists})
+    assert code == EXIT_OK
+    rows = (tmp_path / "exp" / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["mcpat_calib", "2", "0"], ["mcpat_calib", "3", "0"]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"seeds": "3"},
+        {"seeds": 1.5},
+        {"seeds": True},
+        {"threshold": "0.5"},
+        {"ks": [2.5]},
+        {"ks": [True]},
+        {"ks": []},
+        {"ks": 2},
+        {"methods": [1]},
+        {"methods": {"a": 1}},
+        {"out": 3},
+    ],
+)
+def test_wrong_typed_config_value_is_usage_error(workspace, tmp_path, capsys, doc):
+    assert _experiment_with_config(workspace, tmp_path, doc) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_wrong_typed_switch_in_config_is_usage_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "build.json"
+    cfg.write_text(json.dumps({"fail_on_low_generalization": "yes"}))
+    code = main(
+        [
+            "build",
+            "--kb",
+            str(workspace / "kb.json"),
+            "--target-train",
+            str(workspace / "data" / "target.json"),
+            "--out",
+            str(tmp_path / "model.json"),
+            "--config",
+            str(cfg),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _edited_copy(src, dst, edit):
     doc = json.loads(src.read_text())
     edit(doc)

@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from firepower.errors import ModelError
 from firepower.trees import (
+    MIN_SPLIT_GAIN,
     GbtHyperparams,
+    GbtModel,
+    TreeNode,
     feature_importance,
     fit_gbt,
     fit_linear_one_feature,
@@ -134,6 +140,147 @@ def test_gbt_round_trip():
     again = gbt_from_dict(gbt_to_dict(m))
     assert gbt_to_dict(again) == gbt_to_dict(m)
     assert np.array_equal(again.predict_many(X), m.predict_many(X))
+
+
+# --- reference: the node-by-node exact search fit_gbt must reproduce -------
+
+
+def _reference_split(X, r, hp):
+    """Exact search over all features and midpoints of one node.
+
+    Ties go to the lowest feature index, then the lowest threshold.  Returns
+    None when no split beats MIN_SPLIT_GAIN.
+    """
+    n, d = X.shape
+    l2 = hp.l2_leaf_reg
+    total_sum = float(r.sum())
+    total_sq = float((r * r).sum())
+    v = total_sum / (n + l2)
+    parent_sse = total_sq - 2.0 * v * total_sum + n * v * v
+    best_gain = MIN_SPLIT_GAIN
+    best = None
+    for j in range(d):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        rs = r[order]
+        cum = np.cumsum(rs)
+        cum_sq = np.cumsum(rs * rs)
+        distinct = xs[1:] > xs[:-1]
+        counts = np.arange(1, n)
+        ok = distinct & (counts >= hp.min_samples_leaf) & (n - counts >= hp.min_samples_leaf)
+        if not ok.any():
+            continue
+        idx = np.nonzero(ok)[0]
+        nl = idx + 1
+        sl = cum[idx]
+        sql = cum_sq[idx]
+        nr = n - nl
+        sr = total_sum - sl
+        sqr = total_sq - sql
+        vl = sl / (nl + l2)
+        vr = sr / (nr + l2)
+        sse = (sql - 2.0 * vl * sl + nl * vl * vl) + (sqr - 2.0 * vr * sr + nr * vr * vr)
+        gains = parent_sse - sse
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if gain > best_gain:
+            best_gain = gain
+            i = idx[k]
+            threshold = (xs[i] + xs[i + 1]) / 2.0
+            best = (j, threshold, X[:, j] <= threshold, gain)
+    return best
+
+
+def _reference_tree(X, r, depth, hp, gains):
+    n = X.shape[0]
+    leaf = TreeNode(value=float(r.sum()) / (n + hp.l2_leaf_reg))
+    if depth >= hp.max_depth or n < 2 * hp.min_samples_leaf:
+        return leaf
+    split = _reference_split(X, r, hp)
+    if split is None:
+        return leaf
+    j, threshold, mask, gain = split
+    gains[j] += gain
+    left = _reference_tree(X[mask], r[mask], depth + 1, hp, gains)
+    right = _reference_tree(X[~mask], r[~mask], depth + 1, hp, gains)
+    return TreeNode(feature_index=j, threshold=threshold, left=left, right=right)
+
+
+def _reference_fit(X, y, hp):
+    n, d = X.shape
+    base = float(y.mean())
+    gains = np.zeros(d)
+    trees = []
+    pred = np.full(n, base)
+    sse = []
+    for _ in range(hp.n_estimators):
+        root = _reference_tree(X, y - pred, 0, hp, gains)
+        trees.append(root)
+        pred += hp.learning_rate * root.evaluate_many(X)
+        sse.append(float(((y - pred) ** 2).sum()))
+    return GbtModel(base, trees, hp, d, gains, sse)
+
+
+@st.composite
+def tree_problems(draw):
+    """Integer-valued columns with many ties, one duplicated and one constant."""
+    n = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 8))
+    X = draw(arrays(np.float64, (n, d), elements=st.integers(0, levels).map(float)))
+    if d >= 2:
+        X[:, draw(st.integers(1, d - 1))] = X[:, 0]
+    if d >= 3:
+        X[:, draw(st.integers(0, d - 1))] = 7.0
+    y = draw(
+        arrays(
+            np.float64,
+            n,
+            elements=st.one_of(
+                st.integers(-4, 4).map(float),
+                st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+    hp = GbtHyperparams(
+        n_estimators=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 6)),
+        learning_rate=draw(st.sampled_from([0.3, 1.0])),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        l2_leaf_reg=draw(st.sampled_from([0.0, 1.0, 0.37])),
+    )
+    return X, y, hp
+
+
+@given(tree_problems())
+@settings(max_examples=80, deadline=None)
+def test_fit_matches_node_by_node_reference(problem):
+    X, y, hp = problem
+    got = fit_gbt(X, y, hp)
+    want = _reference_fit(X, y, hp)
+    assert json.dumps(gbt_to_dict(got)) == json.dumps(gbt_to_dict(want))
+    assert repr(got.training_sse) == repr(want.training_sse)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_equal_partitions_tie_to_the_lower_feature(j):
+    # Column 3 is 2 * column j: both induce the same partitions with the same
+    # sums, so every gain ties bit for bit and the lower index must win.
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 6, size=(60, 4)).astype(float)
+    X[:, 3] = 2.0 * X[:, j]
+    y = 3.0 * X[:, j] + X[:, 2] + rng.normal(0, 0.1, 60)
+    m = fit_gbt(X, y, GbtHyperparams(n_estimators=20))
+    used = set()
+    stack = list(m.trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            used.add(node.feature_index)
+            stack += [node.left, node.right]
+    assert j in used and 3 not in used
+    assert m.cumulative_gain[3] == 0.0
+    assert m.cumulative_gain[j] > 0.0
 
 
 def test_linear_fit_matches_normal_equations():
