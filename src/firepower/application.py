@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,11 @@ class EffectiveHardwareModel:
 
     component: str
     model: GbtModel | LinearModel
+    # The unclamped output per H_i row: the factor depends on the row alone,
+    # and every sample of a configuration shares its row.
+    _factors: dict[tuple[float, ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def variant(self) -> str:
@@ -58,7 +63,11 @@ class EffectiveHardwareModel:
         for p in comp.hw_params:
             if p not in config.params:
                 raise ValidationError(f"configuration {config.id!r} lacks parameter {p!r}")
-        return max(self.model.predict([float(config.params[p]) for p in comp.hw_params]), epsilon)
+        row = tuple(float(config.params[p]) for p in comp.hw_params)
+        raw = self._factors.get(row)
+        if raw is None:
+            raw = self._factors[row] = self.model.predict(row)
+        return max(raw, epsilon)
 
     def predict_samples(self, ds: Dataset, comp: ComponentDef, epsilon: float) -> np.ndarray:
         """The clamped factor of each sample of ds, in sample order."""
@@ -135,7 +144,13 @@ def build_target_model(
     ds_target_train: Dataset,
     hp: GbtHyperparams | None = None,
     force_no_retrain: bool = False,
+    *,
+    reuse_from: FirePowerModel | None = None,
 ) -> FirePowerModel:
+    """The target model; with ``reuse_from``, a model built from the same
+    kb and ds_target_train, each component whose hardware model is the same
+    kb model object (and whose event hyperparameters equal hp) takes
+    reuse_from's event GBT instead of fitting the identical one again."""
     hp = hp or GbtHyperparams()
     kb_names = [c.name for c in kb.component_table]
     ds_names = [c.name for c in ds_target_train.component_table]
@@ -157,7 +172,12 @@ def build_target_model(
         else:
             hw_model = ck.hardware_model
         hw = EffectiveHardwareModel(component=comp.name, model=hw_model)
-        per_component[comp.name] = (hw, train_event_model(ds_target_train, comp, hw, hp))
+        shared = reuse_from.per_component.get(comp.name) if reuse_from else None
+        if shared and shared[0].model is hw_model and shared[1].hyperparams == hp:
+            event = shared[1]
+        else:
+            event = train_event_model(ds_target_train, comp, hw, hp)
+        per_component[comp.name] = (hw, event)
     return FirePowerModel(
         target_architecture=ds_target_train.architecture,
         per_component=per_component,

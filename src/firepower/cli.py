@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import synthgen
 from .application import build_target_model, load_model, save_model
 from .dataset import load_dataset, save_dataset, write_text_atomic
-from .errors import FirePowerError, GateError
+from .errors import FirePowerError, GateError, ModelError
 from .generalization import evaluate_generalization
 from .harness import run_experiment, summarize
 from .knowledge import RETRAIN, extract_knowledge, load_knowledge_base, save_knowledge_base
@@ -107,14 +108,27 @@ def _given(**options) -> dict:
     return {key: value for key, value in options.items() if value is not None}
 
 
+def _check_thresholds(args):
+    """A threshold compares with importances or MAPEs; NaN or inf would
+    decide every component the same way without a word."""
+    for key in ("threshold", "gate_threshold"):
+        value = getattr(args, key, None)
+        if value is not None and not math.isfinite(value):
+            _usage_error(f"--{key.replace('_', '-')} must be a finite number, not {value!r}")
+
+
 def _gbt_hyperparams(args) -> GbtHyperparams:
-    return GbtHyperparams(
-        **_given(
-            n_estimators=args.n_estimators,
-            max_depth=args.max_depth,
-            learning_rate=args.learning_rate,
+    """The GBT flags as hyperparameters; out-of-range values are usage errors."""
+    try:
+        return GbtHyperparams(
+            **_given(
+                n_estimators=args.n_estimators,
+                max_depth=args.max_depth,
+                learning_rate=args.learning_rate,
+            )
         )
-    )
+    except ModelError as exc:
+        _usage_error(f"GBT flags: {exc}")
 
 
 def _add_gbt_flags(sub):
@@ -124,8 +138,9 @@ def _add_gbt_flags(sub):
 
 
 def cmd_extract(args) -> int:
+    hp = _gbt_hyperparams(args)
     ds = load_dataset(args.known)
-    kb = extract_knowledge(ds, _gbt_hyperparams(args), **_given(threshold=args.threshold))
+    kb = extract_knowledge(ds, hp, **_given(threshold=args.threshold))
     save_knowledge_base(kb, args.out)
     print(f"{'Component':<16} {'Strategy':<12} Important parameter")
     for name, ck in kb.per_component.items():
@@ -138,10 +153,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_build(args) -> int:
+    hp = _gbt_hyperparams(args)
     kb = load_knowledge_base(args.kb)
     train = load_dataset(args.target_train)
     report = evaluate_generalization(kb, train, **_given(threshold=args.gate_threshold))
-    model = build_target_model(kb, train, _gbt_hyperparams(args))
+    model = build_target_model(kb, train, hp)
     save_model(model, args.out)
     report_path = args.report if args.report else args.out + ".generalization.csv"
     write_text_atomic(report_path, "\n".join(report.csv_rows()) + "\n")
@@ -189,6 +205,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    hp = _gbt_hyperparams(args)
     ds_known = load_dataset(args.known)
     ds_target = load_dataset(args.target)
     results = run_experiment(
@@ -196,7 +213,7 @@ def cmd_experiment(args) -> int:
         ds_target,
         methods=args.methods,
         seeds=list(range(args.seeds if args.seeds is not None else 10)),
-        hp=_gbt_hyperparams(args),
+        hp=hp,
         **_given(
             ks=args.ks,
             threshold=args.threshold,
@@ -296,6 +313,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, parser)
+        _check_thresholds(args)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -51,7 +51,12 @@ def _method_predictions(
     hp: GbtHyperparams,
     use_M: bool,
     sources: dict,
+    cell: dict | None = None,
 ) -> list[float]:
+    """Total-power predictions of one method on test.  ``cell`` is shared by
+    the methods of one (k, seed) cell: the first FirePower-family model
+    built there lends its event fits to the second."""
+    cell = {} if cell is None else cell
     if method == "mcpat_calib":
         model = train_monolithic(train, use_M, hp)
         X = monolithic_matrix(test, model.event_names, use_M)
@@ -80,7 +85,10 @@ def _method_predictions(
         return list(totals)
     if method in ("firepower", "firepower_no_retrain"):
         no_retrain = method == "firepower_no_retrain"
-        model = build_target_model(kb, train, hp, force_no_retrain=no_retrain)
+        model = build_target_model(
+            kb, train, hp, force_no_retrain=no_retrain, reuse_from=cell.get("firepower")
+        )
+        cell.setdefault("firepower", model)
         totals = np.zeros(len(test.samples))
         # Column by column in table order: the sums CLI predict forms per sample.
         for column in model.predict_components(test).T:
@@ -121,8 +129,9 @@ def run_experiment(
             labeled = choose_labeled_configs(ds_target, k, seed)
             train, test = few_shot_split(ds_target, labeled)
             labels = [s.total_power for s in test.samples]
+            cell: dict = {}
             for method in methods:
-                preds = _method_predictions(method, kb, train, test, hp, use_M, sources)
+                preds = _method_predictions(method, kb, train, test, hp, use_M, sources, cell)
                 per_sample = [
                     (s.config_id, s.workload, float(p), float(s.total_power))
                     for s, p in zip(test.samples, preds)

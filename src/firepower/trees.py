@@ -18,7 +18,7 @@ from .errors import ModelError
 MIN_SPLIT_GAIN = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """Internal node (feature_index/threshold/left/right) or leaf (value)."""
 
@@ -108,47 +108,78 @@ def _sse(sq_sum, residual_sum, count, l2):
     return sq_sum - 2.0 * v * residual_sum + count * v * v
 
 
-def _level_splits(X, grouped, r, rows, sums, sq_sums, hp: GbtHyperparams):
+class _SplitSearch:
+    """What one fit's split search needs besides the residuals.
+
+    ``order`` holds the stable argsort of each column of X, one row per
+    feature; filtered to a node's rows it is the node's own stable sort.
+    The index grids and the depth-0 layout depend on X and hp alone, so
+    they are built once per fit and shared by all its trees.
+    """
+
+    def __init__(self, X: np.ndarray, hp: GbtHyperparams):
+        n, d = X.shape
+        self.X = X
+        self.hp = hp
+        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        self.lanes = np.arange(n)
+        self.features = np.arange(d)[:, None]
+        self.root = self.layout(self.order, np.array([n])) if n >= 2 * hp.min_samples_leaf else None
+
+    def layout(self, grouped, counts):
+        """The padded layout of one level's search.
+
+        ``grouped`` holds, per feature, the stable sort of the open nodes'
+        rows, grouped by node; ``counts`` the nodes' sizes.  The layout is
+        padded at the end to (features, nodes, largest node).  Returns the
+        row in each lane (``samples``), its value (``xs``), the row counts
+        left and right of a split after each lane (``sizes``), and the
+        splits that are not allowed (``invalid``): between equal values,
+        into the padding, or leaving a side below min_samples_leaf.
+        """
+        n = self.lanes.size
+        width = int(counts.max())
+        starts = np.cumsum(counts) - counts
+        samples = grouped[:, np.minimum(starts[:, None] + self.lanes[:width], n - 1)]
+        xs = self.X[samples, self.features[:, :, None]]
+        # Lane t splits after the node's t-th sorted row: t + 1 rows go left.
+        sizes = np.empty((2, 1, counts.size, width - 1))
+        sizes[0] = self.lanes[1:width]
+        np.subtract(counts[:, None], sizes[0], out=sizes[1])
+        invalid = (xs[:, :, 1:] <= xs[:, :, :-1]) | (
+            np.minimum(sizes[0], sizes[1]) < self.hp.min_samples_leaf
+        )
+        return samples, xs, sizes, invalid
+
+
+def _level_splits(layout, r, sums, sq_sums, parent_sse, l2: float):
     """The best split of each open node of one level, all searched at once.
 
-    ``rows`` holds each node's rows in sample order, ``sums`` and ``sq_sums``
-    the pairwise sums of their residuals and squared residuals, and
-    ``grouped``, per feature, the stable sort of the nodes' rows, grouped by
-    node in the order of ``rows``.  The layout is padded at the end to
-    (features, nodes, largest node), and cumulative sums run along its last
-    axis in the same sequential order as over one node alone.  Returns
-    (feature, gain, threshold) per node; the gain is -inf where no split is
-    allowed.
+    ``layout`` is the level's ``_SplitSearch.layout``; ``sums`` and
+    ``sq_sums`` hold the pairwise sums of each node's residuals and squared
+    residuals in sample order, and ``parent_sse`` its SSE as a leaf.
+    Cumulative sums run along the layout's last axis in the same sequential
+    order as over one node alone.  Returns (feature, gain, threshold) per
+    node; the gain is -inf where no split is allowed.
     """
-    d, n = grouped.shape
-    m = len(rows)
-    l2 = hp.l2_leaf_reg
-    counts = np.array([idx.size for idx in rows])
-    width = int(counts.max())
-    starts = np.cumsum(counts) - counts
-    samples = grouped[:, np.minimum(starts[:, None] + np.arange(width), n - 1)]
-    xs = X[samples, np.arange(d)[:, None, None]]
+    samples, xs, sizes, invalid = layout
+    d, m, width = samples.shape
     rs = r[samples]
-    # Lane t splits after the node's t-th sorted row: t + 1 rows go left.
     # Sums and squares, left and right, are one array so each step of the
     # SSE formula runs once for both sides.  (np.add.accumulate is
     # np.cumsum without its Python wrapper.)
     sides = np.empty((2, 2, d, m, width))
     np.add.accumulate(rs, axis=2, out=sides[0, 0])
     np.add.accumulate(rs * rs, axis=2, out=sides[1, 0])
-    del samples, rs  # each padded array is freed once used, to keep the peak low
+    del rs  # each padded array is freed once used, to keep the peak low
     np.subtract(np.array([sums, sq_sums])[:, None, :, None], sides[:, 0], out=sides[:, 1])
     sides = sides[..., :-1]
-    sizes = np.empty((2, 1, m, width - 1))
-    sizes[0] = np.arange(1, width)
-    np.subtract(counts[:, None], sizes[0], out=sizes[1])
-    parent_sse = _sse(np.array(sq_sums), np.array(sums), counts, l2)
     # Padded lanes may divide by zero; they are masked out below.
     with np.errstate(all="ignore"):
         sse = _sse(sides[1], sides[0], sizes, l2)
         del sides
-        gain = parent_sse[:, None] - (sse[0] + sse[1])
-    gain[(xs[:, :, 1:] <= xs[:, :, :-1]) | (np.minimum(sizes[0], sizes[1]) < hp.min_samples_leaf)] = -np.inf
+        gain = np.array(parent_sse)[:, None] - (sse[0] + sse[1])
+    gain[invalid] = -np.inf
     at = gain.argmax(axis=2)
     best = gain.max(axis=2)
     best[np.isnan(best)] = -np.inf  # a NaN gain never beats the best so far
@@ -159,26 +190,27 @@ def _level_splits(X, grouped, r, rows, sums, sq_sums, hp: GbtHyperparams):
     return splits
 
 
-def _grow_tree(X, order, r, hp: GbtHyperparams, gains: np.ndarray):
+def _grow_tree(search: _SplitSearch, r, gains: np.ndarray):
     """Grow one tree level by level; returns it and its value on each row of X.
 
     The search is exact: every midpoint between distinct consecutive values
     of every feature, ties going to the lowest feature index, then the
-    lowest threshold.  ``order`` holds the stable argsort of each column of
-    X, one row per feature; filtered to a node's rows it is the node's own
-    stable sort.  The trees are those a node-by-node recursion grows, bit
-    for bit: node sums are numpy's pairwise sums over the node's rows in
-    sample order (padding would change their last bits), and the split
-    gains are added to ``gains`` in preorder, the recursion's order.
+    lowest threshold.  The trees are those a node-by-node recursion grows,
+    bit for bit: node sums are numpy's pairwise sums over the node's rows
+    in sample order (padding would change their last bits), the leaf values
+    and parent SSEs are the same float operations in the same order, and
+    the split gains are added to ``gains`` in preorder, the recursion's
+    order.
     """
-    n, d = X.shape
+    X, order, hp = search.X, search.order, search.hp
+    n = X.shape[0]
     l2 = hp.l2_leaf_reg
     root = TreeNode()
     values = np.empty(n)
     split_gain: dict[int, float] = {}
-    level = [(root, np.arange(n))]
+    level = [(root, search.lanes)]
     for depth in range(hp.max_depth + 1):
-        nodes, rows, sums, sq_sums = [], [], [], []
+        nodes, rows, sums, sq_sums, parent_sse = [], [], [], [], []
         for node, idx in level:
             r_node = r[idx]
             total = float(r_node.sum())
@@ -186,21 +218,24 @@ def _grow_tree(X, order, r, hp: GbtHyperparams, gains: np.ndarray):
                 node.value = _leaf_value(total, idx.size, l2)
                 values[idx] = node.value
                 continue
+            sq_sum = float((r_node * r_node).sum())
             nodes.append(node)
             rows.append(idx)
             sums.append(total)
-            sq_sums.append(float((r_node * r_node).sum()))
+            sq_sums.append(sq_sum)
+            parent_sse.append(_sse(sq_sum, total, idx.size, l2))
         if not nodes:
             break
         if depth == 0:
-            grouped = order
+            layout = search.root
         else:
             # Each feature's sorted rows, grouped by node; closed rows last.
             slot = np.full(n, len(nodes))
             for k, idx in enumerate(rows):
                 slot[idx] = k
-            grouped = order[np.arange(d)[:, None], np.argsort(slot[order], axis=1, kind="stable")]
-        splits = _level_splits(X, grouped, r, rows, sums, sq_sums, hp)
+            grouped = order[search.features, np.argsort(slot[order], axis=1, kind="stable")]
+            layout = search.layout(grouped, np.array([idx.size for idx in rows]))
+        splits = _level_splits(layout, r, sums, sq_sums, parent_sse, l2)
         level = []
         for node, idx, total, (j, gain, threshold) in zip(nodes, rows, sums, splits):
             if not gain > MIN_SPLIT_GAIN:
@@ -239,16 +274,17 @@ def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
     base = float(y.mean())
     gains = np.zeros(d)
     trees: list[TreeNode] = []
-    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    search = _SplitSearch(X, hp)
     pred = np.full(n, base)
+    residual = y - pred
     sse_trace: list[float] = []
     lr = hp.learning_rate
     for _ in range(hp.n_estimators):
-        residual = y - pred
-        root, values = _grow_tree(X, order, residual, hp, gains)
+        root, values = _grow_tree(search, residual, gains)
         trees.append(root)
         pred += lr * values
-        sse_trace.append(float(((y - pred) ** 2).sum()))
+        residual = y - pred
+        sse_trace.append(float((residual**2).sum()))
     return GbtModel(
         base_prediction=base,
         trees=trees,

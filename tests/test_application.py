@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import firepower as fp
 from firepower.application import (
@@ -13,12 +17,15 @@ from firepower.application import (
     save_model,
     train_event_model,
 )
-from firepower.dataset import Dataset, design_matrix, few_shot_split
+from firepower.dataset import Dataset, dataset_from_dict, design_matrix, few_shot_split
 from firepower.errors import ValidationError
+from firepower import harness
 from firepower.harness import _method_predictions, choose_labeled_configs
 from firepower.knowledge import RETRAIN
 from firepower.metrics import mape
-from firepower.trees import LinearModel, fit_linear_one_feature
+from firepower.trees import GbtHyperparams, LinearModel, fit_gbt, fit_linear_one_feature, gbt_to_dict
+
+from conftest import tiny_doc
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +144,117 @@ def test_epsilon_clamp():
     comp = fp.ComponentDef(name="X", hw_params=("FetchWidth",), important_param="FetchWidth")
     cfg = fp.Configuration(id="c", architecture="a", params={"FetchWidth": 50})
     assert hw.predict(comp, cfg, 1e-9) == 1e-9
+
+
+_GRID = np.array([[a, b] for a in range(1, 7) for b in range(1, 7)], dtype=float)
+_HW_MODELS = {
+    # Both take negative values on part of the grid, so the clamp matters.
+    "gbt": fit_gbt(_GRID, 3.0 * _GRID[:, 0] - 2.0 * _GRID[:, 1], GbtHyperparams(n_estimators=10)),
+    "linear": LinearModel(feature_index=1, slope=-0.7, intercept=2.0),
+}
+_TWO_PARAM = fp.ComponentDef(name="X", hw_params=("FetchWidth", "DecodeWidth"))
+
+
+@given(
+    kind=st.sampled_from(sorted(_HW_MODELS)),
+    calls=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from([0.0, 1e-9, 2.5])),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoised_hardware_factor_is_the_clamped_model_output(kind, calls):
+    # Rows repeat and differ, and one row meets several epsilons: the memo
+    # keeps the unclamped output and clamps on every call.
+    model = _HW_MODELS[kind]
+    hw = EffectiveHardwareModel("X", model)
+    for i, (a, b, epsilon) in enumerate(calls):
+        cfg = fp.Configuration(id=f"C{i}", architecture="a", params={"FetchWidth": a, "DecodeWidth": b})
+        want = max(model.predict([float(a), float(b)]), epsilon)
+        assert repr(hw.predict(_TWO_PARAM, cfg, epsilon)) == repr(want)
+
+
+def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
+    # Two datasets name a configuration alike with different parameters;
+    # one model scoring both must use each one's own H_i row.
+    doc = tiny_doc()
+    doc["configurations"][0]["params"]["FetchWidth"] = 2
+    other = dataset_from_dict(doc)
+    comp = tiny_dataset.component("Front")
+    model = _HW_MODELS["gbt"]
+    hw = EffectiveHardwareModel("Front", model)
+    for ds in (tiny_dataset, other, tiny_dataset):
+        want = [
+            max(model.predict([float(ds.config(s.config_id).params[p]) for p in comp.hw_params]), 0.0)
+            for s in ds.samples
+        ]
+        assert hw.predict_samples(ds, comp, 0.0).tolist() == want
+    assert hw.predict_samples(tiny_dataset, comp, 0.0)[0] != hw.predict_samples(other, comp, 0.0)[0]
+    with pytest.raises(ValidationError):
+        bare = fp.Configuration(id="C1", architecture="Tiny", params={"BranchCount": 8})
+        hw.predict(comp, bare, 0.0)
+
+
+def _demoting_draw(ds_target, k):
+    """k labeled configurations, two of which share some Retrain
+    component's important value, so that component is demoted."""
+    ids = ds_target.config_ids()
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            a, b = ds_target.config(ids[i]), ds_target.config(ids[j])
+            for c in ds_target.component_table:
+                if c.important_param and a.params[c.important_param] == b.params[c.important_param]:
+                    rest = [x for x in ids if x not in (ids[i], ids[j])]
+                    return [ids[i], ids[j]] + rest[: k - 2]
+    raise AssertionError("no labeled pair shares an important value")
+
+
+@pytest.mark.parametrize("draw", ["random", "demoting"])
+def test_variants_of_a_cell_share_inherited_event_fits(kb0, synth_pair, small_hp, draw):
+    _, ds_target, _ = synth_pair
+    if draw == "random":
+        labeled = choose_labeled_configs(ds_target, 3, 0)
+    else:
+        labeled = _demoting_draw(ds_target, 2)
+    train, _ = few_shot_split(ds_target, labeled)
+    full = build_target_model(kb0, train, small_hp)
+    ablation = build_target_model(kb0, train, small_hp, force_no_retrain=True, reuse_from=full)
+    alone = build_target_model(kb0, train, small_hp, force_no_retrain=True)
+    shared = retrained = 0
+    for comp in train.component_table:
+        (hw_full, ev_full), (hw_abl, ev_abl) = full.per_component[comp.name], ablation.per_component[comp.name]
+        assert hw_abl.model is kb0.per_component[comp.name].hardware_model
+        if hw_full.model is hw_abl.model:  # inherited in both, demoted Retrains included
+            assert ev_abl is ev_full
+            shared += 1
+        else:
+            assert hw_full.variant == RETRAINED and ev_abl is not ev_full
+            retrained += 1
+        assert json.dumps(gbt_to_dict(ev_abl)) == json.dumps(gbt_to_dict(alone.per_component[comp.name][1]))
+    retrain_kind = sum(ck.strategy.kind == RETRAIN for ck in kb0.per_component.values())
+    assert shared > 0 and 0 < retrained
+    assert (retrained < retrain_kind) == (draw == "demoting")
+    # Event fits under other hyperparameters are never taken over.
+    other_hp = build_target_model(kb0, train, GbtHyperparams(n_estimators=5), reuse_from=full)
+    assert all(other_hp.per_component[n][1] is not full.per_component[n][1] for n in full.per_component)
+
+
+def test_harness_lends_the_first_variant_to_the_second(monkeypatch, synth_pair, small_hp):
+    built = []
+
+    def recording_build(*args, **kwargs):
+        model = build_target_model(*args, **kwargs)
+        built.append((model, kwargs.get("reuse_from")))
+        return model
+
+    monkeypatch.setattr(harness, "build_target_model", recording_build)
+    ds_known, ds_target, _ = synth_pair
+    methods = ["firepower_no_retrain", "firepower"]
+    harness.run_experiment(ds_known, ds_target, methods=methods, ks=[2, 3], seeds=[0], hp=small_hp)
+    assert len(built) == 4
+    for (first, lent), (second, reused) in zip(built[::2], built[1::2]):
+        assert lent is None and reused is first
 
 
 def test_no_retrain_scale_compensation(small_hp):

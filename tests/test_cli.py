@@ -460,3 +460,53 @@ def test_unset_gbt_flags_take_library_defaults():
 
     args = build_parser().parse_args(["extract", "--known", "k.json", "--out", "kb.json"])
     assert _gbt_hyperparams(args) == GbtHyperparams()
+
+
+def _command_argv(workspace, tmp_path, command):
+    data = workspace / "data"
+    out = str(tmp_path / "out")
+    return {
+        "extract": ["extract", "--known", str(data / "known.json"), "--out", out],
+        "build": ["build", "--kb", str(workspace / "kb.json"), "--target-train",
+                  str(data / "target.json"), "--out", out],
+        "experiment": ["experiment", "--known", str(data / "known.json"), "--target",
+                       str(data / "target.json"), "--out", out],
+    }[command]
+
+
+def _run_with_value(workspace, tmp_path, command, key, value, via_config):
+    argv = _command_argv(workspace, tmp_path, command)
+    if via_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN and Infinity as JSON's extensions
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--{key.replace('_', '-')}={value}")  # "=" lets "-inf" be a value
+    return main(argv)
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", ["extract", "build", "experiment"])
+@pytest.mark.parametrize(
+    "key,value",
+    [("n_estimators", 0), ("max_depth", 0), ("learning_rate", 0.0), ("learning_rate", 1.5),
+     ("learning_rate", float("nan"))],
+)
+def test_bad_gbt_flags_are_usage_errors(workspace, tmp_path, capsys, command, key, value, via_config):
+    assert _run_with_value(workspace, tmp_path, command, key, value, via_config) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "command,key",
+    [("extract", "threshold"), ("experiment", "threshold"), ("build", "gate_threshold")],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_thresholds_are_usage_errors(workspace, tmp_path, capsys, command, key, value, via_config):
+    assert _run_with_value(workspace, tmp_path, command, key, value, via_config) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -56,6 +56,11 @@ def test_invalid_hyperparams(kwargs):
         GbtHyperparams(**kwargs)
 
 
+def test_tree_nodes_are_slotted():
+    # Tens of thousands of nodes per model: no per-node __dict__.
+    assert not hasattr(TreeNode(), "__dict__")
+
+
 def test_refit_is_bit_identical():
     X, y = random_problem(0)
     a = fit_gbt(X, y, small_hp)
