@@ -6,11 +6,12 @@ Imports firepower from this checkout's src/.  Two checkouts that predict
 the same thing print the same lines, so ``diff`` of their outputs is the
 identity check of a change that must not alter any output:
 
-* the CLI chain synth -> extract -> build -> predict on the default synth
-  pair (seed 0, 15+10 configurations x 8 workloads, k = 3 labeled target
-  configurations), and again at design-space size (60+40 x 100, k = 4):
-  every file written and every table printed;
-* ``run_experiment`` on the default pair, six methods, k = 2, 3, 4,
+* the CLI chain synth -> extract -> build -> predict on the synth pair of
+  ``--seed`` (default 0) at paper size (15+10 configurations x 8
+  workloads, k = 3 labeled target configurations), and again at
+  design-space size (60+40 x 100, k = 4): every file written and every
+  table printed;
+* ``run_experiment`` on the paper-size pair, six methods, k = 2, 3, 4,
   seeds 0-1: the repr of each result's metrics and per-sample predictions.
 
 The labeled configurations are drawn with ``choose_labeled_configs``.
@@ -97,7 +98,6 @@ def experiment(seed: int, ks: list[int], seeds: list[int]) -> list[tuple[str, st
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="synth seed and labeled-draw seed (default 0)")
-    p.add_argument("--skip-dse", action="store_true", help="leave out the design-space-size chain")
     args = p.parse_args(argv)
     here = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="identity-") as workdir:
@@ -105,8 +105,6 @@ def main(argv=None) -> int:
         try:
             digests = []
             for name, sizes, k in SCALES:
-                if name == "dse" and args.skip_dse:
-                    continue
                 digests += chain(name, sizes, k, args.seed)
             digests += experiment(args.seed, [2, 3, 4], [0, 1])
         finally:
