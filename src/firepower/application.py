@@ -20,6 +20,7 @@ from .dataset import (
     Configuration,
     Dataset,
     component_from_dict,
+    component_labels,
     component_to_dict,
     design_matrix,
     feature_row,
@@ -129,13 +130,7 @@ def train_event_model(
     if not ds_target_train.samples:
         raise ValidationError("no training samples for the event model")
     factors = hw.predict_samples(ds_target_train, comp, DEFAULT_EPSILON)
-    for sample in ds_target_train.samples:
-        if comp.name not in sample.component_power:
-            raise ValidationError(
-                f"sample ({sample.config_id}, {sample.workload}) "
-                f"lacks a label for {comp.name!r}"
-            )
-    power = np.array([s.component_power[comp.name] for s in ds_target_train.samples])
+    power = np.array(component_labels(ds_target_train.samples, comp.name))
     return trees.fit_gbt(design_matrix(ds_target_train, comp), power / factors, hp)
 
 

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import trees
-from .dataset import ComponentDef, Dataset, design_matrix
+from .dataset import ComponentDef, Dataset, component_labels, design_matrix
 from .errors import ModelError, ValidationError
 from .trees import GbtHyperparams, GbtModel
 
@@ -76,7 +76,7 @@ def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dic
     models = {}
     for comp in ds_train.component_table:
         X = design_matrix(ds_train, comp)
-        y = np.array([s.component_power[comp.name] for s in ds_train.samples])
+        y = np.array(component_labels(ds_train.samples, comp.name))
         models[comp.name] = trees.fit_gbt(X, y, hp)
     return models
 

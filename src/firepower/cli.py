@@ -108,13 +108,21 @@ def _given(**options) -> dict:
     return {key: value for key, value in options.items() if value is not None}
 
 
-def _check_thresholds(args):
-    """A threshold compares with importances or MAPEs; NaN or inf would
-    decide every component the same way without a word."""
+def _check_values(args):
+    """Range checks on values from flags or --config.  A threshold compares
+    with importances or MAPEs; NaN or inf would decide every component the
+    same way without a word.  A k labels at least one configuration, and a
+    seed count is not negative (0 runs no cell)."""
     for key in ("threshold", "gate_threshold"):
         value = getattr(args, key, None)
         if value is not None and not math.isfinite(value):
             _usage_error(f"--{key.replace('_', '-')} must be a finite number, not {value!r}")
+    ks = getattr(args, "ks", None)
+    if ks is not None and min(ks) < 1:
+        _usage_error(f"--ks values must be at least 1, not {min(ks)}")
+    seeds = getattr(args, "seeds", None)
+    if seeds is not None and seeds < 0:
+        _usage_error(f"--seeds must not be negative, not {seeds}")
 
 
 def _gbt_hyperparams(args) -> GbtHyperparams:
@@ -313,7 +321,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, parser)
-        _check_thresholds(args)
+        _check_values(args)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -423,6 +423,17 @@ def save_dataset(ds: Dataset, path: str | os.PathLike):
     write_text_atomic(path, json.dumps(dataset_to_dict(ds), indent=1) + "\n")
 
 
+def component_labels(samples, component: str) -> list[float]:
+    """Each sample's label for one component; ValidationError if one lacks it."""
+    try:
+        return [s.component_power[component] for s in samples]
+    except KeyError:
+        s = next(s for s in samples if component not in s.component_power)
+        raise ValidationError(
+            f"sample ({s.config_id}, {s.workload}) lacks a label for {component!r}"
+        ) from None
+
+
 def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
     """Arithmetic mean of a component's power over each configuration's workloads."""
     comp = ds.component(component)
@@ -431,13 +442,7 @@ def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
         samples = ds.samples_of(cfg.id)
         if not samples:
             raise ValidationError(f"configuration {cfg.id!r} has no samples")
-        values = []
-        for s in samples:
-            if comp.name not in s.component_power:
-                raise ValidationError(
-                    f"sample ({s.config_id}, {s.workload}) lacks a label for {comp.name!r}"
-                )
-            values.append(s.component_power[comp.name])
+        values = component_labels(samples, comp.name)
         result[cfg.id] = sum(values) / len(values)
     return result
 

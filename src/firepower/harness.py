@@ -16,7 +16,7 @@ from .baselines import (
     train_monolithic,
     train_monolithic_per_component,
 )
-from .dataset import Dataset, design_matrix, few_shot_split
+from .dataset import Dataset, component_labels, design_matrix, few_shot_split
 from .errors import ValidationError
 from .knowledge import DEFAULT_THRESHOLD, KnowledgeBase, extract_knowledge
 from .metrics import mape, pearson_r
@@ -77,7 +77,7 @@ def _method_predictions(
         comp_sources = sources["per_component"]
         totals = np.zeros(len(test.samples))
         for comp in train.component_table:
-            labels = np.array([s.component_power[comp.name] for s in train.samples])
+            labels = np.array(component_labels(train.samples, comp.name))
             w = TransferWrapper.build(
                 comp_sources[comp.name].predict_many, design_matrix(train, comp), labels
             )
@@ -112,6 +112,8 @@ def run_experiment(
     for m in methods:
         if m not in METHOD_KEYS:
             raise ValidationError(f"unknown method {m!r}")
+    if min(ks) < 1:
+        raise ValidationError(f"every k must be at least 1, not {min(ks)}")
     n_configs = len(ds_target.configurations)
     if n_configs <= max(ks):
         raise ValidationError("target dataset has too few configurations for the given ks")

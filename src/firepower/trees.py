@@ -8,11 +8,12 @@ the single-feature linear regressor used by the retraining strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, SchemaError
 
 # A split must reduce SSE by more than this to be accepted.
 MIN_SPLIT_GAIN = 1e-12
@@ -27,23 +28,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        self._fill(X, np.arange(X.shape[0]), out)
-        return out
-
-    def _fill(self, X, idx, out):
-        if self.is_leaf:
-            out[idx] = self.value
-            return
-        mask = X[idx, self.feature_index] <= self.threshold
-        self.left._fill(X, idx[mask], out)
-        self.right._fill(X, idx[~mask], out)
 
 
 @dataclass(frozen=True)
@@ -73,28 +57,33 @@ class GbtModel:
     training_sse: list[float] = field(default_factory=list)
 
     def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.feature_count,):
-            raise ModelError(
-                f"expected {self.feature_count} features, got shape {x.shape}"
-            )
-        # Python floats and an inline walk: one call scores one sample, and
-        # a float comparison is the same whether made in Python or numpy.
-        row = x.tolist()
-        out = self.base_prediction
-        lr = self.hyperparams.learning_rate
-        for node in self.trees:
-            while node.left is not None:
-                node = node.left if row[node.feature_index] <= node.threshold else node.right
-            out += lr * node.value
-        return out
+        return self._walk([self._checked(x, 1).tolist()])[0]
 
     def predict_many(self, X) -> np.ndarray:
+        return np.array(self._walk(self._checked(X, 2).tolist()))
+
+    def _checked(self, X, ndim: int) -> np.ndarray:
+        """X as floats; ModelError unless ndim-D with feature_count columns."""
         X = np.asarray(X, dtype=float)
-        out = np.full(X.shape[0], self.base_prediction)
+        if X.ndim != ndim or X.shape[-1] != self.feature_count:
+            raise ModelError(f"expected {self.feature_count} features, got shape {X.shape}")
+        return X
+
+    def _walk(self, rows: list) -> list[float]:
+        """Per row, the base plus lr times its leaf in each tree, in tree order.
+
+        The only walk from a row to a leaf.  Rows are lists of Python floats,
+        which compare and add as float64 does, for speed on small batches.
+        """
         lr = self.hyperparams.learning_rate
-        for tree in self.trees:
-            out += lr * tree.evaluate_many(X)
+        out = []
+        for row in rows:
+            total = self.base_prediction
+            for node in self.trees:
+                while node.left is not None:
+                    node = node.left if row[node.feature_index] <= node.threshold else node.right
+                total += lr * node.value
+            out.append(total)
         return out
 
 
@@ -253,7 +242,7 @@ def _grow_tree(search: _SplitSearch, r, gains: np.ndarray):
     stack = [root]
     while stack:
         node = stack.pop()
-        if not node.is_leaf:
+        if node.left is not None:
             gains[node.feature_index] += split_gain[id(node)]
             stack += [node.right, node.left]
     return root, values
@@ -337,7 +326,7 @@ def fit_linear_one_feature(x, y, feature_index: int = 0) -> LinearModel:
 
 
 def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
+    if node.left is None:
         return {"value": node.value}
     return {
         "feature_index": node.feature_index,
@@ -347,27 +336,30 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
+def _node_from_dict(doc: dict, feature_count: int) -> TreeNode:
+    """One node and its subtree, checked so the walk cannot fail on it.
+    Checks are inline and internal nodes positional: a model holds tens of
+    thousands of nodes, and this keeps decoding as fast as unchecked."""
+    if type(doc) is not dict:
+        raise SchemaError(f"GBT tree node {doc!r} is missing or not a mapping")
     if "value" in doc:
-        return TreeNode(value=doc["value"])
-    return TreeNode(
-        feature_index=doc["feature_index"],
-        threshold=doc["threshold"],
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+        value = doc["value"]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise SchemaError(f"GBT leaf value {value!r} is not a finite number")
+        return TreeNode(value=value)
+    j, threshold = doc["feature_index"], doc["threshold"]
+    if type(j) is not int or not 0 <= j < feature_count:
+        raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
+    if type(threshold) not in (int, float) or not math.isfinite(threshold):
+        raise SchemaError(f"GBT threshold {threshold!r} is not a finite number")
+    left = _node_from_dict(doc.get("left"), feature_count)
+    return TreeNode(j, threshold, left, _node_from_dict(doc.get("right"), feature_count))
 
 
 def gbt_to_dict(m: GbtModel) -> dict:
     return {
         "base_prediction": m.base_prediction,
-        "hyperparams": {
-            "n_estimators": m.hyperparams.n_estimators,
-            "max_depth": m.hyperparams.max_depth,
-            "learning_rate": m.hyperparams.learning_rate,
-            "min_samples_leaf": m.hyperparams.min_samples_leaf,
-            "l2_leaf_reg": m.hyperparams.l2_leaf_reg,
-        },
+        "hyperparams": asdict(m.hyperparams),
         "feature_count": m.feature_count,
         "cumulative_gain": list(m.cumulative_gain),
         "trees": [_node_to_dict(t) for t in m.trees],
@@ -375,12 +367,16 @@ def gbt_to_dict(m: GbtModel) -> dict:
 
 
 def gbt_from_dict(doc: dict) -> GbtModel:
+    d = doc["feature_count"]
+    gains = np.array(doc["cumulative_gain"], dtype=float)
+    if type(d) is not int or gains.shape != (d,):
+        raise SchemaError(f"GBT feature_count {d!r} does not match cumulative_gain {gains.shape}")
     return GbtModel(
         base_prediction=doc["base_prediction"],
-        trees=[_node_from_dict(t) for t in doc["trees"]],
+        trees=[_node_from_dict(t, d) for t in doc["trees"]],
         hyperparams=GbtHyperparams(**doc["hyperparams"]),
-        feature_count=doc["feature_count"],
-        cumulative_gain=np.array(doc["cumulative_gain"], dtype=float),
+        feature_count=d,
+        cumulative_gain=gains,
     )
 
 

@@ -510,3 +510,88 @@ def test_non_finite_thresholds_are_usage_errors(workspace, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _first_split(doc):
+    """The first internal node of a GBT document's trees."""
+    for tree in doc["trees"]:
+        if "feature_index" in tree:
+            return tree
+    raise AssertionError("every tree of the GBT is a single leaf")
+
+
+def test_kb_tree_feature_out_of_range_is_data_error(workspace, tmp_path, capsys):
+    def edit(doc):
+        hw = next(iter(doc["per_component"].values()))["hardware_model"]
+        _first_split(hw)["feature_index"] = 42
+
+    kb = _edited_copy(workspace / "kb.json", tmp_path / "kb.json", edit)
+    code = main(
+        [
+            "build",
+            "--kb",
+            kb,
+            "--target-train",
+            str(workspace / "data" / "target.json"),
+            "--out",
+            str(tmp_path / "model.json"),
+        ]
+        + HP_FLAGS
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "feature 42" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda g: _first_split(g).update(feature_index=99), "feature 99", id="feature-past-end"),
+        pytest.param(lambda g: _first_split(g).update(feature_index=-1), "feature -1", id="feature-negative"),
+        pytest.param(lambda g: _first_split(g).update(feature_index=True), "feature True", id="feature-bool"),
+        pytest.param(lambda g: _first_split(g).update(threshold=float("nan")), "threshold nan", id="threshold-nan"),
+        pytest.param(lambda g: _first_split(g).update(threshold="1.5"), "threshold '1.5'", id="threshold-text"),
+        pytest.param(lambda g: g["trees"].append({"value": float("inf")}), "leaf value inf", id="leaf-inf"),
+        pytest.param(lambda g: _first_split(g).pop("right"), "not a mapping", id="child-missing"),
+        pytest.param(lambda g: g["cumulative_gain"].pop(), "cumulative_gain", id="gain-short"),
+    ],
+)
+def test_model_tree_is_checked_on_load(workspace, tmp_path, capsys, edit, message):
+    code = _predict_with_model(workspace, tmp_path, lambda d: edit(d["per_component"]["BPTAGE"]["event"]))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "method",
+    ["mcpat_calib_component", "mcpat_calib_component_transfer", "firepower", "firepower_no_retrain"],
+)
+def test_missing_component_label_is_data_error(workspace, tmp_path, capsys, method):
+    def drop_ifu(doc):
+        for sample in doc["samples"]:
+            sample["component_power"].pop("IFU", None)
+
+    data = workspace / "data"
+    target = _edited_copy(data / "target.json", tmp_path / "target.json", drop_ifu)
+    code = main(
+        ["experiment", "--known", str(data / "known.json"), "--target", target, "--ks", "2",
+         "--seeds", "1", "--methods", method, "--out", str(tmp_path / "exp"), "--n-estimators", "5"]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "lacks a label for 'IFU'" in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("key,value", [("ks", -1), ("ks", 0), ("seeds", -2)])
+def test_out_of_range_ks_and_seeds_are_usage_errors(workspace, tmp_path, capsys, key, value, via_config):
+    if via_config:
+        value = [value] if key == "ks" else value
+    code = _run_with_value(workspace, tmp_path, "experiment", key, value, via_config)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -95,6 +95,13 @@ def test_too_few_target_configs(synth_pair):
         run_experiment(ds_known, ds_target, ks=[len(ds_target.configurations)], seeds=[0])
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(synth_pair, k):
+    ds_known, ds_target, _ = synth_pair
+    with pytest.raises(ValidationError, match="at least 1"):
+        run_experiment(ds_known, ds_target, ks=[2, k], seeds=[0])
+
+
 def test_eval_result_sort_key():
     r = EvalResult("m", 2, 1, 5.0, 0.9, [])
     assert r.sort_key() == ("m", 2, 1)

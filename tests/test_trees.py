@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -94,7 +94,7 @@ def test_importance_uniform_when_target_constant():
     m = fit_gbt(X, y, small_hp)
     assert list(feature_importance(m)) == [0.5, 0.5]
     # Constant target also means every tree is a single leaf.
-    assert all(t.is_leaf for t in m.trees)
+    assert all(t.left is None for t in m.trees)
 
 
 def test_dominant_feature_gets_the_importance():
@@ -113,14 +113,20 @@ def test_fit_quality_on_smooth_function():
     assert float(np.abs(preds - y).mean()) < 0.05
 
 
-@given(st.integers(0, 500))
+@given(st.integers(0, 500), st.integers(0, 300))
+@example(0, 0)
+@example(1, 300)
 @settings(max_examples=20, deadline=None)
-def test_predict_many_matches_predict(seed):
+def test_predict_many_matches_predict(seed, rows):
     X, y = random_problem(seed, n=15, d=3)
     m = fit_gbt(X, y, GbtHyperparams(n_estimators=8))
-    batch = m.predict_many(X)
-    single = np.array([m.predict(x) for x in X])
-    assert np.array_equal(batch, single)
+    # Fresh rows of any batch size, on the fitted and on a decoded model.
+    Z = np.random.default_rng(seed).uniform(-1, 11, size=(rows, 3))
+    for model in (m, gbt_from_dict(json.loads(json.dumps(gbt_to_dict(m))))):
+        for batch in (X, Z):
+            many = model.predict_many(batch)
+            assert many.shape == (batch.shape[0],)
+            assert np.array_equal(many, np.array([m.predict(x) for x in batch]))
 
 
 def test_predict_validates_feature_count():
@@ -128,6 +134,16 @@ def test_predict_validates_feature_count():
     m = fit_gbt(X, y, small_hp)
     with pytest.raises(ModelError):
         m.predict([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "shape", [(4,), (3, 3), (3, 5), (0, 3)], ids=["1-D", "too-few", "too-many", "empty-too-few"]
+)
+def test_predict_many_validates_shape(shape):
+    X, y = random_problem(1)
+    m = fit_gbt(X, y, small_hp)
+    with pytest.raises(ModelError):
+        m.predict_many(np.ones(shape))
 
 
 def test_fit_rejects_bad_input():
@@ -211,6 +227,17 @@ def _reference_tree(X, r, depth, hp, gains):
     return TreeNode(feature_index=j, threshold=threshold, left=left, right=right)
 
 
+def _leaf_values(root, X):
+    """The value of the leaf each row of X reaches in one reference tree."""
+    values = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        node = root
+        while node.left is not None:
+            node = node.left if row[node.feature_index] <= node.threshold else node.right
+        values[i] = node.value
+    return values
+
+
 def _reference_fit(X, y, hp):
     n, d = X.shape
     base = float(y.mean())
@@ -221,7 +248,7 @@ def _reference_fit(X, y, hp):
     for _ in range(hp.n_estimators):
         root = _reference_tree(X, y - pred, 0, hp, gains)
         trees.append(root)
-        pred += hp.learning_rate * root.evaluate_many(X)
+        pred += hp.learning_rate * _leaf_values(root, X)
         sse.append(float(((y - pred) ** 2).sum()))
     return GbtModel(base, trees, hp, d, gains, sse)
 
@@ -280,7 +307,7 @@ def test_equal_partitions_tie_to_the_lower_feature(j):
     stack = list(m.trees)
     while stack:
         node = stack.pop()
-        if not node.is_leaf:
+        if node.left is not None:
             used.add(node.feature_index)
             stack += [node.left, node.right]
     assert j in used and 3 not in used
