@@ -24,6 +24,7 @@ from .dataset import (
     component_to_dict,
     design_matrix,
     feature_row,
+    hw_row,
     read_json_file,
     schema_errors,
     write_text_atomic,
@@ -36,7 +37,9 @@ from .knowledge import (
 )
 from .trees import GbtHyperparams, GbtModel, LinearModel
 
-# Floor on hardware-model output, in mW, before ratio division.
+# Floor on hardware-model output, in mW, before ratio division.  Event GBTs
+# are fit on ratios clamped here, so predictions clamp here too, and a model
+# file's "epsilon" must name this value.
 DEFAULT_EPSILON = 1e-9
 
 INHERITED = "inherited"
@@ -48,7 +51,7 @@ class EffectiveHardwareModel:
     """F_hw for one component: the inherited GBT over H_i, or a retrained
     one-parameter linear model reading H_i[feature_index]."""
 
-    component: str
+    hw_params: tuple[str, ...]  # the component's H_i names, in row order
     model: GbtModel | LinearModel
     # The unclamped output per H_i row: the factor depends on the row alone,
     # and every sample of a configuration shares its row.
@@ -60,20 +63,18 @@ class EffectiveHardwareModel:
     def variant(self) -> str:
         return RETRAINED if isinstance(self.model, LinearModel) else INHERITED
 
-    def predict(self, comp: ComponentDef, config: Configuration, epsilon: float) -> float:
-        for p in comp.hw_params:
-            if p not in config.params:
-                raise ValidationError(f"configuration {config.id!r} lacks parameter {p!r}")
-        row = tuple(float(config.params[p]) for p in comp.hw_params)
+    def predict(self, config: Configuration) -> float:
+        """F_hw(H_i) of config, clamped at DEFAULT_EPSILON."""
+        row = tuple(hw_row(self.hw_params, config))
         raw = self._factors.get(row)
         if raw is None:
             raw = self._factors[row] = self.model.predict(row)
-        return max(raw, epsilon)
+        return max(raw, DEFAULT_EPSILON)
 
-    def predict_samples(self, ds: Dataset, comp: ComponentDef, epsilon: float) -> np.ndarray:
+    def predict_samples(self, ds: Dataset) -> np.ndarray:
         """The clamped factor of each sample of ds, in sample order."""
         # The hardware factor depends on the configuration alone.
-        by_config = {cfg.id: self.predict(comp, cfg, epsilon) for cfg in ds.configurations}
+        by_config = {cfg.id: self.predict(cfg) for cfg in ds.configurations}
         return np.array([by_config[s.config_id] for s in ds.samples])
 
 
@@ -84,15 +85,12 @@ class FirePowerModel:
     target_architecture: str
     per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]]
     component_table: tuple[ComponentDef, ...]
-    epsilon: float = DEFAULT_EPSILON
 
     def predict_component_power(
         self, comp: ComponentDef, config: Configuration, event_stats: dict
     ) -> float:
         hw, event = self.per_component[comp.name]
-        return hw.predict(comp, config, self.epsilon) * event.predict(
-            feature_row(comp, config, event_stats)
-        )
+        return hw.predict(config) * event.predict(feature_row(comp, config, event_stats))
 
     def predict_components(self, ds: Dataset) -> np.ndarray:
         """(n_samples, n_components) predictions, columns in table order;
@@ -100,9 +98,7 @@ class FirePowerModel:
         out = np.empty((len(ds.samples), len(self.component_table)))
         for j, comp in enumerate(self.component_table):
             hw, event = self.per_component[comp.name]
-            out[:, j] = hw.predict_samples(ds, comp, self.epsilon) * event.predict_many(
-                design_matrix(ds, comp)
-            )
+            out[:, j] = hw.predict_samples(ds) * event.predict_many(design_matrix(ds, comp))
         return out
 
 
@@ -129,7 +125,7 @@ def train_event_model(
     """Fit the event GBT on the ratio labels P_i / F_hw."""
     if not ds_target_train.samples:
         raise ValidationError("no training samples for the event model")
-    factors = hw.predict_samples(ds_target_train, comp, DEFAULT_EPSILON)
+    factors = hw.predict_samples(ds_target_train)
     power = np.array(component_labels(ds_target_train.samples, comp.name))
     return trees.fit_gbt(design_matrix(ds_target_train, comp), power / factors, hp)
 
@@ -156,17 +152,14 @@ def build_target_model(
     per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]] = {}
     for comp in ds_target_train.component_table:
         ck = kb.per_component[comp.name]
-        retrain = ck.strategy.kind == RETRAIN and not force_no_retrain
-        if retrain:
-            # A slope cannot be learned when the labeled configurations all
-            # share the important-parameter value; inherit instead.
-            values = {cfg.params[ck.strategy.param] for cfg in ds_target_train.configurations}
-            retrain = len(values) > 1
-        if retrain:
-            hw_model = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
-        else:
-            hw_model = ck.hardware_model
-        hw = EffectiveHardwareModel(component=comp.name, model=hw_model)
+        hw_model = ck.hardware_model
+        if ck.strategy.kind == RETRAIN and not force_no_retrain:
+            retrained = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
+            # The fit is constant exactly when the labeled configurations all
+            # share the important parameter's value: no slope, so inherit.
+            if not retrained.is_constant:
+                hw_model = retrained
+        hw = EffectiveHardwareModel(comp.hw_params, hw_model)
         shared = reuse_from.per_component.get(comp.name) if reuse_from else None
         if shared and shared[0].model is hw_model and shared[1].hyperparams == hp:
             event = shared[1]
@@ -202,7 +195,7 @@ def _hw_to_dict(hw: EffectiveHardwareModel, comp: ComponentDef) -> dict:
 def _hw_from_dict(doc: dict, comp: ComponentDef) -> EffectiveHardwareModel:
     variant = doc["variant"]
     if variant == INHERITED:
-        return EffectiveHardwareModel(comp.name, trees.gbt_from_dict(doc["gbt"]))
+        return EffectiveHardwareModel(comp.hw_params, trees.gbt_from_dict(doc["gbt"]))
     if variant != RETRAINED:
         raise SchemaError(f"model: component {comp.name!r} has unknown hw variant {variant!r}")
     linear = trees.linear_from_dict(doc["linear"])
@@ -212,13 +205,13 @@ def _hw_from_dict(doc: dict, comp: ComponentDef) -> EffectiveHardwareModel:
             f"model: component {comp.name!r} retrained hw model reads feature {j!r}, "
             f"not its important parameter {doc['important_param']!r} among {comp.hw_params}"
         )
-    return EffectiveHardwareModel(comp.name, linear)
+    return EffectiveHardwareModel(comp.hw_params, linear)
 
 
 def model_to_dict(m: FirePowerModel) -> dict:
     return {
         "target_architecture": m.target_architecture,
-        "epsilon": m.epsilon,
+        "epsilon": DEFAULT_EPSILON,
         "component_table": [component_to_dict(c) for c in m.component_table],
         "per_component": {
             comp.name: {
@@ -232,6 +225,8 @@ def model_to_dict(m: FirePowerModel) -> dict:
 
 @schema_errors("model")
 def model_from_dict(doc: dict) -> FirePowerModel:
+    if doc["epsilon"] != DEFAULT_EPSILON:
+        raise SchemaError(f"model: epsilon {doc['epsilon']!r} is not the clamp {DEFAULT_EPSILON!r}")
     table = tuple(component_from_dict(c) for c in doc["component_table"])
     entries = doc["per_component"]
     if sorted(entries) != sorted(c.name for c in table):
@@ -247,7 +242,6 @@ def model_from_dict(doc: dict) -> FirePowerModel:
         target_architecture=doc["target_architecture"],
         per_component=per_component,
         component_table=table,
-        epsilon=doc["epsilon"],
     )
 
 

@@ -111,24 +111,17 @@ class TransferWrapper:
             keep=std > 0,
         )
 
-    def nearest_index(self, x: np.ndarray) -> int:
-        if self.keep.any():
-            z = (x[self.keep] - self.mean[self.keep]) / self.std[self.keep]
-            zp = (self.pool_features[:, self.keep] - self.mean[self.keep]) / self.std[self.keep]
-            dists = np.sqrt(((zp - z) ** 2).sum(axis=1))
-        else:
-            dists = np.zeros(self.pool_features.shape[0])
-        return int(np.argmin(dists))  # ties: earliest pool index
-
     def predict_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        preds = np.empty(X.shape[0])
-        p_t = self.source_many(X)
-        for i, x in enumerate(X):
-            j = self.nearest_index(x)
-            label = float(self.pool_labels[j])
-            if np.array_equal(x, self.pool_features[j]):
-                preds[i] = label  # distance-0 shortcut, exact on pool members
-            else:
-                preds[i] = p_t[i] / max(self.pool_source_preds[j], TRANSFER_EPSILON) * label
-        return preds
+        k = self.keep
+        # Distances in the pool's z-space over its varying features; with
+        # none, every distance is 0 and pool row 0 is picked.
+        z = (X[:, k] - self.mean[k]) / self.std[k]
+        zp = (self.pool_features[:, k] - self.mean[k]) / self.std[k]
+        dists = np.column_stack([np.sqrt(((p - z) ** 2).sum(axis=1)) for p in zp])
+        nearest = dists.argmin(axis=1)  # ties: earliest pool index
+        labels = self.pool_labels[nearest]
+        ratio = self.source_many(X) / np.maximum(self.pool_source_preds[nearest], TRANSFER_EPSILON)
+        # The distance-0 shortcut keeps predictions exact on pool members.
+        exact = (X == self.pool_features[nearest]).all(axis=1)
+        return np.where(exact, labels, ratio * labels)

@@ -474,9 +474,17 @@ def few_shot_split(ds: Dataset, labeled_config_ids: list[str]) -> tuple[Dataset,
     return subset(True), subset(False)
 
 
+def hw_row(hw_params: tuple[str, ...], cfg: Configuration) -> list[float]:
+    """H_i: cfg's values of hw_params, in order; ValidationError if one is missing."""
+    for p in hw_params:
+        if p not in cfg.params:
+            raise ValidationError(f"configuration {cfg.id!r} lacks parameter {p!r}")
+    return [float(cfg.params[p]) for p in hw_params]
+
+
 def feature_row(comp: ComponentDef, cfg: Configuration, event_stats: dict) -> list[float]:
     """[H_i values in comp.hw_params order] then [E_i values in comp.event_stats order]."""
-    row = [float(cfg.params[p]) for p in comp.hw_params]
+    row = hw_row(comp.hw_params, cfg)
     for name in comp.event_stats:
         if name not in event_stats:
             raise ValidationError(
@@ -495,4 +503,4 @@ def design_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
             rows.append(feature_row(comp, ds.config(s.config_id), s.event_stats))
         except ValidationError as exc:
             raise ValidationError(f"sample ({s.config_id}, {s.workload}): {exc}") from None
-    return np.array(rows)
+    return np.array(rows).reshape(len(rows), len(comp.hw_params) + len(comp.event_stats))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .application import DEFAULT_EPSILON
+from .application import EffectiveHardwareModel
 from .dataset import Dataset
 from .errors import ModelError, ValidationError
 from .knowledge import KnowledgeBase, hardware_training_matrix
@@ -68,8 +68,9 @@ def evaluate_generalization(
         raise ValidationError("no target configurations to evaluate against")
     per_component: dict[str, ComponentVerdict] = {}
     for comp in kb.component_table:
-        X, labels = hardware_training_matrix(ds_target_train, comp)
-        preds = np.maximum(kb.per_component[comp.name].hardware_model.predict_many(X), DEFAULT_EPSILON)
+        _, labels = hardware_training_matrix(ds_target_train, comp)
+        hw = EffectiveHardwareModel(comp.hw_params, kb.per_component[comp.name].hardware_model)
+        preds = np.array([hw.predict(cfg) for cfg in ds_target_train.configurations])
         s = ideal_scaling_factor(preds, labels)
         observed = mape(s * preds, labels)
         verdict = HIGH if observed < threshold else LOW

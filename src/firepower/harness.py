@@ -112,8 +112,8 @@ def run_experiment(
     for m in methods:
         if m not in METHOD_KEYS:
             raise ValidationError(f"unknown method {m!r}")
-    if min(ks) < 1:
-        raise ValidationError(f"every k must be at least 1, not {min(ks)}")
+    if min(ks, default=0) < 1:
+        raise ValidationError(f"ks must be nonempty with every k at least 1, not {list(ks)}")
     n_configs = len(ds_target.configurations)
     if n_configs <= max(ks):
         raise ValidationError("target dataset has too few configurations for the given ks")

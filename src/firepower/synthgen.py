@@ -53,9 +53,19 @@ PARAM_RANGES = {
 # How strongly event-statistic values depend on the configuration.
 EVENT_CONFIG_COUPLING = 0.05
 
+# How far the target architecture's linear coefficients move for dominant
+# components: c0 shrinks by half this fraction, c1 grows by all of it.
+RETRAIN_SHIFT = 0.6
+
+
 def _pnorm(name: str, value: float) -> float:
     lo, hi = PARAM_RANGES[name]
     return (float(value) - lo) / (hi - lo)
+
+
+def _uniform(u: float, lo: float, hi: float) -> float:
+    """A unit draw mapped onto [lo, hi), as numpy's Generator.uniform maps it."""
+    return float(lo + (hi - lo) * u)
 
 
 def _slug(name: str) -> str:
@@ -94,8 +104,6 @@ class ComponentGen:
             for v in norms:
                 prod *= 0.5 + v
             return prod ** (1.0 / len(norms))
-        if form == "polynomial":
-            return float(np.mean([v * v for v in norms]))
         raise ValidationError(f"unknown hardware form {form!r}")
 
     def hw_scale(self, arch: str, params: dict[str, int]) -> float:
@@ -167,7 +175,6 @@ def default_spec(
     n_target_configs: int = 10,
     n_workloads: int = 8,
     noise_sigma: float = 0.01,
-    retrain_shift: float = 0.6,
     dissimilar: tuple[str, ...] = (),
     proportional_only: bool = False,
 ) -> SynthSpec:
@@ -176,54 +183,46 @@ def default_spec(
     single-parameter linear hardware scale, the rest a multi-parameter
     product (flat for the one single-parameter non-dominant component).
 
-    `retrain_shift` skews the target architecture's linear coefficients for
-    dominant components so retraining has something to recover;
-    `proportional_only` makes every target function an exact positive
-    multiple of the known one; `dissimilar` names components whose target
-    form is reversed, breaking cross-architecture similarity on purpose.
+    Dominant components' target coefficients are skewed by RETRAIN_SHIFT so
+    retraining has something to recover; `proportional_only` makes every
+    target function an exact positive multiple of the known one;
+    `dissimilar` names components whose target form is reversed, breaking
+    cross-architecture similarity on purpose.
     """
     rng = np.random.default_rng([seed, 1])
     table = builtin_component_table()
     gens = []
     for comp in table:
-        magnitude = float(rng.uniform(2.0, 20.0))
-        target_ratio = float(rng.uniform(0.6, 1.6))
+        # Nine draws per component, used or not, each mapped onto its range:
+        # magnitude, target ratio, c0, c1, (unused), a_k, b_k, a_t, b_t.
+        u = rng.random(9)
+        magnitude = _uniform(u[0], 2.0, 20.0)
+        target_ratio = _uniform(u[1], 0.6, 1.6)
         ref = comp.important_param or comp.hw_params[0]
         if comp.important_param is not None:
             form = "linear"
-            c0 = float(rng.uniform(0.4, 0.8))
-            c1 = float(rng.uniform(1.5, 3.0))
+            c0, c1 = _uniform(u[2], 0.4, 0.8), _uniform(u[3], 1.5, 3.0)
             # One shift direction for every dominant component; mixed signs
             # let per-component biases cancel in the total, which makes the
             # summed power a misleading yardstick for partial corrections.
-            rng.random()
             if proportional_only:
                 target_coeffs = (c0, c1)
             else:
-                target_coeffs = (
-                    c0 * (1.0 - 0.5 * retrain_shift),
-                    c1 * (1.0 + retrain_shift),
-                )
+                target_coeffs = (c0 * (1.0 - 0.5 * RETRAIN_SHIFT), c1 * (1.0 + RETRAIN_SHIFT))
         elif len(comp.hw_params) == 1:
             form = "constant"
             c0, c1 = 1.0, 0.0
             target_coeffs = (c0, c1)
-            rng.random(3)  # keep the draw count uniform across components
         else:
             form = "product"
-            c0 = float(rng.uniform(0.3, 0.6))
-            c1 = float(rng.uniform(0.8, 1.5))
-            rng.random()
+            c0, c1 = _uniform(u[2], 0.3, 0.6), _uniform(u[3], 0.8, 1.5)
             target_coeffs = (c0, c1)
         target_form = "reversed" if comp.name in dissimilar else form
-        a_k = float(rng.uniform(0.4, 0.8))
-        b_k = float(rng.uniform(0.3, 1.0))
+        a_k, b_k = _uniform(u[5], 0.4, 0.8), _uniform(u[6], 0.3, 1.0)
         if proportional_only:
             a_t, b_t = a_k, b_k
-            rng.random(2)
         else:
-            a_t = float(rng.uniform(0.4, 0.8))
-            b_t = float(rng.uniform(0.3, 1.0))
+            a_t, b_t = _uniform(u[7], 0.4, 0.8), _uniform(u[8], 0.3, 1.0)
         gens.append(
             ComponentGen(
                 name=comp.name,

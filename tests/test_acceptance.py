@@ -210,7 +210,7 @@ def test_event_model_ratio_contract():
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
     y = [flat.samples_of(cfg.id)[0].component_power["Front"] for cfg in flat.configurations]
     j = comp.hw_params.index("FetchWidth")
-    hw = EffectiveHardwareModel("Front", fit_linear_one_feature(x, y, feature_index=j))
+    hw = EffectiveHardwareModel(comp.hw_params, fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, GbtHyperparams())
     preds = list(ev.predict_many(design_matrix(flat, comp)))
     ok = all(0.99 <= p <= 1.01 for p in preds)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import firepower as fp
 from firepower.application import (
+    DEFAULT_EPSILON,
     INHERITED,
     RETRAINED,
     EffectiveHardwareModel,
@@ -133,17 +135,16 @@ def test_event_ratio_contract(tiny_dataset, small_hp):
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
     y = [flat.samples_of(cfg.id)[0].component_power["Front"] for cfg in flat.configurations]
     j = comp.hw_params.index("FetchWidth")
-    hw = EffectiveHardwareModel("Front", fit_linear_one_feature(x, y, feature_index=j))
+    hw = EffectiveHardwareModel(comp.hw_params, fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, small_hp)
     preds = ev.predict_many(design_matrix(flat, comp))
     assert ((0.99 <= preds) & (preds <= 1.01)).all()
 
 
 def test_epsilon_clamp():
-    hw = EffectiveHardwareModel("X", fit_linear_one_feature([1.0, 2.0], [1.0, 0.0]))
-    comp = fp.ComponentDef(name="X", hw_params=("FetchWidth",), important_param="FetchWidth")
+    hw = EffectiveHardwareModel(("FetchWidth",), fit_linear_one_feature([1.0, 2.0], [1.0, 0.0]))
     cfg = fp.Configuration(id="c", architecture="a", params={"FetchWidth": 50})
-    assert hw.predict(comp, cfg, 1e-9) == 1e-9
+    assert hw.predict(cfg) == DEFAULT_EPSILON == 1e-9
 
 
 _GRID = np.array([[a, b] for a in range(1, 7) for b in range(1, 7)], dtype=float)
@@ -152,27 +153,22 @@ _HW_MODELS = {
     "gbt": fit_gbt(_GRID, 3.0 * _GRID[:, 0] - 2.0 * _GRID[:, 1], GbtHyperparams(n_estimators=10)),
     "linear": LinearModel(feature_index=1, slope=-0.7, intercept=2.0),
 }
-_TWO_PARAM = fp.ComponentDef(name="X", hw_params=("FetchWidth", "DecodeWidth"))
 
 
 @given(
     kind=st.sampled_from(sorted(_HW_MODELS)),
-    calls=st.lists(
-        st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from([0.0, 1e-9, 2.5])),
-        min_size=1,
-        max_size=30,
-    ),
+    calls=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=30),
 )
 @settings(max_examples=60, deadline=None)
 def test_memoised_hardware_factor_is_the_clamped_model_output(kind, calls):
-    # Rows repeat and differ, and one row meets several epsilons: the memo
-    # keeps the unclamped output and clamps on every call.
+    # Rows repeat and differ: the memo keeps the unclamped output and
+    # clamps on every call.
     model = _HW_MODELS[kind]
-    hw = EffectiveHardwareModel("X", model)
-    for i, (a, b, epsilon) in enumerate(calls):
+    hw = EffectiveHardwareModel(("FetchWidth", "DecodeWidth"), model)
+    for i, (a, b) in enumerate(calls):
         cfg = fp.Configuration(id=f"C{i}", architecture="a", params={"FetchWidth": a, "DecodeWidth": b})
-        want = max(model.predict([float(a), float(b)]), epsilon)
-        assert repr(hw.predict(_TWO_PARAM, cfg, epsilon)) == repr(want)
+        want = max(model.predict([float(a), float(b)]), DEFAULT_EPSILON)
+        assert repr(hw.predict(cfg)) == repr(want)
 
 
 def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
@@ -183,17 +179,17 @@ def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
     other = dataset_from_dict(doc)
     comp = tiny_dataset.component("Front")
     model = _HW_MODELS["gbt"]
-    hw = EffectiveHardwareModel("Front", model)
+    hw = EffectiveHardwareModel(comp.hw_params, model)
     for ds in (tiny_dataset, other, tiny_dataset):
         want = [
-            max(model.predict([float(ds.config(s.config_id).params[p]) for p in comp.hw_params]), 0.0)
+            max(model.predict([float(ds.config(s.config_id).params[p]) for p in comp.hw_params]), DEFAULT_EPSILON)
             for s in ds.samples
         ]
-        assert hw.predict_samples(ds, comp, 0.0).tolist() == want
-    assert hw.predict_samples(tiny_dataset, comp, 0.0)[0] != hw.predict_samples(other, comp, 0.0)[0]
+        assert hw.predict_samples(ds).tolist() == want
+    assert hw.predict_samples(tiny_dataset)[0] != hw.predict_samples(other)[0]
     with pytest.raises(ValidationError):
         bare = fp.Configuration(id="C1", architecture="Tiny", params={"BranchCount": 8})
-        hw.predict(comp, bare, 0.0)
+        hw.predict(bare)
 
 
 def _demoting_pair(ds_target):
@@ -301,3 +297,11 @@ def test_dict_round_trip(target_model):
     model, _, _ = target_model
     doc = model_to_dict(model)
     assert model_to_dict(model_from_dict(doc)) == doc
+
+
+def test_sampleless_dataset_predicts_an_empty_table(target_model):
+    model, _, test = target_model
+    empty = dataclasses.replace(test, samples=())
+    comp = model.component_table[0]
+    assert design_matrix(empty, comp).shape == (0, len(comp.hw_params) + len(comp.event_stats))
+    assert model.predict_components(empty).shape == (0, len(model.component_table))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firepower.application import INHERITED, build_target_model
 from firepower.baselines import (
     METHOD_KEYS,
+    TRANSFER_EPSILON,
     TransferWrapper,
     event_stat_names,
     monolithic_matrix,
@@ -93,24 +96,55 @@ def test_transfer_nearest_neighbor_standardized():
     source = lambda X: np.ones(len(X))  # noqa: E731
     pool = [[0.0, 0.0], [1.0, 1000.0]]
     w = TransferWrapper.build(source, pool, [5.0, 9.0])
-    assert w.nearest_index(np.array([0.1, 950.0])) == 1
-    assert w.nearest_index(np.array([0.1, 100.0])) == 0
+    # With a source of ones each prediction is its nearest pool row's label.
+    assert list(w.predict_many([[0.1, 950.0], [0.1, 100.0]])) == [9.0, 5.0]
 
 
 def test_transfer_drops_zero_variance_features():
-    source = lambda X: X[:, 0]  # noqa: E731
+    source = lambda X: np.ones(len(X))  # noqa: E731
     pool = [[1.0, 7.0], [2.0, 7.0]]  # second feature is constant in the pool
     w = TransferWrapper.build(source, pool, [1.0, 2.0])
     assert list(w.keep) == [True, False]
-    assert w.nearest_index(np.array([1.1, -999.0])) == 0
+    assert list(w.predict_many([[1.1, -999.0]])) == [1.0]
 
 
 def test_transfer_tie_breaks_to_earliest_pool_index():
-    source = lambda X: X[:, 0]  # noqa: E731
+    source = lambda X: np.ones(len(X))  # noqa: E731
     pool = [[1.0], [3.0]]
     w = TransferWrapper.build(source, pool, [10.0, 30.0])
-    assert w.nearest_index(np.array([2.0])) == 0
+    assert list(w.predict_many([[2.0]])) == [10.0]
 
+
+
+def _reference_transfer(w, X):
+    """The per-row loop that predict_many's batched step replaced."""
+    preds, p_t, k = [], w.source_many(X), w.keep
+    for i, x in enumerate(X):
+        j = 0
+        if k.any():
+            z = (x[k] - w.mean[k]) / w.std[k]
+            zp = (w.pool_features[:, k] - w.mean[k]) / w.std[k]
+            j = int(np.argmin(np.sqrt(((zp - z) ** 2).sum(axis=1))))
+        label = float(w.pool_labels[j])
+        if np.array_equal(x, w.pool_features[j]):
+            preds.append(label)
+        else:
+            preds.append(p_t[i] / max(w.pool_source_preds[j], TRANSFER_EPSILON) * label)
+    return np.array(preds)
+
+
+@given(
+    m=st.integers(1, 6), d=st.integers(1, 20), n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=80, deadline=None)
+def test_transfer_batch_matches_the_row_loop(m, d, n, seed):
+    # Small integer grids give ties, constant pool columns, pool members
+    # among the queries and source predictions at or below 0.
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 3, size=(m, d)).astype(float)
+    X = np.vstack([pool, rng.integers(0, 4, size=(n, d))]).astype(float)
+    w = TransferWrapper.build(lambda A: A.sum(axis=1) - 2.0, pool, rng.uniform(1.0, 9.0, m))
+    assert w.predict_many(X).tobytes() == _reference_transfer(w, X).tobytes()
 
 def test_transfer_rejects_empty_pool():
     with pytest.raises(ModelError):

@@ -595,3 +595,53 @@ def test_out_of_range_ks_and_seeds_are_usage_errors(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--{key}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _drop_mshr(doc):
+    """A registry without MSHREntry, which built-in components read."""
+    doc.pop("component_table")
+    doc["parameters"]["canonical"].remove("MSHREntry")
+    for cfg in doc["configurations"]:
+        del cfg["params"]["MSHREntry"]
+
+
+@pytest.mark.parametrize("command", ["extract", "build", "experiment"])
+def test_parameter_missing_from_registry_is_data_error(workspace, tmp_path, capsys, command):
+    data = workspace / "data"
+    known = _edited_copy(data / "known.json", tmp_path / "known.json", _drop_mshr)
+    target = _edited_copy(data / "target.json", tmp_path / "target.json", _drop_mshr)
+    out = str(tmp_path / "out")
+    argv = {
+        "extract": ["extract", "--known", known, "--out", out],
+        "build": ["build", "--kb", str(workspace / "kb.json"), "--target-train", target, "--out", out],
+        "experiment": ["experiment", "--known", known, "--target", target, "--ks", "2",
+                       "--seeds", "1", "--out", out],
+    }[command]
+    assert main(argv + HP_FLAGS) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lacks parameter 'MSHREntry'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kb_unknown_retrain_parameter_is_data_error(workspace, tmp_path, capsys):
+    def edit(doc):
+        entry = next(e for e in doc["per_component"].values() if e["strategy"]["kind"] == "retrain")
+        entry["strategy"]["param"] = "Bogus"
+
+    kb = _edited_copy(workspace / "kb.json", tmp_path / "kb.json", edit)
+    code = main(
+        ["build", "--kb", kb, "--target-train", str(workspace / "data" / "target.json"),
+         "--out", str(tmp_path / "model.json")] + HP_FLAGS
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'Bogus'" in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-6, "1e-09"])
+def test_model_epsilon_other_than_the_clamp_is_data_error(workspace, tmp_path, capsys, epsilon):
+    assert _predict_with_model(workspace, tmp_path, lambda d: d.update(epsilon=epsilon)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon" in err and "Traceback" not in err
+    assert not (tmp_path / "preds.csv").exists()

@@ -95,11 +95,11 @@ def test_too_few_target_configs(synth_pair):
         run_experiment(ds_known, ds_target, ks=[len(ds_target.configurations)], seeds=[0])
 
 
-@pytest.mark.parametrize("k", [0, -1])
-def test_k_below_one_rejected(synth_pair, k):
+@pytest.mark.parametrize("ks", [[2, 0], [2, -1], []], ids=["0", "-1", "empty"])
+def test_k_below_one_rejected(synth_pair, ks):
     ds_known, ds_target, _ = synth_pair
     with pytest.raises(ValidationError, match="at least 1"):
-        run_experiment(ds_known, ds_target, ks=[2, k], seeds=[0])
+        run_experiment(ds_known, ds_target, ks=ks, seeds=[0])
 
 
 def test_eval_result_sort_key():
