@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import synthgen
@@ -38,6 +39,14 @@ def _usage_error(message: str):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-inf" or "-1e-3" after a space as an option, not a
+        # value; every negative number float() reads is a value here.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):
         self.print_usage(sys.stderr)
         _usage_error(message)

@@ -248,7 +248,16 @@ def component_from_dict(entry: dict, registry: ParameterRegistry | None = None) 
 def _parse_component_table(doc: dict, registry: ParameterRegistry) -> tuple[ComponentDef, ...]:
     raw = doc.get("component_table")
     if raw is None:
-        return tuple(builtin_component_table())
+        # The built-in table reads canonical names; the registry must hold them all.
+        table = tuple(builtin_component_table())
+        missing = [(c.name, p) for c in table for p in c.hw_params if p not in registry.canonical]
+        if missing:
+            name, param = missing[0]
+            raise ValidationError(
+                f"parameter registry lacks parameter {param!r}, "
+                f"which built-in component {name!r} reads"
+            )
+        return table
     table = [component_from_dict(entry, registry) for entry in raw]
     if len({c.name for c in table}) != len(table):
         raise ValidationError("duplicate component names in component_table")
@@ -420,7 +429,8 @@ def write_text_atomic(path: str | os.PathLike, text: str):
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike):
-    write_text_atomic(path, json.dumps(dataset_to_dict(ds), indent=1) + "\n")
+    """Compact one-line JSON: without an indent, json uses its C encoder."""
+    write_text_atomic(path, json.dumps(dataset_to_dict(ds)) + "\n")
 
 
 def component_labels(samples, component: str) -> list[float]:

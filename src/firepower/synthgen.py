@@ -115,14 +115,15 @@ class ComponentGen:
             scale = self.arch_scale_target
         return (c0 + c1 * self._shape(form, params)) * scale
 
-    def event_value(self, workload_base: float, params: dict[str, int]) -> float:
+    def event_value(self, workload_base, params: dict[str, int]):
+        """The event statistic on one workload, or elementwise on an array of them."""
         # Flat components carry no configuration signal in their events either.
         coupling = 0.0 if self.hw_form_known == "constant" else EVENT_CONFIG_COUPLING
         return workload_base * (
             1.0 + coupling * _pnorm(self.ref_param, params[self.ref_param])
         )
 
-    def event_factor(self, arch: str, event_value: float) -> float:
+    def event_factor(self, arch: str, event_value):
         a, b = self.event_coeffs_known if arch == "known" else self.event_coeffs_target
         return a + b * event_value
 
@@ -282,25 +283,25 @@ def _sample_configs(rng, arch: str, prefix: str, count: int) -> list[Configurati
 
 
 def _generate_samples(spec: SynthSpec, rng, arch: str, configs: list[Configuration]):
+    # Each configuration over all workloads at once.  The noise draw follows the scalar loop's
+    # (configuration, workload, component) order and each product its scalar order.
+    gens = spec.components
+    z = rng.standard_normal((len(configs), spec.n_workloads, len(gens)))
+    noise = np.maximum(1.0 + spec.noise_sigma * z, 0.5)
+    base = np.array(spec.workload_base)
     samples = []
-    for cfg in configs:
-        for w in range(spec.n_workloads):
-            comp_power = {}
-            events = {}
-            for gen in spec.components:
-                e = gen.event_value(spec.workload_base[w], cfg.params)
-                events[gen.event_stat] = e
-                noise = max(1.0 + spec.noise_sigma * rng.standard_normal(), 0.5)
-                comp_power[gen.name] = gen.hw_scale(arch, cfg.params) * gen.event_factor(arch, e) * noise
-            samples.append(
-                PowerSample(
-                    config_id=cfg.id,
-                    workload=f"w{w}",
-                    total_power=sum(comp_power.values()),
-                    component_power=comp_power,
-                    event_stats=events,
-                )
-            )
+    for cfg, cfg_noise in zip(configs, noise):
+        events = [gen.event_value(base, cfg.params) for gen in gens]
+        clean = [
+            gen.hw_scale(arch, cfg.params) * gen.event_factor(arch, e) for gen, e in zip(gens, events)
+        ]
+        power = (np.array(clean).T * cfg_noise).tolist()
+        for w, (row, event_row) in enumerate(zip(power, np.array(events).T.tolist())):
+            samples.append(PowerSample(
+                config_id=cfg.id, workload=f"w{w}", total_power=sum(row),
+                component_power={gen.name: v for gen, v in zip(gens, row)},
+                event_stats={gen.event_stat: v for gen, v in zip(gens, event_row)},
+            ))
     return samples
 
 

@@ -512,6 +512,31 @@ def test_non_finite_thresholds_are_usage_errors(workspace, tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("extract", "--threshold", "-inf", "must be a finite number"),
+        ("build", "--gate-threshold", "-inf", "must be a finite number"),
+        ("extract", "--learning-rate", "-1e-3", "learning_rate must lie in (0, 1]"),
+    ],
+)
+def test_negative_values_after_a_space_reach_the_value_checks(
+    workspace, tmp_path, capsys, command, flag, value, message
+):
+    assert main(_command_argv(workspace, tmp_path, command) + [flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_threshold_after_a_space_is_a_value(workspace, tmp_path):
+    from firepower.knowledge import load_knowledge_base
+
+    argv = _command_argv(workspace, tmp_path, "extract") + ["--threshold", "-0.5"] + HP_FLAGS
+    assert main(argv) == EXIT_OK
+    assert load_knowledge_base(tmp_path / "out").threshold == -0.5
+
+
 def _first_split(doc):
     """The first internal node of a GBT document's trees."""
     for tree in doc["trees"]:
@@ -621,6 +646,19 @@ def test_parameter_missing_from_registry_is_data_error(workspace, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error:") and "lacks parameter 'MSHREntry'" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_registry_gap_fails_before_any_fit(workspace, tmp_path, capsys, monkeypatch):
+    from firepower import trees
+
+    fits = []
+    fit_gbt = trees.fit_gbt
+    monkeypatch.setattr(trees, "fit_gbt", lambda *a, **kw: fits.append(1) or fit_gbt(*a, **kw))
+    known = _edited_copy(workspace / "data" / "known.json", tmp_path / "known.json", _drop_mshr)
+    code = main(["extract", "--known", known, "--out", str(tmp_path / "out")] + HP_FLAGS)
+    assert code == EXIT_DATA
+    assert "lacks parameter 'MSHREntry'" in capsys.readouterr().err
+    assert fits == []
 
 
 def test_kb_unknown_retrain_parameter_is_data_error(workspace, tmp_path, capsys):

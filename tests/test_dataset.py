@@ -158,6 +158,27 @@ def test_round_trip(tmp_path, tiny_dataset):
     assert dataset_to_dict(again) == dataset_to_dict(tiny_dataset)
 
 
+def test_compact_file_round_trip(tmp_path):
+    # A registry alias of the file's own, analytical estimates and a custom
+    # component table survive the one-line file unchanged.
+    doc = tiny_doc()
+    doc["parameters"] = {
+        "canonical": list(CANONICAL_PARAMETERS),
+        "aliases": {**BUILTIN_ALIASES, "LSQEntry": "LDQ/STQEntry"},
+    }
+    params = doc["configurations"][0]["params"]
+    params["LSQEntry"] = params.pop("LDQEntry")
+    for sample in doc["samples"][::2]:
+        sample["analytical_estimate"] = 0.9 * sample["total_power"]
+    ds = dataset_from_dict(doc)
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    assert load_dataset(path) == ds
+    text = path.read_text()
+    assert json.loads(text) == dataset_to_dict(ds)
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
 def test_average_power_matches_brute_force(tiny_dataset):
     averages = average_power_per_config(tiny_dataset, "Front")
     for cfg in tiny_dataset.configurations:

@@ -176,6 +176,11 @@ def test_structural_fidelity_noise_free(small_hp):
             },
             "e90b2c95f2ff56089b00414dfe049fffd8e52617af1d2c908bcb26e98c9e83fb",
         ),
+        (
+            0,
+            {"n_known_configs": 60, "n_target_configs": 40, "n_workloads": 100},
+            "dabfc9b33ff595d4d2b2cea4bf7a338042098194a9ee9cab2166b5e5ff1b6d57",
+        ),
     ],
 )
 def test_generated_pair_is_pinned(seed, options, digest):
