@@ -16,11 +16,18 @@ import sys
 
 from . import synthgen
 from .application import build_target_model, load_model, save_model
+from .baselines import METHOD_KEYS
 from .dataset import load_dataset, save_dataset, write_text_atomic
 from .errors import FirePowerError, GateError, ModelError
-from .generalization import evaluate_generalization
-from .harness import run_experiment, summarize
-from .knowledge import RETRAIN, extract_knowledge, load_knowledge_base, save_knowledge_base
+from .generalization import DEFAULT_GATE_THRESHOLD, evaluate_generalization
+from .harness import DEFAULT_KS, run_experiment, summarize
+from .knowledge import (
+    DEFAULT_THRESHOLD,
+    RETRAIN,
+    extract_knowledge,
+    load_knowledge_base,
+    save_knowledge_base,
+)
 from .metrics import mape, pearson_r
 from .trees import GbtHyperparams
 
@@ -41,10 +48,12 @@ def _usage_error(message: str):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-inf" or "-1e-3" after a space as an option, not a
-        # value; every negative number float() reads is a value here.
+        # argparse reads "-inf", "-1e-3" or "-1,2" after a space as an option,
+        # not a value; every negative number float() reads, and every comma
+        # list of numbers that starts with one, is a value here.
+        number = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+            rf"^-({number})(,[-+]?({number}))*$", re.IGNORECASE
         )
 
     def error(self, message):
@@ -85,10 +94,13 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset options from --config; flags win, file beats defaults."""
-    if not getattr(args, "config", None):
-        return
+def _parse_with_config_file(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; with --config, the file's values become the subcommand's
+    defaults and argv is parsed again, so flags beat the file and the file
+    beats the defaults."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -96,68 +108,59 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         _usage_error(f"cannot read config file {args.config}: {exc}")
     if not isinstance(doc, dict):
         _usage_error(f"config file {args.config} must hold a JSON object")
-    valid = set(vars(args)) - {"func", "command", "config"}
     (commands,) = [a for a in parser._actions if a.dest == "command"]
-    actions = {a.dest: a for a in commands.choices[args.command]._actions}
+    sub = commands.choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     for key, value in doc.items():
-        if key not in valid:
+        if key not in actions:
             _usage_error(f"unknown config key {key!r}")
         try:
-            value = _config_value(actions[key], value)
+            sub.set_defaults(**{key: _config_value(actions[key], value)})
         except ValueError as exc:
             _usage_error(f"config key {key!r}: {exc}")
-        # An explicit 0 or 0.0 is a value; only None and an unset switch are unset.
-        current = getattr(args, key)
-        if current is None or current is False:
-            setattr(args, key, value)
-
-
-def _given(**options) -> dict:
-    """The options that were set, so the library defaults fill the rest."""
-    return {key: value for key, value in options.items() if value is not None}
+    return parser.parse_args(argv)
 
 
 def _check_values(args):
     """Range checks on values from flags or --config.  A threshold compares
     with importances or MAPEs; NaN or inf would decide every component the
-    same way without a word.  A k labels at least one configuration, and a
-    seed count is not negative (0 runs no cell)."""
+    same way without a word.  A k labels at least one configuration, a seed
+    count is not negative (0 runs no cell), and a method is one of
+    METHOD_KEYS; all before any file is read."""
     for key in ("threshold", "gate_threshold"):
-        value = getattr(args, key, None)
-        if value is not None and not math.isfinite(value):
-            _usage_error(f"--{key.replace('_', '-')} must be a finite number, not {value!r}")
-    ks = getattr(args, "ks", None)
-    if ks is not None and min(ks) < 1:
-        _usage_error(f"--ks values must be at least 1, not {min(ks)}")
-    seeds = getattr(args, "seeds", None)
-    if seeds is not None and seeds < 0:
-        _usage_error(f"--seeds must not be negative, not {seeds}")
+        if key in args and not math.isfinite(getattr(args, key)):
+            flag = key.replace("_", "-")
+            _usage_error(f"--{flag} must be a finite number, not {getattr(args, key)!r}")
+    if "ks" in args and min(args.ks) < 1:
+        _usage_error(f"--ks values must be at least 1, not {min(args.ks)}")
+    if "seeds" in args and args.seeds < 0:
+        _usage_error(f"--seeds must not be negative, not {args.seeds}")
+    for method in getattr(args, "methods", ()):
+        if method not in METHOD_KEYS:
+            _usage_error(f"unknown --methods name {method!r}; choose from {', '.join(METHOD_KEYS)}")
 
 
 def _gbt_hyperparams(args) -> GbtHyperparams:
     """The GBT flags as hyperparameters; out-of-range values are usage errors."""
     try:
         return GbtHyperparams(
-            **_given(
-                n_estimators=args.n_estimators,
-                max_depth=args.max_depth,
-                learning_rate=args.learning_rate,
-            )
+            n_estimators=args.n_estimators, max_depth=args.max_depth, learning_rate=args.learning_rate
         )
     except ModelError as exc:
         _usage_error(f"GBT flags: {exc}")
 
 
 def _add_gbt_flags(sub):
-    sub.add_argument("--n-estimators", type=int, default=None)
-    sub.add_argument("--max-depth", type=int, default=None)
-    sub.add_argument("--learning-rate", type=float, default=None)
+    hp = GbtHyperparams()
+    sub.add_argument("--n-estimators", type=int, default=hp.n_estimators)
+    sub.add_argument("--max-depth", type=int, default=hp.max_depth)
+    sub.add_argument("--learning-rate", type=float, default=hp.learning_rate)
 
 
 def cmd_extract(args) -> int:
     hp = _gbt_hyperparams(args)
     ds = load_dataset(args.known)
-    kb = extract_knowledge(ds, hp, **_given(threshold=args.threshold))
+    kb = extract_knowledge(ds, hp, args.threshold)
     save_knowledge_base(kb, args.out)
     print(f"{'Component':<16} {'Strategy':<12} Important parameter")
     for name, ck in kb.per_component.items():
@@ -173,7 +176,7 @@ def cmd_build(args) -> int:
     hp = _gbt_hyperparams(args)
     kb = load_knowledge_base(args.kb)
     train = load_dataset(args.target_train)
-    report = evaluate_generalization(kb, train, **_given(threshold=args.gate_threshold))
+    report = evaluate_generalization(kb, train, args.gate_threshold)
     model = build_target_model(kb, train, hp)
     save_model(model, args.out)
     report_path = args.report if args.report else args.out + ".generalization.csv"
@@ -229,12 +232,10 @@ def cmd_experiment(args) -> int:
         ds_known,
         ds_target,
         methods=args.methods,
-        seeds=list(range(args.seeds if args.seeds is not None else 10)),
+        ks=args.ks,
+        seeds=list(range(args.seeds)),
         hp=hp,
-        **_given(
-            ks=args.ks,
-            threshold=args.threshold,
-        ),
+        threshold=args.threshold,
     )
     os.makedirs(args.out, exist_ok=True)
     lines = [RESULTS_HEADER]
@@ -258,10 +259,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        spec = synthgen.load_spec(args.spec)
-    else:
-        spec = synthgen.default_spec(seed=args.seed if args.seed is not None else 0)
+    spec = synthgen.load_spec(args.spec) if args.spec else synthgen.default_spec(seed=args.seed)
     ds_known, ds_target, truth = synthgen.generate_pair(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     save_dataset(ds_known, os.path.join(args.out_dir, "known.json"))
@@ -281,7 +279,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="phase 1: extract a knowledge base")
     p.add_argument("--known", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--config", default=None)
     _add_gbt_flags(p)
     p.set_defaults(func=cmd_extract)
@@ -291,7 +289,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target-train", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--gate-threshold", type=float, default=None)
+    p.add_argument("--gate-threshold", type=float, default=DEFAULT_GATE_THRESHOLD)
     p.add_argument("--fail-on-low-generalization", action="store_true")
     p.add_argument("--config", default=None)
     _add_gbt_flags(p)
@@ -307,10 +305,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run the few-shot comparison protocol")
     p.add_argument("--known", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--ks", type=_int_list, default=None)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--methods", type=_name_list, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--ks", type=_int_list, default=DEFAULT_KS)
+    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--methods", type=_name_list, default=METHOD_KEYS)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     _add_gbt_flags(p)
@@ -318,7 +316,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic known/target pair")
     p.add_argument("--spec", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth)
@@ -328,8 +326,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, parser)
+        args = _parse_with_config_file(parser, argv)
         _check_values(args)
         return args.func(args)
     except SystemExit as exc:

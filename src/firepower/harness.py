@@ -22,6 +22,9 @@ from .knowledge import DEFAULT_THRESHOLD, KnowledgeBase, extract_knowledge
 from .metrics import mape, pearson_r
 from .trees import GbtHyperparams
 
+# Labeled target configurations per experiment cell (the paper's k).
+DEFAULT_KS = (2, 3, 4)
+
 
 @dataclass
 class EvalResult:
@@ -101,7 +104,7 @@ def run_experiment(
     ds_known: Dataset,
     ds_target: Dataset,
     methods: list[str] | None = None,
-    ks: list[int] = (2, 3, 4),
+    ks: list[int] = DEFAULT_KS,
     seeds: list[int] = (0,),
     hp: GbtHyperparams | None = None,
     threshold: float = DEFAULT_THRESHOLD,

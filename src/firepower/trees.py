@@ -366,13 +366,21 @@ def gbt_to_dict(m: GbtModel) -> dict:
     }
 
 
+def _finite(value, what: str):
+    """A finite int or float (numpy's float64 is one), else a SchemaError
+    naming `what`; True and False are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{what} {value!r} is not a finite number")
+    return value
+
+
 def gbt_from_dict(doc: dict) -> GbtModel:
     d = doc["feature_count"]
     gains = np.array(doc["cumulative_gain"], dtype=float)
     if type(d) is not int or gains.shape != (d,):
         raise SchemaError(f"GBT feature_count {d!r} does not match cumulative_gain {gains.shape}")
     return GbtModel(
-        base_prediction=doc["base_prediction"],
+        base_prediction=_finite(doc["base_prediction"], "GBT base prediction"),
         trees=[_node_from_dict(t, d) for t in doc["trees"]],
         hyperparams=GbtHyperparams(**doc["hyperparams"]),
         feature_count=d,
@@ -392,7 +400,7 @@ def linear_to_dict(m: LinearModel) -> dict:
 def linear_from_dict(doc: dict) -> LinearModel:
     return LinearModel(
         feature_index=doc["feature_index"],
-        slope=doc["slope"],
-        intercept=doc["intercept"],
+        slope=_finite(doc["slope"], "linear model slope"),
+        intercept=_finite(doc["intercept"], "linear model intercept"),
         is_constant=doc["is_constant"],
     )

@@ -455,11 +455,24 @@ def test_model_component_missing_from_per_component_is_data_error(workspace, tmp
 
 
 def test_unset_gbt_flags_take_library_defaults():
+    from firepower.baselines import METHOD_KEYS
     from firepower.cli import _gbt_hyperparams, build_parser
+    from firepower.generalization import DEFAULT_GATE_THRESHOLD
+    from firepower.harness import DEFAULT_KS
+    from firepower.knowledge import DEFAULT_THRESHOLD
     from firepower.trees import GbtHyperparams
 
     args = build_parser().parse_args(["extract", "--known", "k.json", "--out", "kb.json"])
     assert _gbt_hyperparams(args) == GbtHyperparams()
+    assert args.threshold == DEFAULT_THRESHOLD
+    parse = build_parser().parse_args
+    build = parse(["build", "--kb", "kb.json", "--target-train", "t.json", "--out", "m.json"])
+    assert build.gate_threshold == DEFAULT_GATE_THRESHOLD
+    assert _gbt_hyperparams(build) == GbtHyperparams()
+    exp = parse(["experiment", "--known", "k.json", "--target", "t.json", "--out", "out"])
+    assert (exp.ks, exp.seeds, exp.threshold) == (DEFAULT_KS, 10, DEFAULT_THRESHOLD)
+    assert exp.methods == METHOD_KEYS and _gbt_hyperparams(exp) == GbtHyperparams()
+    assert parse(["synth", "--out-dir", "data"]).seed == 0
 
 
 def _command_argv(workspace, tmp_path, command):
@@ -518,6 +531,7 @@ def test_non_finite_thresholds_are_usage_errors(workspace, tmp_path, capsys, com
         ("extract", "--threshold", "-inf", "must be a finite number"),
         ("build", "--gate-threshold", "-inf", "must be a finite number"),
         ("extract", "--learning-rate", "-1e-3", "learning_rate must lie in (0, 1]"),
+        ("experiment", "--ks", "-1,2", "--ks values must be at least 1, not -1"),
     ],
 )
 def test_negative_values_after_a_space_reach_the_value_checks(
@@ -579,6 +593,8 @@ def test_kb_tree_feature_out_of_range_is_data_error(workspace, tmp_path, capsys)
         pytest.param(lambda g: g["trees"].append({"value": float("inf")}), "leaf value inf", id="leaf-inf"),
         pytest.param(lambda g: _first_split(g).pop("right"), "not a mapping", id="child-missing"),
         pytest.param(lambda g: g["cumulative_gain"].pop(), "cumulative_gain", id="gain-short"),
+        pytest.param(lambda g: g.update(base_prediction="x"), "base prediction 'x'", id="base-text"),
+        pytest.param(lambda g: g.update(base_prediction=float("nan")), "base prediction nan", id="base-nan"),
     ],
 )
 def test_model_tree_is_checked_on_load(workspace, tmp_path, capsys, edit, message):
@@ -587,6 +603,34 @@ def test_model_tree_is_checked_on_load(workspace, tmp_path, capsys, edit, messag
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["slope", "intercept"])
+@pytest.mark.parametrize("value", ["x", None, float("nan")])
+def test_model_linear_numbers_are_checked_on_load(workspace, tmp_path, capsys, key, value):
+    def edit(doc):
+        _retrained_hw(doc)[0]["linear"][key] = value
+
+    code = _predict_with_model(workspace, tmp_path, edit)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"linear model {key} {value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_kb_base_prediction_is_checked_on_load(workspace, tmp_path, capsys):
+    def edit(doc):
+        next(iter(doc["per_component"].values()))["hardware_model"]["base_prediction"] = "x"
+
+    kb = _edited_copy(workspace / "kb.json", tmp_path / "kb.json", edit)
+    code = main(
+        ["build", "--kb", kb, "--target-train", str(workspace / "data" / "target.json"),
+         "--out", str(tmp_path / "model.json")] + HP_FLAGS
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "base prediction 'x'" in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -620,6 +664,21 @@ def test_out_of_range_ks_and_seeds_are_usage_errors(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--{key}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_unknown_method_is_usage_error_before_any_file_is_read(
+    workspace, tmp_path, capsys, monkeypatch, via_config
+):
+    import firepower.cli
+
+    loads = []
+    monkeypatch.setattr(firepower.cli, "load_dataset", lambda path: loads.append(path))
+    code = _run_with_value(workspace, tmp_path, "experiment", "methods", "firepower,nope", via_config)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--methods name 'nope'" in err and "Traceback" not in err
+    assert loads == [] and not (tmp_path / "out").exists()
 
 
 def _drop_mshr(doc):
