@@ -71,14 +71,16 @@ def train_monolithic(ds_train: Dataset, use_M: bool, hp: GbtHyperparams) -> Mono
 
 
 def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dict[str, GbtModel]:
+    """One GBT per component on its own design matrix, all grown as one batch."""
     if not ds_train.samples:
         raise ValidationError("empty training dataset")
-    models = {}
-    for comp in ds_train.component_table:
-        X = design_matrix(ds_train, comp)
-        y = np.array(component_labels(ds_train.samples, comp.name))
-        models[comp.name] = trees.fit_gbt(X, y, hp)
-    return models
+    table = ds_train.component_table
+    models = trees.fit_gbt_many(
+        [design_matrix(ds_train, comp) for comp in table],
+        [np.array(component_labels(ds_train.samples, comp.name)) for comp in table],
+        hp,
+    )
+    return {comp.name: model for comp, model in zip(table, models)}
 
 
 @dataclass

@@ -99,7 +99,7 @@ def _parse_with_config_file(parser: argparse.ArgumentParser, argv) -> argparse.N
     defaults and argv is parsed again, so flags beat the file and the file
     beats the defaults."""
     args = parser.parse_args(argv)
-    if not args.config:
+    if args.config is None:
         return args
     try:
         with open(args.config) as fh:
@@ -126,7 +126,8 @@ def _check_values(args):
     with importances or MAPEs; NaN or inf would decide every component the
     same way without a word.  A k labels at least one configuration, a seed
     count is not negative (0 runs no cell), and a method is one of
-    METHOD_KEYS; all before any file is read."""
+    METHOD_KEYS; no k or method is given twice; all before any file is
+    read."""
     for key in ("threshold", "gate_threshold"):
         if key in args and not math.isfinite(getattr(args, key)):
             flag = key.replace("_", "-")
@@ -138,6 +139,10 @@ def _check_values(args):
     for method in getattr(args, "methods", ()):
         if method not in METHOD_KEYS:
             _usage_error(f"unknown --methods name {method!r}; choose from {', '.join(METHOD_KEYS)}")
+    for key in ("ks", "methods"):
+        values = list(getattr(args, key, ()))
+        if len(set(values)) < len(values):
+            _usage_error(f"--{key} must not repeat a value, not {','.join(map(str, values))}")
 
 
 def _gbt_hyperparams(args) -> GbtHyperparams:

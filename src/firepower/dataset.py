@@ -10,11 +10,12 @@ and "DCacheWay" both resolve to the merged parameter "DCache/ICacheWay".
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -203,6 +204,14 @@ class Dataset:
         return list(self._samples_by_config.get(config_id, ()))
 
 
+def left_sum(values) -> float:
+    """Floats added one by one, left to right, from 0.0: what sum() does on
+    Python 3.10 and 3.11.  From 3.12 on, sum() compensates its rounding
+    error, which changes the last bits of some sums, so outputs that must
+    not depend on the Python version use this instead."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise SchemaError(f"{context}: missing field {key!r}")
@@ -299,15 +308,15 @@ def _parse_sample(entry: dict, table: tuple[ComponentDef, ...]) -> PowerSample:
             raise ValidationError(f"{context}: unknown component {comp_name!r}")
     # Other Logic absorbs the residual when the remaining 21 are labeled.
     if OTHER_LOGIC not in comp_power and names - {OTHER_LOGIC} <= set(comp_power):
-        comp_power[OTHER_LOGIC] = total - sum(comp_power.values())
+        comp_power[OTHER_LOGIC] = total - left_sum(comp_power.values())
     for comp_name, value in comp_power.items():
         if value <= 0:
             raise ValidationError(f"{context}: nonpositive power label for {comp_name!r}")
     if set(comp_power) == names:
-        residual = abs(sum(comp_power.values()) - total)
-        if residual > COMPONENT_SUM_RTOL * total:
+        parts = left_sum(comp_power.values())
+        if abs(parts - total) > COMPONENT_SUM_RTOL * total:
             raise ValidationError(
-                f"{context}: component powers sum to {sum(comp_power.values()):.6g}, "
+                f"{context}: component powers sum to {parts:.6g}, "
                 f"total is {total:.6g} (beyond {COMPONENT_SUM_RTOL:.1%} tolerance)"
             )
     events = {str(k): float(v) for k, v in entry.get("event_stats", {}).items()}
@@ -453,7 +462,7 @@ def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
         if not samples:
             raise ValidationError(f"configuration {cfg.id!r} has no samples")
         values = component_labels(samples, comp.name)
-        result[cfg.id] = sum(values) / len(values)
+        result[cfg.id] = left_sum(values) / len(values)
     return result
 
 

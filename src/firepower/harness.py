@@ -117,6 +117,9 @@ def run_experiment(
             raise ValidationError(f"unknown method {m!r}")
     if min(ks, default=0) < 1:
         raise ValidationError(f"ks must be nonempty with every k at least 1, not {list(ks)}")
+    for name, values in (("ks", list(ks)), ("methods", methods)):
+        if len(set(values)) < len(values):
+            raise ValidationError(f"{name} must not repeat a value, not {values}")
     n_configs = len(ds_target.configurations)
     if n_configs <= max(ks):
         raise ValidationError("target dataset has too few configurations for the given ks")

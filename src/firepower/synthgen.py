@@ -26,6 +26,7 @@ from .dataset import (
     PowerSample,
     builtin_component_table,
     builtin_registry,
+    left_sum,
     read_json_file,
     schema_errors,
     write_text_atomic,
@@ -164,7 +165,7 @@ class GroundTruth:
         return gen.hw_scale(arch, params) * gen.event_factor(arch, e)
 
     def total_power(self, arch: str, params: dict[str, int], workload: str) -> float:
-        return sum(
+        return left_sum(
             self.component_power(arch, gen.name, params, workload)
             for gen in self.spec.components
         )
@@ -298,7 +299,7 @@ def _generate_samples(spec: SynthSpec, rng, arch: str, configs: list[Configurati
         power = (np.array(clean).T * cfg_noise).tolist()
         for w, (row, event_row) in enumerate(zip(power, np.array(events).T.tolist())):
             samples.append(PowerSample(
-                config_id=cfg.id, workload=f"w{w}", total_power=sum(row),
+                config_id=cfg.id, workload=f"w{w}", total_power=left_sum(row),
                 component_power={gen.name: v for gen, v in zip(gens, row)},
                 event_stats={gen.event_stat: v for gen, v in zip(gens, event_row)},
             ))

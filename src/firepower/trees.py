@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,169 +88,338 @@ class GbtModel:
         return out
 
 
-def _leaf_value(residual_sum: float, count: int, l2: float) -> float:
+def _leaf_value(residual_sum, count, l2):
     return residual_sum / (count + l2)
 
 
-def _sse(sq_sum, residual_sum, count, l2):
-    """SSE of a node that predicts its leaf value; scalars or arrays."""
-    v = _leaf_value(residual_sum, count, l2)
-    return sq_sum - 2.0 * v * residual_sum + count * v * v
+# A level with at most this many split nodes hands their rows to their
+# children node by node: three numpy calls per node then cost less than
+# the fixed calls of doing all nodes at once.
+SMALL_LEVEL = 8
+# The split search of a level runs in chunks of nodes of at most this many
+# padded (pair, slot) cells, a node at least, which bounds its memory.
+# Nodes are ordered by size when a level needs more than one chunk, so
+# each chunk pads only to its own largest node.
+SEARCH_CELLS = 1 << 13
+# A partition of a batch's rows into open nodes fixes a level's layouts.
+# In a fit of a few dozen rows the same partition recurs from tree to tree
+# (more than half the levels of a CLI chain), so the layouts of levels of
+# at most MEMO_CELLS cells are kept, the MEMO_LEVELS used last per batch;
+# more raised the peak memory of a few-shot sweep.  The partitions of a
+# batch of many models practically never recur, and their levels are
+# larger.
+MEMO_CELLS = 1 << 9
+MEMO_LEVELS = 16
+
+
+class _Chunk(NamedTuple):
+    """The padded layout of one chunk of a level's split search: nodes k0
+    to k1 - 1 of the level and their (node, lane) pairs.  Rows are pairs,
+    columns slots; all of it is fixed by the partition of the rows."""
+
+    k0: int
+    k1: int
+    pair_node: np.ndarray  # each pair's node, counted from k0
+    first: np.ndarray  # each node's first pair, counted from the chunk's first
+    rows: np.ndarray  # the flat row in each slot, the node's rows in the lane's order
+    xs: np.ndarray  # the lane's value in each slot
+    mids: np.ndarray  # the threshold of a split after each slot
+    sizes: np.ndarray  # rows left and right of a split after each slot; the node's in the last
+    denom: np.ndarray  # sizes + l2_leaf_reg, the leaf values' divisors
+    invalid: np.ndarray  # splits not allowed: between equal values, into the
+    # padding, or leaving a side below min_samples_leaf
 
 
 class _SplitSearch:
-    """What one fit's split search needs besides the residuals.
+    """What the split search of a batch of fits needs besides the residuals.
 
-    ``order`` holds the stable argsort of each column of X, one row per
-    feature; filtered to a node's rows it is the node's own stable sort.
-    The index grids and the depth-0 layout depend on X and hp alone, so
-    they are built once per fit and shared by all its trees.
+    The models share their row count n; row i of model m is entry m*n + i
+    of the batch's flat per-row arrays.  The search runs over lanes, one per
+    (model, feature): model 0's columns, then model 1's, and so on.
+    ``rows`` and ``xs`` hold, lane after lane, the flat rows in the stable
+    order of the lane's values, and those values; filtered to a node's rows
+    it is the node's own stable sort.  All of it depends on X and hp alone,
+    so it is built once per batch and shared by all its trees.
     """
 
-    def __init__(self, X: np.ndarray, hp: GbtHyperparams):
-        n, d = X.shape
-        self.X = X
+    def __init__(self, Xs: list[np.ndarray], hp: GbtHyperparams):
+        n, m = Xs[0].shape[0], len(Xs)
+        self.widths = np.array([X.shape[1] for X in Xs])
+        self.width_list = self.widths.tolist()
+        cols = np.concatenate([X.T for X in Xs])
+        order = cols.argsort(axis=1, kind="stable")
         self.hp = hp
-        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        self.lanes = np.arange(n)
-        self.features = np.arange(d)[:, None]
-        self.root = self.layout(self.order, np.array([n])) if n >= 2 * hp.min_samples_leaf else None
+        self.lane_count = cols.shape[0]
+        self.lane_key = np.arange(self.lane_count).repeat(n)
+        self.rows = (order + np.arange(m).repeat(self.widths)[:, None] * n).ravel()
+        self.xs = np.take_along_axis(cols, order, axis=1).ravel()
+        # 0, 1, 2, ...: sliced for every index range below, the longest
+        # being the 4q + 1 of up to n*m split nodes.
+        self.positions = np.arange(4 * n * m + 4)
+        self.neg_zeros = np.full(n * m, -0.0)
+        self.root = (np.arange(m), np.full(m, n), np.arange(1, 2 * m, 2).repeat(n))
+        self.root_memo: dict = {}
+        self.memos: dict[bytes, dict] = {}
 
-    def layout(self, grouped, counts):
-        """The padded layout of one level's search.
+    def cells(self, node_model, counts) -> int:
+        """The padded cells of one chunk of all the nodes."""
+        return max(counts.tolist()) * sum(map(self.width_list.__getitem__, node_model.tolist()))
 
-        ``grouped`` holds, per feature, the stable sort of the open nodes'
-        rows, grouped by node; ``counts`` the nodes' sizes.  The layout is
-        padded at the end to (features, nodes, largest node).  Returns the
-        row in each lane (``samples``), its value (``xs``), the row counts
-        left and right of a split after each lane (``sizes``), and the
-        splits that are not allowed (``invalid``): between equal values,
-        into the padding, or leaving a side below min_samples_leaf.
+    def memo(self, node_model, counts, slot) -> dict:
+        """Where to keep what a level's partition of the rows fixes: the
+        same dict for a partition seen before, else a new one.  The
+        partition used least recently is dropped first."""
+        if self.cells(node_model, counts) > MEMO_CELLS:
+            return {}
+        key = slot.tobytes()
+        memo = self.memos.pop(key, None)
+        if memo is None:
+            memo = {}
+            if len(self.memos) == MEMO_LEVELS:
+                del self.memos[next(iter(self.memos))]
+        self.memos[key] = memo
+        return memo
+
+    def runs(self, counts, slot, open_rows):
+        """Each open node's run of the residuals with heads (see
+        _grow_trees): its -0.0 head (key 2k), then its rows in sample order
+        (key 2k + 1).  Returns the run lengths, the runs' entries, in
+        order, and where each run starts."""
+        runs = counts + 1
+        key = np.concatenate((slot, self.positions[: 2 * counts.size : 2]))
+        order = _stable_order(key, 2 * counts.size + 2)[: open_rows + counts.size]
+        return runs, order, np.add.accumulate(runs) - runs
+
+    def level(self, node_model, counts, slot) -> list[_Chunk]:
+        """The padded layouts of one level's search, chunk by chunk.
+
+        ``slot`` holds 2k + 1 for each flat row of open node k, or 2N + 1
+        for a row of a closed node.  The search runs over (node, lane)
+        pairs, node by node, each over its own model's lanes only.  A chunk
+        is a run of nodes, padded at the end to its largest node (two rows
+        at least, so that a chunk of one-row nodes has a slot).
         """
-        n = self.lanes.size
-        width = int(counts.max())
-        starts = np.cumsum(counts) - counts
-        samples = grouped[:, np.minimum(starts[:, None] + self.lanes[:width], n - 1)]
-        xs = self.X[samples, self.features[:, :, None]]
-        # Lane t splits after the node's t-th sorted row: t + 1 rows go left.
-        sizes = np.empty((2, 1, counts.size, width - 1))
-        sizes[0] = self.lanes[1:width]
-        np.subtract(counts[:, None], sizes[0], out=sizes[1])
-        invalid = (xs[:, :, 1:] <= xs[:, :, :-1]) | (
-            np.minimum(sizes[0], sizes[1]) < self.hp.min_samples_leaf
+        d = self.widths.take(node_model)
+        # Each lane's sorted rows, grouped by node, then by lane; closed rows last.
+        key = slot.take(self.rows) * self.lane_count + self.lane_key
+        grouped = _stable_order(key, (2 * counts.size + 2) * self.lane_count)
+        pair_node = self.positions[: counts.size].repeat(d)
+        pair_count = counts.take(pair_node)
+        at = np.add.accumulate(pair_count) - pair_count
+        first = np.add.accumulate(d) - d
+        sizes, lanes = counts.tolist(), d.tolist()
+        chunks, k0 = [], 0
+        while k0 < len(sizes):
+            k1, width, pairs = k0 + 1, sizes[k0], lanes[k0]
+            while k1 < len(sizes) and (pairs + lanes[k1]) * max(width, sizes[k1]) <= SEARCH_CELLS:
+                width, pairs, k1 = max(width, sizes[k1]), pairs + lanes[k1], k1 + 1
+            if k0 == 0 and k1 == len(sizes):
+                chunk = pair_node, first, pair_count, at
+            else:
+                p0 = int(first[k0])
+                part = slice(p0, p0 + pairs)
+                chunk = pair_node[part] - k0, first[k0:k1] - p0, pair_count[part], at[part]
+            chunks.append(self._chunk(grouped, k0, k1, *chunk, max(width, 2)))
+            k0 = k1
+        return chunks
+
+    def _chunk(self, grouped, k0, k1, pair_node, first, pair_count, at, width) -> _Chunk:
+        samples = grouped.take(np.minimum(at[:, None] + self.positions[:width], grouped.size - 1))
+        xs = self.xs.take(samples)
+        # Slot t splits after the node's t-th sorted row: t + 1 rows go left.
+        sizes = np.empty((2, pair_node.size, width))
+        sizes[0] = self.positions[1 : width + 1]
+        sizes[0, :, -1] = pair_count
+        np.subtract(pair_count[:, None], sizes[0], out=sizes[1])
+        invalid = (xs[:, 1:] <= xs[:, :-1]) | (
+            np.minimum(sizes[0, :, :-1], sizes[1, :, :-1]) < self.hp.min_samples_leaf
         )
-        return samples, xs, sizes, invalid
+        mids = (xs[:, :-1] + xs[:, 1:]) / 2.0
+        return _Chunk(k0, k1, pair_node, first, self.rows.take(samples), xs, mids, sizes,
+                      sizes + self.hp.l2_leaf_reg, invalid)
 
 
-def _level_splits(layout, r, sums, sq_sums, parent_sse, l2: float):
-    """The best split of each open node of one level, all searched at once.
+def _run_sums(values, starts):
+    """Per row of ``values`` and per run, the ``.sum()`` of the run's values
+    after its head, bit for bit; run k starts at ``starts[k]`` with a -0.0
+    head and ends where run k + 1 starts.
 
-    ``layout`` is the level's ``_SplitSearch.layout``; ``sums`` and
-    ``sq_sums`` hold the pairwise sums of each node's residuals and squared
-    residuals in sample order, and ``parent_sse`` its SSE as a leaf.
-    Cumulative sums run along the layout's last axis in the same sequential
-    order as over one node alone.  Returns (feature, gain, threshold) per
-    node; the gain is -inf where no split is allowed.
+    ``a.sum()`` is 0.0 plus numpy's pairwise sum of ``a``, and
+    np.add.reduceat adds a run's first value to the pairwise sum of the
+    rest; -0.0 + x is x exactly, signed zeros included.  So every node of a
+    level, of every model, is summed in one call, whatever its size.
     """
-    samples, xs, sizes, invalid = layout
-    d, m, width = samples.shape
-    rs = r[samples]
+    return 0.0 + np.add.reduceat(values, starts, axis=1)
+
+
+def _stable_order(key, bound: int):
+    """``key.argsort(kind="stable")`` for integer keys below ``bound``.  In
+    the smallest integer type that holds them, numpy sorts keys of up to 16
+    bits by radix sort, about ten times faster than 64-bit keys."""
+    return key.astype(np.min_scalar_type(bound)).argsort(kind="stable")
+
+
+def _level_splits(chunk: _Chunk, r, sums):
+    """The best split of each node of one chunk of a level, all searched at once.
+
+    ``sums`` holds the pairwise sums of the chunk's nodes' residuals and
+    squared residuals in sample order.  Cumulative sums run along the
+    slots in the same sequential order as over one node alone, and each
+    side's SSE as a leaf is the node-by-node formula,
+    ``sq - 2 v s + n v v`` with leaf value ``v = s / (n + l2)``.  Returns
+    per node its best pair, the gain (-inf where no split is allowed) and
+    the threshold.  Padded slots may divide by zero; the caller silences
+    that, and they are masked out.
+    """
+    rs = r.take(chunk.rows)
     # Sums and squares, left and right, are one array so each step of the
-    # SSE formula runs once for both sides.  (np.add.accumulate is
-    # np.cumsum without its Python wrapper.)
-    sides = np.empty((2, 2, d, m, width))
-    np.add.accumulate(rs, axis=2, out=sides[0, 0])
-    np.add.accumulate(rs * rs, axis=2, out=sides[1, 0])
+    # SSE formula runs once for both sides.  The left side's last slot
+    # holds the whole node, whose SSE as a leaf is the parent's.
+    # (np.add.accumulate is np.cumsum without its Python wrapper.)
+    sides = np.empty((2, 2) + rs.shape)
+    np.add.accumulate(rs, axis=1, out=sides[0, 0])
+    np.add.accumulate(rs * rs, axis=1, out=sides[1, 0])
     del rs  # each padded array is freed once used, to keep the peak low
-    np.subtract(np.array([sums, sq_sums])[:, None, :, None], sides[:, 0], out=sides[:, 1])
-    sides = sides[..., :-1]
-    # Padded lanes may divide by zero; they are masked out below.
-    with np.errstate(all="ignore"):
-        sse = _sse(sides[1], sides[0], sizes, l2)
-        del sides
-        gain = np.array(parent_sse)[:, None] - (sse[0] + sse[1])
-    gain[invalid] = -np.inf
-    at = gain.argmax(axis=2)
-    best = gain.max(axis=2)
-    best[np.isnan(best)] = -np.inf  # a NaN gain never beats the best so far
-    splits = []
-    for k, j in enumerate(best.argmax(axis=0).tolist()):
-        i = at[j, k]
-        splits.append((j, float(best[j, k]), float((xs[j, k, i] + xs[j, k, i + 1]) / 2.0)))
-    return splits
+    node = sums.take(chunk.pair_node, axis=1)[:, :, None]
+    np.subtract(node, sides[:, 0], out=sides[:, 1])
+    sides[:, 0, :, -1:] = node
+    v = sides[0] / chunk.denom
+    sse = sides[1] - 2.0 * v * sides[0] + chunk.sizes * v * v
+    del sides, v
+    gain = sse[0, :, -1:] - (sse[0, :, :-1] + sse[1, :, :-1])
+    np.putmask(gain, chunk.invalid, -np.inf)
+    at = gain.argmax(axis=1)
+    best = np.maximum.reduce(gain, axis=1)
+    np.putmask(best, best != best, -np.inf)  # a NaN gain never beats the best so far
+    # Per node, the first of its pairs that holds its best gain: the lowest
+    # feature, and within it the lowest threshold.
+    pick = np.lexsort((-best, chunk.pair_node)).take(chunk.first)
+    return pick, best.take(pick), chunk.mids[pick, at.take(pick)]
 
 
-def _grow_tree(search: _SplitSearch, r, gains: np.ndarray):
-    """Grow one tree level by level; returns it and its value on each row of X.
+def _grow_trees(search: _SplitSearch, r, gains: list[np.ndarray]):
+    """Grow one tree per model of the batch, all level by level at once.
 
-    The search is exact: every midpoint between distinct consecutive values
-    of every feature, ties going to the lowest feature index, then the
-    lowest threshold.  The trees are those a node-by-node recursion grows,
-    bit for bit: node sums are numpy's pairwise sums over the node's rows
-    in sample order (padding would change their last bits), the leaf values
-    and parent SSEs are the same float operations in the same order, and
-    the split gains are added to ``gains`` in preorder, the recursion's
-    order.
+    ``r`` holds the residuals as a flat per-row array.  Returns the roots
+    and each flat row's value in its model's tree.  The search is exact:
+    every midpoint between distinct consecutive values of every feature,
+    ties going to the lowest feature index, then the lowest threshold.
+    Each tree is the one a node-by-node recursion grows from its model
+    alone, bit for bit: node sums are numpy's pairwise sums over the node's
+    rows in sample order, the leaf values and parent SSEs are the same
+    float operations in the same order, and the split gains are added to
+    the model's ``gains`` in preorder, the recursion's order.  A node too
+    small to split is searched too; no split is allowed in it, so it closes
+    as a leaf, as the recursion leaves it.
     """
-    X, order, hp = search.X, search.order, search.hp
-    n = X.shape[0]
+    hp = search.hp
     l2 = hp.l2_leaf_reg
-    root = TreeNode()
-    values = np.empty(n)
+    roots = [TreeNode() for _ in gains]
+    # Entries r.size on are the -0.0 heads of the nodes' runs (see runs());
+    # ``values`` has room for them too, and what lands there is dropped.
+    r_heads = np.concatenate((r, search.neg_zeros))
+    values = np.empty(2 * r.size)
+    nodes, (node_model, counts, slot) = roots, search.root
+    open_rows = r.size
     split_gain: dict[int, float] = {}
-    level = [(root, search.lanes)]
     for depth in range(hp.max_depth + 1):
-        nodes, rows, sums, sq_sums, parent_sse = [], [], [], [], []
-        for node, idx in level:
-            r_node = r[idx]
-            total = float(r_node.sum())
-            if depth == hp.max_depth or idx.size < 2 * hp.min_samples_leaf:
-                node.value = _leaf_value(total, idx.size, l2)
-                values[idx] = node.value
-                continue
-            sq_sum = float((r_node * r_node).sum())
-            nodes.append(node)
-            rows.append(idx)
-            sums.append(total)
-            sq_sums.append(sq_sum)
-            parent_sse.append(_sse(sq_sum, total, idx.size, l2))
-        if not nodes:
+        memo = search.root_memo if depth == 0 else search.memo(node_model, counts, slot)
+        if "runs" not in memo:
+            memo["runs"] = search.runs(counts, slot, open_rows)
+        runs, order, starts = memo["runs"]
+        last = depth == hp.max_depth or max(counts.tolist()) < 2 * hp.min_samples_leaf
+        run_values = np.empty((1 if last else 2, order.size))
+        r_heads.take(order, out=run_values[0])
+        if not last:
+            np.multiply(run_values[0], run_values[0], out=run_values[1])
+        sums = _run_sums(run_values, starts)
+        leaf = _leaf_value(sums[0], counts, l2)
+        if last:
+            values[order] = leaf.repeat(runs)
+            for node, value in zip(nodes, leaf.tolist()):
+                node.value = value
             break
-        if depth == 0:
-            layout = search.root
+        results = []
+        children, parts = [], []
+        if "level" not in memo:
+            memo["level"] = search.level(node_model, counts, slot)
+        for chunk in memo["level"]:
+            k0, k1, first, rows, xs = chunk.k0, chunk.k1, chunk.first, chunk.rows, chunk.xs
+            pick, gain, threshold = _level_splits(chunk, r, sums[:, k0:k1])
+            split = gain > MIN_SPLIT_GAIN
+            results.append((k0, rows, xs, pick, threshold, split))
+            for node, s, value, p, c, j, g, t in zip(
+                nodes[k0:k1],
+                split.tolist(),
+                leaf[k0:k1].tolist(),
+                pick.tolist(),
+                counts[k0:k1].tolist(),
+                (pick - first).tolist(),
+                gain.tolist(),
+                threshold.tolist(),
+            ):
+                if not s:
+                    node.value = value
+                    continue
+                node.feature_index = j
+                node.threshold = t
+                node.left = TreeNode()
+                node.right = TreeNode()
+                split_gain[id(node)] = g
+                children += (node.left, node.right)
+                parts.append((rows[p, :c], xs[p, :c], t))
+        if len(parts) < len(nodes):
+            # The rows of the nodes that close keep their leaf value; the
+            # others take their child's at the next level.
+            values[order] = leaf.repeat(runs)
+        if not parts:
+            break
+        # The rows of the q-th split node, in its split feature's lane, go
+        # to children 2q and 2q + 1; every other row is closed.
+        slot = np.full(r.size, 2 * len(children) + 1)
+        if len(parts) <= SMALL_LEVEL:
+            child_counts = []
+            for q, (rows, xs, t) in enumerate(parts):
+                left = int(xs.searchsorted(t, side="right"))
+                slot[rows[:left]] = 4 * q + 1
+                slot[rows[left:]] = 4 * q + 3
+                child_counts += (left, rows.size - left)
+            child_counts = np.array(child_counts)
         else:
-            # Each feature's sorted rows, grouped by node; closed rows last.
-            slot = np.full(n, len(nodes))
-            for k, idx in enumerate(rows):
-                slot[idx] = k
-            grouped = order[search.features, np.argsort(slot[order], axis=1, kind="stable")]
-            layout = search.layout(grouped, np.array([idx.size for idx in rows]))
-        splits = _level_splits(layout, r, sums, sq_sums, parent_sse, l2)
-        level = []
-        for node, idx, total, (j, gain, threshold) in zip(nodes, rows, sums, splits):
-            if not gain > MIN_SPLIT_GAIN:
-                node.value = _leaf_value(total, idx.size, l2)
-                values[idx] = node.value
-                continue
-            goes_left = X[idx, j] <= threshold
-            node.feature_index = j
-            node.threshold = threshold
-            node.left = TreeNode()
-            node.right = TreeNode()
-            split_gain[id(node)] = gain
-            level.append((node.left, idx[goes_left]))
-            level.append((node.right, idx[~goes_left]))
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.left is not None:
-            gains[node.feature_index] += split_gain[id(node)]
-            stack += [node.right, node.left]
-    return root, values
+            q0 = 0
+            for k0, rows, xs, pick, threshold, split in results:
+                q = split.nonzero()[0]
+                picked = pick.take(q)
+                inside = search.positions[: rows.shape[1]] < counts.take(q + k0)[:, None]
+                right = xs.take(picked, axis=0) > threshold.take(q)[:, None]
+                child = 2 * right + search.positions[4 * q0 + 1 : 4 * (q0 + q.size) : 4, None]
+                slot[rows.take(picked, axis=0)[inside]] = child[inside]
+                q0 += q.size
+            child_counts = np.bincount(slot, minlength=2 * len(children))[1 : 2 * len(children) : 2]
+        split = results[0][-1] if len(results) == 1 else np.concatenate([x[-1] for x in results])
+        nodes, node_model, counts = children, node_model[split].repeat(2), child_counts
+        open_rows = sum(counts.tolist())
+        if depth + 1 < hp.max_depth and search.cells(node_model, counts) > SEARCH_CELLS:
+            # Largest nodes first, so that each chunk of the search pads
+            # only to its own largest node.  Node k becomes node rank[k].
+            by_size = (-counts).argsort(kind="stable")
+            rank = np.empty(counts.size + 1, dtype=np.int64)
+            rank[by_size] = search.positions[: counts.size]
+            rank[-1] = counts.size
+            slot = (2 * rank + 1).take(slot >> 1)
+            nodes = [nodes[k] for k in by_size.tolist()]
+            node_model, counts = node_model.take(by_size), counts.take(by_size)
+    for root, model_gains in zip(roots, gains):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.left is not None:
+                model_gains[node.feature_index] += split_gain[id(node)]
+                stack += [node.right, node.left]
+    return roots, values[: r.size]
 
 
-def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
-    hp = hp or GbtHyperparams()
+def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
@@ -258,30 +428,61 @@ def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
         raise ModelError("y length must match the number of rows of X")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ModelError("inputs must be finite")
+    return X, y
 
-    n, d = X.shape
-    base = float(y.mean())
-    gains = np.zeros(d)
-    trees: list[TreeNode] = []
-    search = _SplitSearch(X, hp)
-    pred = np.full(n, base)
-    residual = y - pred
-    sse_trace: list[float] = []
+
+def fit_gbt_many(Xs, ys, hp: GbtHyperparams | None = None) -> list[GbtModel]:
+    """One model per (X, y), each bit-identical to ``fit_gbt(X, y, hp)``.
+
+    Tree t of every model grows in the same step, so a batch costs about
+    as many numpy calls as one fit.  The Xs must share their row count;
+    their column counts may differ.
+    """
+    hp = hp or GbtHyperparams()
+    if len(Xs) != len(ys):
+        raise ModelError(f"{len(Xs)} feature matrices but {len(ys)} label vectors")
+    checked = [_checked_xy(X, y) for X, y in zip(Xs, ys)]
+    if not checked:
+        return []
+    Xs, ys = zip(*checked)
+    if len({X.shape[0] for X in Xs}) > 1:
+        raise ModelError("the models of a batch must share their row count")
+    n = Xs[0].shape[0]
+    bases = [float(y.mean()) for y in ys]
+    gains = [np.zeros(X.shape[1]) for X in Xs]
+    search = _SplitSearch(list(Xs), hp)
+    Y = np.array(ys)
+    pred = np.repeat(bases, n).reshape(Y.shape)
+    residual = Y - pred
+    trees: list[list[TreeNode]] = [[] for _ in Xs]
+    sse_traces: list[list[float]] = [[] for _ in Xs]
     lr = hp.learning_rate
-    for _ in range(hp.n_estimators):
-        root, values = _grow_tree(search, residual, gains)
-        trees.append(root)
-        pred += lr * values
-        residual = y - pred
-        sse_trace.append(float((residual**2).sum()))
-    return GbtModel(
-        base_prediction=base,
-        trees=trees,
-        hyperparams=hp,
-        feature_count=d,
-        cumulative_gain=gains,
-        training_sse=sse_trace,
-    )
+    # Padded slots of the split search may divide by zero (see _level_splits).
+    with np.errstate(all="ignore"):
+        for _ in range(hp.n_estimators):
+            roots, values = _grow_trees(search, residual.ravel(), gains)
+            pred += lr * values.reshape(Y.shape)
+            residual = Y - pred
+            for model_trees, root, trace, sse in zip(
+                trees, roots, sse_traces, (residual**2).sum(axis=1).tolist()
+            ):
+                model_trees.append(root)
+                trace.append(sse)
+    return [
+        GbtModel(
+            base_prediction=base,
+            trees=model_trees,
+            hyperparams=hp,
+            feature_count=X.shape[1],
+            cumulative_gain=model_gains,
+            training_sse=trace,
+        )
+        for X, base, model_trees, model_gains, trace in zip(Xs, bases, trees, gains, sse_traces)
+    ]
+
+
+def fit_gbt(X, y, hp: GbtHyperparams | None = None) -> GbtModel:
+    return fit_gbt_many([X], [y], hp)[0]
 
 
 def feature_importance(m: GbtModel) -> np.ndarray:

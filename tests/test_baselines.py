@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,10 @@ from firepower.baselines import (
     train_monolithic,
     train_monolithic_per_component,
 )
-from firepower.dataset import feature_row
+from firepower.dataset import component_labels, design_matrix, feature_row
 from firepower.errors import ModelError, ValidationError
 from firepower.harness import _method_predictions
-from firepower.trees import GbtHyperparams
+from firepower.trees import GbtHyperparams, fit_gbt, gbt_to_dict
 
 
 def test_method_keys():
@@ -55,6 +57,23 @@ def test_monolithic_fits_training_data(tiny_dataset, small_hp):
     preds = model.model.predict_many(X)
     labels = [s.total_power for s in tiny_dataset.samples]
     assert float(np.abs(preds - labels).mean()) < 0.5
+
+
+def test_per_component_batch_equals_separate_fits(synth_pair, small_hp):
+    # The 22 models grow as one batch; each must be the model its own
+    # fit_gbt call grows, bit for bit.
+    ds_known, _, _ = synth_pair
+    models = train_monolithic_per_component(ds_known, small_hp)
+    assert list(models) == [c.name for c in ds_known.component_table]
+    assert len(models) == 22
+    for comp in ds_known.component_table:
+        alone = fit_gbt(
+            design_matrix(ds_known, comp),
+            np.array(component_labels(ds_known.samples, comp.name)),
+            small_hp,
+        )
+        assert json.dumps(gbt_to_dict(models[comp.name])) == json.dumps(gbt_to_dict(alone))
+        assert repr(models[comp.name].training_sse) == repr(alone.training_sse)
 
 
 def test_per_component_total_additivity(tiny_dataset, small_hp):

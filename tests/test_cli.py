@@ -311,6 +311,15 @@ def test_bad_config_file_is_usage_error(workspace, tmp_path, capsys, content):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_empty_config_path_is_usage_error(tmp_path, capsys):
+    # An empty path names no file; it is not the same as no --config.
+    code = main(["synth", "--config", "", "--out-dir", str(tmp_path / "data")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 def _experiment_with_config(workspace, tmp_path, doc):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(json.dumps(doc))
@@ -678,6 +687,27 @@ def test_unknown_method_is_usage_error_before_any_file_is_read(
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--methods name 'nope'" in err and "Traceback" not in err
+    assert loads == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "key,value", [("ks", "2,2"), ("methods", "mcpat_calib,mcpat_calib")], ids=["ks", "methods"]
+)
+def test_repeated_ks_or_methods_are_usage_errors_before_any_file_is_read(
+    workspace, tmp_path, capsys, monkeypatch, key, value, via_config
+):
+    # A repeat would run its cells again and write duplicate rows.
+    import firepower.cli
+
+    loads = []
+    monkeypatch.setattr(firepower.cli, "load_dataset", lambda path: loads.append(path))
+    if via_config:
+        value = [int(v) if key == "ks" else v for v in value.split(",")]
+    code = _run_with_value(workspace, tmp_path, "experiment", key, value, via_config)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--{key} must not repeat" in err and "Traceback" not in err
     assert loads == [] and not (tmp_path / "out").exists()
 
 

@@ -190,6 +190,39 @@ def test_average_power_matches_brute_force(tiny_dataset):
         assert averages[cfg.id] == pytest.approx(sum(values) / len(values))
 
 
+def _left_fold(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_sums_are_left_folds_on_every_python():
+    # Python 3.12+ sum() compensates its rounding: sum([1.0, 1e-16, 1e-16])
+    # is 1.0000000000000002 there and 1.0 on 3.10 and 3.11.  The average
+    # (a hardware GBT label) and the Other Logic residual must be the 3.11
+    # ones, or outputs would change with the Python version.
+    labels = [1.0, 1e-16, 1e-16]
+    doc = tiny_doc()
+    c1 = [s for s in doc["samples"] if s["config_id"] == "C1"]
+    c1.append(copy.deepcopy(c1[0]))
+    c1[-1]["workload"] = "w2"
+    doc["samples"].append(c1[-1])
+    for s, front in zip(c1, labels):
+        s["total_power"] += front - s["component_power"]["Front"]
+        s["component_power"]["Front"] = front
+    assert average_power_per_config(dataset_from_dict(doc), "Front")["C1"] == 1.0 / 3
+
+    sample = {"config_id": "C1", "workload": "w0", "total_power": 3.0,
+              "component_power": {"Front": 1.0, "Core": 1e-16}}
+    doc = tiny_doc()
+    doc["component_table"].insert(0, {"name": "Tail", "hw_params": ["FetchWidth"],
+                                      "event_stats": []})
+    doc["samples"] = [{**sample, "component_power": {"Tail": 1e-16, **sample["component_power"]}}]
+    (parsed,) = dataset_from_dict(doc).samples
+    assert parsed.component_power["Other Logic"] == 3.0 - _left_fold([1e-16, 1.0, 1e-16])
+
+
 def test_average_power_sample_order_invariant(tiny_dataset):
     shuffled = Dataset(
         architecture=tiny_dataset.architecture,

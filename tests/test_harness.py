@@ -102,6 +102,15 @@ def test_k_below_one_rejected(synth_pair, ks):
         run_experiment(ds_known, ds_target, ks=ks, seeds=[0])
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"ks": [2, 2]}, {"methods": ["mcpat_calib", "mcpat_calib"]}], ids=["ks", "methods"]
+)
+def test_repeated_ks_or_methods_rejected(synth_pair, kwargs):
+    ds_known, ds_target, _ = synth_pair
+    with pytest.raises(ValidationError, match="must not repeat"):
+        run_experiment(ds_known, ds_target, seeds=[0], **kwargs)
+
+
 def test_eval_result_sort_key():
     r = EvalResult("m", 2, 1, 5.0, 0.9, [])
     assert r.sort_key() == ("m", 2, 1)

@@ -61,6 +61,27 @@ def test_labels_sum_to_total(synth_pair):
         assert all(v > 0 for v in s.component_power.values())
 
 
+def _left_fold(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_total_power_is_the_left_fold_of_the_components():
+    # Not Python 3.12+'s compensated sum(): the outputs must not depend on
+    # the Python version.
+    spec = default_spec(seed=0)
+    _, ds_target, truth = generate_pair(spec)
+    for s in ds_target.samples:
+        assert s.total_power == _left_fold(s.component_power.values())
+        cfg = ds_target.config(s.config_id)
+        parts = [
+            truth.component_power("target", g.name, cfg.params, s.workload) for g in spec.components
+        ]
+        assert truth.total_power("target", cfg.params, s.workload) == _left_fold(parts)
+
+
 def test_noise_free_samples_match_ground_truth():
     spec = default_spec(seed=2, noise_sigma=0.0)
     _, ds_target, truth = generate_pair(spec)

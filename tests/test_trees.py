@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from firepower import trees
 from firepower.errors import ModelError
 from firepower.trees import (
     MIN_SPLIT_GAIN,
@@ -13,7 +14,9 @@ from firepower.trees import (
     GbtModel,
     TreeNode,
     feature_importance,
+    _run_sums,
     fit_gbt,
+    fit_gbt_many,
     fit_linear_one_feature,
     gbt_from_dict,
     gbt_to_dict,
@@ -253,10 +256,8 @@ def _reference_fit(X, y, hp):
     return GbtModel(base, trees, hp, d, gains, sse)
 
 
-@st.composite
-def tree_problems(draw):
+def _draw_xy(draw, n):
     """Integer-valued columns with many ties, one duplicated and one constant."""
-    n = draw(st.integers(1, 200))
     d = draw(st.integers(1, 12))
     levels = draw(st.integers(1, 8))
     X = draw(arrays(np.float64, (n, d), elements=st.integers(0, levels).map(float)))
@@ -274,24 +275,112 @@ def tree_problems(draw):
             ),
         )
     )
-    hp = GbtHyperparams(
+    return X, y
+
+
+def _draw_hp(draw):
+    return GbtHyperparams(
         n_estimators=draw(st.integers(1, 6)),
         max_depth=draw(st.integers(1, 6)),
         learning_rate=draw(st.sampled_from([0.3, 1.0])),
         min_samples_leaf=draw(st.integers(1, 5)),
         l2_leaf_reg=draw(st.sampled_from([0.0, 1.0, 0.37])),
     )
-    return X, y, hp
+
+
+@st.composite
+def tree_problems(draw):
+    X, y = _draw_xy(draw, draw(st.integers(1, 200)))
+    return X, y, _draw_hp(draw)
+
+
+@st.composite
+def tree_batches(draw):
+    """1-5 problems that share their row count; their column counts differ."""
+    n = draw(st.integers(1, 120))
+    return [_draw_xy(draw, n) for _ in range(draw(st.integers(1, 5)))], _draw_hp(draw)
+
+
+def _assert_reference_fit(got, X, y, hp):
+    want = _reference_fit(X, y, hp)
+    assert json.dumps(gbt_to_dict(got)) == json.dumps(gbt_to_dict(want))
+    assert repr(got.training_sse) == repr(want.training_sse)
 
 
 @given(tree_problems())
 @settings(max_examples=80, deadline=None)
 def test_fit_matches_node_by_node_reference(problem):
     X, y, hp = problem
-    got = fit_gbt(X, y, hp)
-    want = _reference_fit(X, y, hp)
-    assert json.dumps(gbt_to_dict(got)) == json.dumps(gbt_to_dict(want))
-    assert repr(got.training_sse) == repr(want.training_sse)
+    _assert_reference_fit(fit_gbt(X, y, hp), X, y, hp)
+
+
+@pytest.mark.parametrize(
+    "small_level,search_cells",
+    [(trees.SMALL_LEVEL, trees.SEARCH_CELLS), (0, 1), (trees.SMALL_LEVEL, 200)],
+    ids=["default", "all-at-once-one-node-chunks", "size-ordered-chunks"],
+)
+@given(batch=tree_batches())
+@settings(max_examples=40, deadline=None)
+def test_batched_fits_match_node_by_node_reference(small_level, search_cells, batch):
+    # A level with more than SMALL_LEVEL split nodes hands their rows to the
+    # children all at once, a smaller one node by node; 0 forces the first.
+    # A level's search runs in chunks of at most SEARCH_CELLS cells, its
+    # nodes ordered by size if there are several; 1 makes each node a chunk.
+    problems, hp = batch
+    defaults = trees.SMALL_LEVEL, trees.SEARCH_CELLS
+    trees.SMALL_LEVEL, trees.SEARCH_CELLS = small_level, search_cells
+    try:
+        models = fit_gbt_many([X for X, _ in problems], [y for _, y in problems], hp)
+    finally:
+        trees.SMALL_LEVEL, trees.SEARCH_CELLS = defaults
+    assert len(models) == len(problems)
+    for got, (X, y) in zip(models, problems):
+        _assert_reference_fit(got, X, y, hp)
+
+
+def test_batch_rejects_ragged_rows_and_unpaired_labels():
+    X, y = random_problem(0, n=10, d=2)
+    with pytest.raises(ModelError):
+        fit_gbt_many([X, X[:9]], [y, y[:9]])
+    with pytest.raises(ModelError):
+        fit_gbt_many([X, X], [y])
+    assert fit_gbt_many([], []) == []
+
+
+def _zeros_and_magnitudes():
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+        st.integers(-5, 5).map(float),
+    )
+
+
+@given(
+    st.lists(
+        st.one_of(
+            arrays(np.float64, st.integers(1, 600), elements=_zeros_and_magnitudes()),
+            arrays(np.float64, st.integers(1, 600), elements=st.sampled_from([0.0, -0.0])),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_run_sums_equal_numpy_sum(parts):
+    # The grower's node sums of residuals and their squares, every node of
+    # a level in one call, must each be .sum() bit for bit, signed zeros
+    # included (on the installed numpy).
+    runs = np.concatenate([np.concatenate(([-0.0], a)) for a in parts])
+    sizes = np.array([a.size + 1 for a in parts])
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = runs * runs
+        squares[starts] = -0.0
+        got = _run_sums(np.stack([runs, squares]), starts)
+        want = [[a.sum() for a in parts], [(a * a).sum() for a in parts]]
+    as_bits = lambda values: [(repr(float(v)), bool(np.signbit(v))) for v in values]  # noqa: E731
+    assert [as_bits(row) for row in got] == [as_bits(row) for row in want]
 
 
 @pytest.mark.parametrize("j", [0, 1])
