@@ -92,14 +92,8 @@ def _leaf_value(residual_sum, count, l2):
     return residual_sum / (count + l2)
 
 
-# A level with at most this many split nodes hands their rows to their
-# children node by node: three numpy calls per node then cost less than
-# the fixed calls of doing all nodes at once.
-SMALL_LEVEL = 8
 # The split search of a level runs in chunks of nodes of at most this many
 # padded (pair, slot) cells, a node at least, which bounds its memory.
-# Nodes are ordered by size when a level needs more than one chunk, so
-# each chunk pads only to its own largest node.
 SEARCH_CELLS = 1 << 13
 # A partition of a batch's rows into open nodes fixes a level's layouts.
 # In a fit of a few dozen rows the same partition recurs from tree to tree
@@ -154,8 +148,8 @@ class _SplitSearch:
         self.rows = (order + np.arange(m).repeat(self.widths)[:, None] * n).ravel()
         self.xs = np.take_along_axis(cols, order, axis=1).ravel()
         # 0, 1, 2, ...: sliced for every index range below, the longest
-        # being the 4q + 1 of up to n*m split nodes.
-        self.positions = np.arange(4 * n * m + 4)
+        # being the 2k of up to n*m open nodes.
+        self.positions = np.arange(2 * n * m + 2)
         self.neg_zeros = np.full(n * m, -0.0)
         self.root = (np.arange(m), np.full(m, n), np.arange(1, 2 * m, 2).repeat(n))
         self.root_memo: dict = {}
@@ -339,15 +333,14 @@ def _grow_trees(search: _SplitSearch, r, gains: list[np.ndarray]):
             for node, value in zip(nodes, leaf.tolist()):
                 node.value = value
             break
-        results = []
-        children, parts = [], []
+        children, parts, splits = [], [], []
         if "level" not in memo:
             memo["level"] = search.level(node_model, counts, slot)
         for chunk in memo["level"]:
             k0, k1, first, rows, xs = chunk.k0, chunk.k1, chunk.first, chunk.rows, chunk.xs
             pick, gain, threshold = _level_splits(chunk, r, sums[:, k0:k1])
             split = gain > MIN_SPLIT_GAIN
-            results.append((k0, rows, xs, pick, threshold, split))
+            splits.append(split)
             for node, s, value, p, c, j, g, t in zip(
                 nodes[k0:k1],
                 split.tolist(),
@@ -377,38 +370,15 @@ def _grow_trees(search: _SplitSearch, r, gains: list[np.ndarray]):
         # The rows of the q-th split node, in its split feature's lane, go
         # to children 2q and 2q + 1; every other row is closed.
         slot = np.full(r.size, 2 * len(children) + 1)
-        if len(parts) <= SMALL_LEVEL:
-            child_counts = []
-            for q, (rows, xs, t) in enumerate(parts):
-                left = int(xs.searchsorted(t, side="right"))
-                slot[rows[:left]] = 4 * q + 1
-                slot[rows[left:]] = 4 * q + 3
-                child_counts += (left, rows.size - left)
-            child_counts = np.array(child_counts)
-        else:
-            q0 = 0
-            for k0, rows, xs, pick, threshold, split in results:
-                q = split.nonzero()[0]
-                picked = pick.take(q)
-                inside = search.positions[: rows.shape[1]] < counts.take(q + k0)[:, None]
-                right = xs.take(picked, axis=0) > threshold.take(q)[:, None]
-                child = 2 * right + search.positions[4 * q0 + 1 : 4 * (q0 + q.size) : 4, None]
-                slot[rows.take(picked, axis=0)[inside]] = child[inside]
-                q0 += q.size
-            child_counts = np.bincount(slot, minlength=2 * len(children))[1 : 2 * len(children) : 2]
-        split = results[0][-1] if len(results) == 1 else np.concatenate([x[-1] for x in results])
-        nodes, node_model, counts = children, node_model[split].repeat(2), child_counts
-        open_rows = sum(counts.tolist())
-        if depth + 1 < hp.max_depth and search.cells(node_model, counts) > SEARCH_CELLS:
-            # Largest nodes first, so that each chunk of the search pads
-            # only to its own largest node.  Node k becomes node rank[k].
-            by_size = (-counts).argsort(kind="stable")
-            rank = np.empty(counts.size + 1, dtype=np.int64)
-            rank[by_size] = search.positions[: counts.size]
-            rank[-1] = counts.size
-            slot = (2 * rank + 1).take(slot >> 1)
-            nodes = [nodes[k] for k in by_size.tolist()]
-            node_model, counts = node_model.take(by_size), counts.take(by_size)
+        child_counts = []
+        for q, (rows, xs, t) in enumerate(parts):
+            left = int(xs.searchsorted(t, side="right"))
+            slot[rows[:left]] = 4 * q + 1
+            slot[rows[left:]] = 4 * q + 3
+            child_counts += (left, rows.size - left)
+        split = splits[0] if len(splits) == 1 else np.concatenate(splits)
+        nodes, node_model, counts = children, node_model[split].repeat(2), np.array(child_counts)
+        open_rows = sum(child_counts)
     for root, model_gains in zip(roots, gains):
         stack = [root]
         while stack:

@@ -315,24 +315,20 @@ def test_fit_matches_node_by_node_reference(problem):
 
 
 @pytest.mark.parametrize(
-    "small_level,search_cells",
-    [(trees.SMALL_LEVEL, trees.SEARCH_CELLS), (0, 1), (trees.SMALL_LEVEL, 200)],
-    ids=["default", "all-at-once-one-node-chunks", "size-ordered-chunks"],
+    "search_cells", [trees.SEARCH_CELLS, 1, 200], ids=["default", "one-node-chunks", "chunks"]
 )
 @given(batch=tree_batches())
 @settings(max_examples=40, deadline=None)
-def test_batched_fits_match_node_by_node_reference(small_level, search_cells, batch):
-    # A level with more than SMALL_LEVEL split nodes hands their rows to the
-    # children all at once, a smaller one node by node; 0 forces the first.
-    # A level's search runs in chunks of at most SEARCH_CELLS cells, its
-    # nodes ordered by size if there are several; 1 makes each node a chunk.
+def test_batched_fits_match_node_by_node_reference(search_cells, batch):
+    # A level's search runs in chunks of at most SEARCH_CELLS cells; 1 makes
+    # each node a chunk, 200 splits larger levels into several.
     problems, hp = batch
-    defaults = trees.SMALL_LEVEL, trees.SEARCH_CELLS
-    trees.SMALL_LEVEL, trees.SEARCH_CELLS = small_level, search_cells
+    default = trees.SEARCH_CELLS
+    trees.SEARCH_CELLS = search_cells
     try:
         models = fit_gbt_many([X for X, _ in problems], [y for _, y in problems], hp)
     finally:
-        trees.SMALL_LEVEL, trees.SEARCH_CELLS = defaults
+        trees.SEARCH_CELLS = default
     assert len(models) == len(problems)
     for got, (X, y) in zip(models, problems):
         _assert_reference_fit(got, X, y, hp)
