@@ -192,10 +192,10 @@ def _hw_to_dict(hw: EffectiveHardwareModel, comp: ComponentDef) -> dict:
     }
 
 
-def _hw_from_dict(doc: dict, comp: ComponentDef) -> EffectiveHardwareModel:
+def _hw_from_dict(doc: dict, comp: ComponentDef, version: int) -> EffectiveHardwareModel:
     variant = doc["variant"]
     if variant == INHERITED:
-        return EffectiveHardwareModel(comp.hw_params, trees.gbt_from_dict(doc["gbt"]))
+        return EffectiveHardwareModel(comp.hw_params, trees.gbt_from_dict(doc["gbt"], version))
     if variant != RETRAINED:
         raise SchemaError(f"model: component {comp.name!r} has unknown hw variant {variant!r}")
     linear = trees.linear_from_dict(doc["linear"])
@@ -210,6 +210,7 @@ def _hw_from_dict(doc: dict, comp: ComponentDef) -> EffectiveHardwareModel:
 
 def model_to_dict(m: FirePowerModel) -> dict:
     return {
+        "format_version": trees.FORMAT_VERSION,
         "target_architecture": m.target_architecture,
         "epsilon": DEFAULT_EPSILON,
         "component_table": [component_to_dict(c) for c in m.component_table],
@@ -225,6 +226,7 @@ def model_to_dict(m: FirePowerModel) -> dict:
 
 @schema_errors("model")
 def model_from_dict(doc: dict) -> FirePowerModel:
+    version = trees.format_version(doc, "model")
     if doc["epsilon"] != DEFAULT_EPSILON:
         raise SchemaError(f"model: epsilon {doc['epsilon']!r} is not the clamp {DEFAULT_EPSILON!r}")
     table = tuple(component_from_dict(c) for c in doc["component_table"])
@@ -233,8 +235,8 @@ def model_from_dict(doc: dict) -> FirePowerModel:
         raise SchemaError("model: per_component does not match the component table")
     per_component = {
         comp.name: (
-            _hw_from_dict(entries[comp.name]["hw"], comp),
-            trees.gbt_from_dict(entries[comp.name]["event"]),
+            _hw_from_dict(entries[comp.name]["hw"], comp, version),
+            trees.gbt_from_dict(entries[comp.name]["event"], version),
         )
         for comp in table
     }

@@ -334,7 +334,8 @@ def _parse_sample(entry: dict, table: tuple[ComponentDef, ...]) -> PowerSample:
 
 
 def read_json_file(path: str | os.PathLike, kind: str):
-    """Parse a JSON file; an unreadable or malformed one raises ParseError."""
+    """Parse a JSON file; an unreadable, malformed or too deeply nested one
+    raises ParseError."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -342,6 +343,8 @@ def read_json_file(path: str | os.PathLike, kind: str):
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {kind} file {path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{kind} file {path} is nested too deeply to parse") from None
 
 
 @contextmanager

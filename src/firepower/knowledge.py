@@ -26,7 +26,7 @@ from .dataset import (
     schema_errors,
     write_text_atomic,
 )
-from .errors import ModelError, ValidationError
+from .errors import ModelError, SchemaError, ValidationError
 from .trees import GbtHyperparams, GbtModel
 
 DEFAULT_THRESHOLD = 0.95
@@ -143,6 +143,7 @@ def extract_knowledge(
 
 def knowledge_base_to_dict(kb: KnowledgeBase) -> dict:
     return {
+        "format_version": trees.FORMAT_VERSION,
         "known_architecture": kb.known_architecture,
         "threshold": kb.threshold,
         "component_table": [component_to_dict(c) for c in kb.component_table],
@@ -159,20 +160,33 @@ def knowledge_base_to_dict(kb: KnowledgeBase) -> dict:
 
 @schema_errors("knowledge base")
 def knowledge_base_from_dict(doc: dict) -> KnowledgeBase:
-    per_component = {
-        name: ComponentKnowledge(
-            component=name,
-            hardware_model=trees.gbt_from_dict(entry["hardware_model"]),
-            importance=dict(entry["importance"]),
+    version = trees.format_version(doc, "knowledge base")
+    table = tuple(component_from_dict(c) for c in doc["component_table"])
+    entries = doc["per_component"]
+    if sorted(entries) != sorted(c.name for c in table):
+        raise SchemaError("knowledge base: per_component does not match the component table")
+    per_component = {}
+    for comp in table:
+        entry = entries[comp.name]
+        importance = dict(entry["importance"])
+        if list(importance) != list(comp.hw_params):
+            raise SchemaError(
+                f"knowledge base: component {comp.name!r} has importances for "
+                f"{list(importance)}, not for its hardware parameters {list(comp.hw_params)}"
+            )
+        for param, value in importance.items():
+            trees.finite_number(value, f"knowledge base: component {comp.name!r} importance of {param}")
+        per_component[comp.name] = ComponentKnowledge(
+            component=comp.name,
+            hardware_model=trees.gbt_from_dict(entry["hardware_model"], version),
+            importance=importance,
             strategy=Strategy(entry["strategy"]["kind"], entry["strategy"]["param"]),
         )
-        for name, entry in doc["per_component"].items()
-    }
     return KnowledgeBase(
         known_architecture=doc["known_architecture"],
-        threshold=doc["threshold"],
+        threshold=trees.finite_number(doc["threshold"], "knowledge base: threshold"),
         per_component=per_component,
-        component_table=tuple(component_from_dict(c) for c in doc["component_table"]),
+        component_table=table,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -495,67 +496,155 @@ def fit_linear_one_feature(x, y, feature_index: int = 0) -> LinearModel:
 
 # --- serialization ----------------------------------------------------------
 
+# A knowledge-base or model file names its layout in "format_version"; one
+# without it is format 1, which nests every tree node as a JSON object.
+# Format 2 writes each GBT's trees as three flat lists (see gbt_to_dict).
+FORMAT_VERSION = 2
+# The `feature` entry of a leaf in format 2.
+LEAF = -1
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.left is None:
-        return {"value": node.value}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+
+def format_version(doc: dict, kind: str) -> int:
+    """The format of a `kind` document: 1 or 2, an int; 1 when unnamed."""
+    version = doc.get("format_version", 1)
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise SchemaError(
+            f"{kind}: unknown format_version {version!r} (this version reads 1 and {FORMAT_VERSION})"
+        )
+    return version
 
 
 def _node_from_dict(doc: dict, feature_count: int) -> TreeNode:
-    """One node and its subtree, checked so the walk cannot fail on it.
-    Checks are inline and internal nodes positional: a model holds tens of
-    thousands of nodes, and this keeps decoding as fast as unchecked."""
+    """One format-1 node and its subtree, checked so the walk cannot fail on it."""
     if type(doc) is not dict:
         raise SchemaError(f"GBT tree node {doc!r} is missing or not a mapping")
     if "value" in doc:
-        value = doc["value"]
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise SchemaError(f"GBT leaf value {value!r} is not a finite number")
-        return TreeNode(value=value)
-    j, threshold = doc["feature_index"], doc["threshold"]
+        return TreeNode(value=finite_number(doc["value"], "GBT leaf value"))
+    j = doc["feature_index"]
     if type(j) is not int or not 0 <= j < feature_count:
         raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
-    if type(threshold) not in (int, float) or not math.isfinite(threshold):
-        raise SchemaError(f"GBT threshold {threshold!r} is not a finite number")
+    threshold = finite_number(doc["threshold"], "GBT threshold")
     left = _node_from_dict(doc.get("left"), feature_count)
     return TreeNode(j, threshold, left, _node_from_dict(doc.get("right"), feature_count))
 
 
 def gbt_to_dict(m: GbtModel) -> dict:
+    """Format 2.  The trees are three flat lists: ``tree_sizes``, each
+    tree's node count, then per node in preorder (node, left subtree, right
+    subtree), tree after tree, its split ``feature`` (LEAF for a leaf) and
+    its ``value``: the threshold of a split, the value of a leaf."""
+    sizes, feature, value = [], [], []
+    for root in m.trees:
+        start, stack = len(feature), [root]
+        while stack:
+            node = stack.pop()
+            if node.left is None:
+                feature.append(LEAF)
+                value.append(node.value)
+            else:
+                feature.append(node.feature_index)
+                value.append(node.threshold)
+                stack += (node.right, node.left)
+        sizes.append(len(feature) - start)
     return {
         "base_prediction": m.base_prediction,
         "hyperparams": asdict(m.hyperparams),
         "feature_count": m.feature_count,
-        "cumulative_gain": list(m.cumulative_gain),
-        "trees": [_node_to_dict(t) for t in m.trees],
+        "cumulative_gain": m.cumulative_gain.tolist(),
+        "tree_sizes": sizes,
+        "feature": feature,
+        "value": value,
     }
 
 
-def _finite(value, what: str):
+def finite_number(value, what: str):
     """A finite int or float (numpy's float64 is one), else a SchemaError
     naming `what`; True and False are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        number = False
+    if not number:
         raise SchemaError(f"{what} {value!r} is not a finite number")
     return value
 
 
-def gbt_from_dict(doc: dict) -> GbtModel:
-    d = doc["feature_count"]
-    gains = np.array(doc["cumulative_gain"], dtype=float)
-    if type(d) is not int or gains.shape != (d,):
-        raise SchemaError(f"GBT feature_count {d!r} does not match cumulative_gain {gains.shape}")
+def _all_finite(values: list) -> bool:
+    """Whether every entry is a finite int or float, not a bool."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return bool(np.isfinite(np.array(values, dtype=float)).all())
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNode]:
+    """Format 2's trees, with the checks _node_from_dict makes on format 1,
+    and without recursion.  The entries are checked in bulk; only a GBT that
+    fails is searched node by node for the entry to name."""
+    for name, entries in (("tree_sizes", sizes), ("feature", feature), ("value", value)):
+        if type(entries) is not list:
+            raise SchemaError(f"GBT {name} is a {type(entries).__name__}, not a list")
+    for size in sizes:
+        if type(size) is not int or size < 1:
+            raise SchemaError(f"GBT tree size {size!r} is not a positive integer")
+    total = sum(sizes)
+    if len(feature) != total or len(value) != total:
+        raise SchemaError(
+            f"GBT tree_sizes add up to {total} nodes, but feature holds "
+            f"{len(feature)} and value {len(value)}"
+        )
+    features_ok = not feature or (
+        set(map(type, feature)) == {int} and min(feature) >= LEAF and max(feature) < feature_count
+    )
+    if not (features_ok and _all_finite(value)):
+        for j, v in zip(feature, value):
+            if type(j) is not int or not LEAF <= j < feature_count:
+                raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
+            finite_number(v, "GBT leaf value" if j == LEAF else "GBT threshold")
+    roots, nodes = [], zip(feature, value)
+    for t, size in enumerate(sizes):
+        pending: list[TreeNode] = []  # splits still short of a child, innermost last
+        for k, (j, v) in enumerate(islice(nodes, size)):
+            node = TreeNode(LEAF, 0.0, None, None, v) if j == LEAF else TreeNode(j, v)
+            if pending:
+                parent = pending[-1]
+                if parent.left is None:
+                    parent.left = node
+                else:
+                    pending.pop().right = node
+            elif k:
+                raise SchemaError(f"GBT tree {t} closes after {k} of its {size} nodes")
+            else:
+                roots.append(node)
+            if j != LEAF:
+                pending.append(node)
+        if pending:
+            raise SchemaError(f"GBT tree {t} does not close within its {size} nodes")
+    return roots
+
+
+def gbt_from_dict(doc: dict, version: int = FORMAT_VERSION) -> GbtModel:
+    """A GBT of a format-`version` document, checked so that no walk can fail on it."""
+    d, gains = doc["feature_count"], doc["cumulative_gain"]
+    if type(d) is not int or type(gains) is not list or len(gains) != d:
+        raise SchemaError(f"GBT feature_count {d!r} does not match cumulative_gain {gains!r}")
+    if not _all_finite(gains):
+        raise SchemaError(f"GBT cumulative_gain {gains!r} holds a value that is not a finite number")
+    if version == 1:
+        try:
+            roots = [_node_from_dict(t, d) for t in doc["trees"]]
+        except RecursionError:
+            raise SchemaError("GBT tree is nested too deeply to decode") from None
+    else:
+        roots = _trees_from_lists(doc["tree_sizes"], doc["feature"], doc["value"], d)
     return GbtModel(
-        base_prediction=_finite(doc["base_prediction"], "GBT base prediction"),
-        trees=[_node_from_dict(t, d) for t in doc["trees"]],
+        base_prediction=finite_number(doc["base_prediction"], "GBT base prediction"),
+        trees=roots,
         hyperparams=GbtHyperparams(**doc["hyperparams"]),
         feature_count=d,
-        cumulative_gain=gains,
+        cumulative_gain=np.array(gains, dtype=float),
     )
 
 
@@ -571,7 +660,7 @@ def linear_to_dict(m: LinearModel) -> dict:
 def linear_from_dict(doc: dict) -> LinearModel:
     return LinearModel(
         feature_index=doc["feature_index"],
-        slope=_finite(doc["slope"], "linear model slope"),
-        intercept=_finite(doc["intercept"], "linear model intercept"),
+        slope=finite_number(doc["slope"], "linear model slope"),
+        intercept=finite_number(doc["intercept"], "linear model intercept"),
         is_constant=doc["is_constant"],
     )

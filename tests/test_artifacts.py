@@ -1,0 +1,332 @@
+"""Knowledge-base and model files: format 2, format 1 back-compat, versions,
+and the loader's checks, through the library and the CLI."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from firepower import trees
+from firepower.application import load_model, model_to_dict, save_model
+from firepower.cli import EXIT_DATA, EXIT_OK, main
+from firepower.dataset import load_dataset
+from firepower.errors import ModelError, SchemaError
+from firepower.knowledge import compute_importance, load_knowledge_base, save_knowledge_base
+
+# Written by firepower before format 2 (commit a954740): `extract` and `build`
+# with --n-estimators 4 --max-depth 3 on a 6 + 4 configuration x 3 workload
+# synth pair (seed 0), `build` on train.json (2 target configurations), and
+# `predict` of model.json on test.json (the other 2) into preds.csv.
+FORMAT1 = Path(__file__).parent / "data" / "format1"
+FIXTURE_HP = ["--n-estimators", "4", "--max-depth", "3"]
+_HP = trees.GbtHyperparams(n_estimators=4, max_depth=3)
+
+
+def _run(argv) -> tuple[int, str]:
+    """main(argv) and what it printed on stderr; an exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _predict(model, out) -> tuple[int, str]:
+    return _run(["predict", "--model", str(model), "--input", str(FORMAT1 / "test.json"), "--out", str(out)])
+
+
+def _build(kb, out) -> tuple[int, str]:
+    return _run(
+        ["build", "--kb", str(kb), "--target-train", str(FORMAT1 / "train.json"), "--out", str(out)]
+        + FIXTURE_HP
+    )
+
+
+def _write(path, doc) -> Path:
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _fixture(name) -> dict:
+    return json.loads((FORMAT1 / name).read_text())
+
+
+def _format2(kind) -> dict:
+    """The format-1 fixture's kb or model, written again in format 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        if kind == "kb":
+            save_knowledge_base(load_knowledge_base(FORMAT1 / "kb.json"), path)
+        else:
+            save_model(load_model(FORMAT1 / "model.json"), path)
+        return json.loads(path.read_text())
+
+
+# --- format 1 still loads, bit for bit ---------------------------------------
+
+
+def test_format1_fixtures_predate_the_version_key():
+    for name in ("kb.json", "model.json"):
+        doc = _fixture(name)
+        assert "format_version" not in doc
+        assert "trees" in next(iter(doc["per_component"].values()))[
+            "hardware_model" if name == "kb.json" else "event"
+        ]
+
+
+def test_format1_model_predicts_bit_equal(tmp_path):
+    assert _predict(FORMAT1 / "model.json", tmp_path / "preds.csv")[0] == EXIT_OK
+    assert (tmp_path / "preds.csv").read_bytes() == (FORMAT1 / "preds.csv").read_bytes()
+
+
+def test_model_built_from_format1_kb_predicts_bit_equal(tmp_path):
+    assert _build(FORMAT1 / "kb.json", tmp_path / "model.json")[0] == EXIT_OK
+    assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 2
+    assert _predict(tmp_path / "model.json", tmp_path / "preds.csv")[0] == EXIT_OK
+    assert (tmp_path / "preds.csv").read_bytes() == (FORMAT1 / "preds.csv").read_bytes()
+
+
+def test_format1_kb_importances_bit_equal():
+    kb = load_knowledge_base(FORMAT1 / "kb.json")
+    doc = _fixture("kb.json")
+    for comp in kb.component_table:
+        ck = kb.per_component[comp.name]
+        assert ck.importance == doc["per_component"][comp.name]["importance"]
+        assert compute_importance(ck.hardware_model, comp) == ck.importance
+
+
+def test_format1_rewritten_as_format2_is_the_same_model(tmp_path):
+    kb = load_knowledge_base(FORMAT1 / "kb.json")
+    model = load_model(FORMAT1 / "model.json")
+    save_knowledge_base(kb, tmp_path / "kb.json")
+    save_model(model, tmp_path / "model.json")
+    for name in ("kb.json", "model.json"):
+        assert (tmp_path / name).stat().st_size < (FORMAT1 / name).stat().st_size
+    again = load_model(tmp_path / "model.json")
+    assert model_to_dict(again) == model_to_dict(model)
+    test = load_dataset(FORMAT1 / "test.json")
+    assert np.array_equal(again.predict_components(test), model.predict_components(test))
+    kb_again = load_knowledge_base(tmp_path / "kb.json")
+    for name, ck in kb.per_component.items():
+        assert trees.gbt_to_dict(kb_again.per_component[name].hardware_model) == trees.gbt_to_dict(
+            ck.hardware_model
+        )
+        assert kb_again.per_component[name].importance == ck.importance
+    # A component that inherits its kb model carries it into the model unchanged.
+    for name, (hw, _) in model.per_component.items():
+        if hw.variant == "inherited":
+            assert trees.gbt_to_dict(hw.model) == trees.gbt_to_dict(kb.per_component[name].hardware_model)
+
+
+# --- versions -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("version", [3, "2", 0, True, None, 2.0])
+@pytest.mark.parametrize("kind", ["kb", "model"])
+def test_unknown_format_version_is_data_error(tmp_path, kind, version):
+    doc = _format2(kind)
+    doc["format_version"] = version
+    path = _write(tmp_path / f"{kind}.json", doc)
+    if kind == "kb":
+        code, err = _build(path, tmp_path / "out.json")
+    else:
+        code, err = _predict(path, tmp_path / "out.csv")
+    assert code == EXIT_DATA
+    assert err.startswith("error:") and f"unknown format_version {version!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()
+
+
+def test_format2_file_with_format1_trees_is_data_error(tmp_path):
+    doc = _fixture("model.json")
+    doc["format_version"] = 2
+    code, err = _predict(_write(tmp_path / "model.json", doc), tmp_path / "out.csv")
+    assert code == EXIT_DATA
+    assert "missing field 'tree_sizes'" in err and "Traceback" not in err
+
+
+# --- deep nesting ---------------------------------------------------------------
+
+
+def _spine_v1(depth: int) -> str:
+    """The JSON text of a format-1 tree whose left spine is `depth` splits deep."""
+    split = '{"feature_index": 0, "threshold": 0.5, "left": '
+    return split * depth + '{"value": 1.0}' + ', "right": {"value": 2.0}}' * depth
+
+
+@pytest.mark.parametrize("kind", ["kb", "model"])
+def test_deeply_nested_format1_file_is_data_error(tmp_path, kind):
+    doc = _fixture(f"{kind}.json")
+    gbt_key = "hardware_model" if kind == "kb" else "event"
+    doc["per_component"]["BPTAGE"][gbt_key]["trees"][0] = "SPINE"
+    text = json.dumps(doc).replace('"SPINE"', _spine_v1(3000))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    if kind == "kb":
+        code, err = _build(path, tmp_path / "out.json")
+    else:
+        code, err = _predict(path, tmp_path / "out.csv")
+    assert code == EXIT_DATA
+    assert err.startswith("error:") and "nested too deeply" in err and "Traceback" not in err
+
+
+def test_deep_format1_tree_is_schema_error():
+    # Built in Python, so only the decode recurses, not the JSON parser.
+    tree = {"value": 1.0}
+    for _ in range(50_000):
+        tree = {"feature_index": 0, "threshold": 0.5, "left": tree, "right": {"value": 2.0}}
+    doc = trees.gbt_to_dict(trees.fit_gbt(np.arange(4.0)[:, None], np.arange(4.0), _HP))
+    del doc["tree_sizes"], doc["feature"], doc["value"]
+    doc["trees"] = [tree]
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        trees.gbt_from_dict(doc, 1)
+
+
+def test_deep_format2_tree_round_trips():
+    depth = 5000
+    doc = trees.gbt_to_dict(trees.fit_gbt(np.arange(4.0)[:, None], np.arange(4.0), _HP))
+    doc["tree_sizes"] = [2 * depth + 1]
+    doc["feature"] = [0] * depth + [-1] * (depth + 1)
+    doc["value"] = [float(-i) for i in range(depth)] + [1.0] * (depth + 1)
+    m = trees.gbt_from_dict(json.loads(json.dumps(doc)))
+    assert trees.gbt_to_dict(m) == doc
+    assert m.predict([0.5]) == doc["base_prediction"] + m.hyperparams.learning_rate * 1.0
+
+
+# --- the kb loader's checks ---------------------------------------------------
+
+
+def _drop_bptage(doc):
+    del doc["per_component"]["BPTAGE"]
+
+
+def _extra_component(doc):
+    doc["per_component"]["Extra"] = copy.deepcopy(doc["per_component"]["BPTAGE"])
+
+
+def _set_importance(value):
+    def edit(doc):
+        doc["per_component"]["BPTAGE"]["importance"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(_drop_bptage, "per_component does not match", id="component-missing"),
+        pytest.param(_extra_component, "per_component does not match", id="component-extra"),
+        pytest.param(lambda d: d.update(threshold="x"), "threshold 'x'", id="threshold-text"),
+        pytest.param(lambda d: d.update(threshold=float("nan")), "threshold nan", id="threshold-nan"),
+        pytest.param(lambda d: d.update(threshold=None), "threshold None", id="threshold-null"),
+        pytest.param(_set_importance({"x": "y"}), "importances for ['x']", id="importance-keys"),
+        pytest.param(
+            _set_importance({"BranchCount": 0.5, "FetchWidth": 0.5}), "importances for", id="importance-order"
+        ),
+        pytest.param(
+            _set_importance({"FetchWidth": "y", "BranchCount": 0.5}),
+            "importance of FetchWidth 'y'",
+            id="importance-text",
+        ),
+        pytest.param(
+            _set_importance({"FetchWidth": float("inf"), "BranchCount": 0.5}),
+            "importance of FetchWidth inf",
+            id="importance-inf",
+        ),
+        pytest.param(_set_importance(["FetchWidth"]), "knowledge base: malformed", id="importance-list"),
+    ],
+)
+@pytest.mark.parametrize("fixture_format", [1, 2])
+def test_kb_loader_checks(tmp_path, edit, message, fixture_format):
+    doc = _fixture("kb.json") if fixture_format == 1 else _format2("kb")
+    edit(doc)
+    code, err = _build(_write(tmp_path / "kb.json", doc), tmp_path / "model.json")
+    assert code == EXIT_DATA
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
+# --- fuzzing the format-2 GBT decoder -------------------------------------------
+
+_X = np.random.default_rng(3).uniform(0, 10, size=(24, 3))
+_BASE = trees.gbt_to_dict(trees.fit_gbt(_X, 2.0 * _X[:, 0] + _X[:, 1] ** 2, _HP))
+_LISTS = ("tree_sizes", "feature", "value")
+
+_junk = st.one_of(
+    st.integers(-3, 12),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.just(10**400),
+)
+
+
+@st.composite
+def _mutation(draw):
+    """One edit of one of a GBT's three lists: set, insert or delete an
+    entry, truncate, or replace the whole list."""
+    key = draw(st.sampled_from(_LISTS))
+    op = draw(st.sampled_from(["set", "insert", "delete", "truncate", "replace"]))
+    index = draw(st.integers(0, 200))
+    value = draw(_junk)
+
+    def apply(doc):
+        entries = doc[key]
+        if op == "replace":
+            doc[key] = value
+        elif type(entries) is not list:
+            return
+        elif op == "truncate":
+            del entries[index % (len(entries) + 1) :]
+        elif not entries:
+            entries.append(value)
+        elif op == "set":
+            entries[index % len(entries)] = value
+        elif op == "insert":
+            entries.insert(index % (len(entries) + 1), value)
+        else:
+            del entries[index % len(entries)]
+
+    return apply
+
+
+@given(st.lists(_mutation(), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_format2_decoder_raises_only_data_errors(mutations):
+    doc = copy.deepcopy(_BASE)
+    for apply in mutations:
+        apply(doc)
+    try:
+        m = trees.gbt_from_dict(doc)
+    except (SchemaError, ModelError):
+        return
+    # What loads predicts, and writes back what it read.
+    assert m.predict_many(_X).shape == (_X.shape[0],)
+    assert trees.gbt_to_dict(m)["tree_sizes"] == doc["tree_sizes"]
+
+
+_MODEL2 = json.dumps(_format2("model"))
+
+
+@given(st.lists(_mutation(), min_size=1, max_size=3), st.sampled_from(["IFU", "BPTAGE", "LSU"]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_predict_on_fuzzed_model_exits_cleanly(mutations, component):
+    doc = json.loads(_MODEL2)
+    gbt = doc["per_component"][component]["event"]
+    for apply in mutations:
+        apply(gbt)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _predict(_write(Path(tmp) / "model.json", doc), Path(tmp) / "preds.csv")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert (code == EXIT_OK) == (err == "")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -560,18 +561,36 @@ def test_negative_threshold_after_a_space_is_a_value(workspace, tmp_path):
     assert load_knowledge_base(tmp_path / "out").threshold == -0.5
 
 
-def _first_split(doc):
-    """The first internal node of a GBT document's trees."""
-    for tree in doc["trees"]:
-        if "feature_index" in tree:
-            return tree
-    raise AssertionError("every tree of the GBT is a single leaf")
+def _first_split(gbt):
+    """The index of the first split node in a format-2 GBT's feature and value lists."""
+    return next(i for i, j in enumerate(gbt["feature"]) if j != -1)
+
+
+def _set_first_split(gbt, key, value):
+    gbt[key][_first_split(gbt)] = value
+
+
+def _drop_last_node(gbt):
+    """Drop the last node of the first tree that has a split: a split loses a child."""
+    sizes = gbt["tree_sizes"]
+    t = next(t for t, size in enumerate(sizes) if size > 1)
+    end = sum(sizes[: t + 1])
+    del gbt["feature"][end - 1], gbt["value"][end - 1]
+    sizes[t] -= 1
+
+
+def _move_boundary(gbt, shift):
+    """Move the border between the first two trees that have a split by `shift` nodes."""
+    sizes = gbt["tree_sizes"]
+    t = next(t for t in range(len(sizes) - 1) if sizes[t] > 1 and sizes[t + 1] > 1)
+    sizes[t] += shift
+    sizes[t + 1] -= shift
 
 
 def test_kb_tree_feature_out_of_range_is_data_error(workspace, tmp_path, capsys):
     def edit(doc):
         hw = next(iter(doc["per_component"].values()))["hardware_model"]
-        _first_split(hw)["feature_index"] = 42
+        _set_first_split(hw, "feature", 42)
 
     kb = _edited_copy(workspace / "kb.json", tmp_path / "kb.json", edit)
     code = main(
@@ -591,19 +610,40 @@ def test_kb_tree_feature_out_of_range_is_data_error(workspace, tmp_path, capsys)
     assert err.startswith("error:") and "feature 42" in err and "Traceback" not in err
 
 
+def _append_leaf(gbt, value):
+    gbt["tree_sizes"].append(1)
+    gbt["feature"].append(-1)
+    gbt["value"].append(value)
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
-        pytest.param(lambda g: _first_split(g).update(feature_index=99), "feature 99", id="feature-past-end"),
-        pytest.param(lambda g: _first_split(g).update(feature_index=-1), "feature -1", id="feature-negative"),
-        pytest.param(lambda g: _first_split(g).update(feature_index=True), "feature True", id="feature-bool"),
-        pytest.param(lambda g: _first_split(g).update(threshold=float("nan")), "threshold nan", id="threshold-nan"),
-        pytest.param(lambda g: _first_split(g).update(threshold="1.5"), "threshold '1.5'", id="threshold-text"),
-        pytest.param(lambda g: g["trees"].append({"value": float("inf")}), "leaf value inf", id="leaf-inf"),
-        pytest.param(lambda g: _first_split(g).pop("right"), "not a mapping", id="child-missing"),
+        pytest.param(lambda g: _set_first_split(g, "feature", 99), "feature 99", id="feature-past-end"),
+        pytest.param(lambda g: _set_first_split(g, "feature", -2), "feature -2", id="feature-negative"),
+        pytest.param(lambda g: _set_first_split(g, "feature", True), "feature True", id="feature-bool"),
+        pytest.param(lambda g: _set_first_split(g, "feature", 0.0), "feature 0.0", id="feature-float"),
+        pytest.param(lambda g: g["feature"].__setitem__(-1, -1.0), "feature -1.0", id="leaf-marker-float"),
+        pytest.param(lambda g: _set_first_split(g, "value", float("nan")), "threshold nan", id="threshold-nan"),
+        pytest.param(lambda g: _set_first_split(g, "value", "1.5"), "threshold '1.5'", id="threshold-text"),
+        pytest.param(lambda g: _append_leaf(g, float("inf")), "leaf value inf", id="leaf-inf"),
+        pytest.param(lambda g: _append_leaf(g, False), "leaf value False", id="leaf-bool"),
+        pytest.param(_drop_last_node, "does not close within", id="child-missing"),
+        pytest.param(lambda g: _move_boundary(g, -1), "does not close within", id="tree-ends-late"),
+        pytest.param(lambda g: _move_boundary(g, 1), "closes after", id="tree-ends-early"),
+        pytest.param(lambda g: g["value"].pop(), "feature holds", id="lists-unequal"),
+        pytest.param(lambda g: g["tree_sizes"].__setitem__(0, g["tree_sizes"][0] + 1), "add up to", id="sizes-past-nodes"),
+        pytest.param(lambda g: g["tree_sizes"].pop(), "add up to", id="sizes-short-of-nodes"),
+        pytest.param(lambda g: g["tree_sizes"].__setitem__(0, 0), "tree size 0", id="size-zero"),
+        pytest.param(lambda g: g["tree_sizes"].__setitem__(0, True), "tree size True", id="size-bool"),
+        pytest.param(lambda g: g.update(feature={}), "feature is a dict", id="feature-not-a-list"),
         pytest.param(lambda g: g["cumulative_gain"].pop(), "cumulative_gain", id="gain-short"),
+        pytest.param(lambda g: g["cumulative_gain"].__setitem__(0, float("nan")), "not a finite", id="gain-nan"),
+        pytest.param(lambda g: g["cumulative_gain"].__setitem__(0, 10**400), "not a finite", id="gain-huge-int"),
         pytest.param(lambda g: g.update(base_prediction="x"), "base prediction 'x'", id="base-text"),
         pytest.param(lambda g: g.update(base_prediction=float("nan")), "base prediction nan", id="base-nan"),
+        pytest.param(lambda g: g.update(base_prediction=10**400), "base prediction 1000", id="base-huge-int"),
+        pytest.param(lambda g: _set_first_split(g, "value", 10**400), "threshold 1000", id="threshold-huge-int"),
     ],
 )
 def test_model_tree_is_checked_on_load(workspace, tmp_path, capsys, edit, message):
@@ -612,6 +652,60 @@ def test_model_tree_is_checked_on_load(workspace, tmp_path, capsys, edit, messag
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+FORMAT1 = Path(__file__).parent / "data" / "format1"
+
+
+def _first_split_v1(doc):
+    """The first internal node of a format-1 GBT document's trees."""
+    for tree in doc["trees"]:
+        if "feature_index" in tree:
+            return tree
+    raise AssertionError("every tree of the GBT is a single leaf")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda g: _first_split_v1(g).update(feature_index=99), "feature 99", id="feature-past-end"),
+        pytest.param(lambda g: _first_split_v1(g).update(feature_index=-1), "feature -1", id="feature-negative"),
+        pytest.param(lambda g: _first_split_v1(g).update(feature_index=True), "feature True", id="feature-bool"),
+        pytest.param(lambda g: _first_split_v1(g).update(threshold=float("nan")), "threshold nan", id="threshold-nan"),
+        pytest.param(lambda g: _first_split_v1(g).update(threshold="1.5"), "threshold '1.5'", id="threshold-text"),
+        pytest.param(lambda g: g["trees"].append({"value": float("inf")}), "leaf value inf", id="leaf-inf"),
+        pytest.param(lambda g: g["trees"].append({"value": 10**400}), "leaf value 1000", id="leaf-huge-int"),
+        pytest.param(lambda g: _first_split_v1(g).pop("right"), "not a mapping", id="child-missing"),
+        pytest.param(lambda g: g["cumulative_gain"].pop(), "cumulative_gain", id="gain-short"),
+        pytest.param(lambda g: g.update(base_prediction="x"), "base prediction 'x'", id="base-text"),
+        pytest.param(lambda g: g.update(base_prediction=float("nan")), "base prediction nan", id="base-nan"),
+    ],
+)
+def test_format1_model_tree_is_checked_on_load(tmp_path, capsys, edit, message):
+    model = _edited_copy(
+        FORMAT1 / "model.json", tmp_path / "model.json", lambda d: edit(d["per_component"]["IFU"]["event"])
+    )
+    out = tmp_path / "preds.csv"
+    code = main(["predict", "--model", model, "--input", str(FORMAT1 / "test.json"), "--out", str(out)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_format1_kb_tree_feature_out_of_range_is_data_error(tmp_path, capsys):
+    def edit(doc):
+        _first_split_v1(doc["per_component"]["IFU"]["hardware_model"])["feature_index"] = 42
+
+    kb = _edited_copy(FORMAT1 / "kb.json", tmp_path / "kb.json", edit)
+    out = tmp_path / "model.json"
+    code = main(
+        ["build", "--kb", kb, "--target-train", str(FORMAT1 / "train.json"), "--out", str(out)] + HP_FLAGS
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "feature 42" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["slope", "intercept"])
