@@ -195,7 +195,9 @@ def _hw_to_dict(hw: EffectiveHardwareModel, comp: ComponentDef) -> dict:
 def _hw_from_dict(doc: dict, comp: ComponentDef, version: int) -> EffectiveHardwareModel:
     variant = doc["variant"]
     if variant == INHERITED:
-        return EffectiveHardwareModel(comp.hw_params, trees.gbt_from_dict(doc["gbt"], version))
+        what = f"model: component {comp.name!r} hardware model"
+        gbt = trees.gbt_from_dict(doc["gbt"], version, len(comp.hw_params), what)
+        return EffectiveHardwareModel(comp.hw_params, gbt)
     if variant != RETRAINED:
         raise SchemaError(f"model: component {comp.name!r} has unknown hw variant {variant!r}")
     linear = trees.linear_from_dict(doc["linear"])
@@ -236,7 +238,12 @@ def model_from_dict(doc: dict) -> FirePowerModel:
     per_component = {
         comp.name: (
             _hw_from_dict(entries[comp.name]["hw"], comp, version),
-            trees.gbt_from_dict(entries[comp.name]["event"], version),
+            trees.gbt_from_dict(
+                entries[comp.name]["event"],
+                version,
+                len(comp.hw_params) + len(comp.event_stats),
+                f"model: component {comp.name!r} event model",
+            ),
         )
         for comp in table
     }

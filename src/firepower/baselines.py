@@ -27,47 +27,27 @@ METHOD_KEYS = (
 )
 
 
-def event_stat_names(ds: Dataset) -> list[str]:
-    """All event-statistic names, component-table order first, else sorted."""
-    names = []
-    for comp in ds.component_table:
-        for stat in comp.event_stats:
-            if stat not in names:
-                names.append(stat)
-    if not names:
-        names = sorted({k for s in ds.samples for k in s.event_stats})
-    return names
-
-
-def monolithic_matrix(ds: Dataset, event_names: list[str], use_M: bool) -> np.ndarray:
-    """Whole-core rows: every canonical parameter, then every event statistic,
-    then (with use_M) the analytical estimate."""
-    core = ComponentDef("core", ds.registry.canonical, tuple(event_names))
-    X = design_matrix(ds, core)
-    if not use_M:
-        return X
-    for s in ds.samples:
-        if s.analytical_estimate is None:
-            raise ValidationError(
-                f"sample ({s.config_id}, {s.workload}) "
-                "has no analytical estimate but use_M was requested"
-            )
-    return np.column_stack([X, [s.analytical_estimate for s in ds.samples]])
+def core_component(ds: Dataset) -> ComponentDef:
+    """The whole core as one component: every canonical parameter, then
+    every event statistic, component-table order first, else sorted."""
+    events = dict.fromkeys(stat for comp in ds.component_table for stat in comp.event_stats)
+    if not events:
+        events = sorted({k for s in ds.samples for k in s.event_stats})
+    return ComponentDef("core", ds.registry.canonical, tuple(events))
 
 
 @dataclass
 class MonolithicModel:
     model: GbtModel
-    event_names: list[str]
+    core: ComponentDef  # the design_matrix component the model reads
 
 
-def train_monolithic(ds_train: Dataset, use_M: bool, hp: GbtHyperparams) -> MonolithicModel:
+def train_monolithic(ds_train: Dataset, hp: GbtHyperparams) -> MonolithicModel:
     if not ds_train.samples:
         raise ValidationError("empty training dataset")
-    names = event_stat_names(ds_train)
-    X = monolithic_matrix(ds_train, names, use_M)
+    core = core_component(ds_train)
     y = np.array([s.total_power for s in ds_train.samples])
-    return MonolithicModel(model=trees.fit_gbt(X, y, hp), event_names=names)
+    return MonolithicModel(model=trees.fit_gbt(design_matrix(ds_train, core), y, hp), core=core)
 
 
 def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dict[str, GbtModel]:

@@ -12,7 +12,6 @@ from .application import build_target_model
 from .baselines import (
     METHOD_KEYS,
     TransferWrapper,
-    monolithic_matrix,
     train_monolithic,
     train_monolithic_per_component,
 )
@@ -52,18 +51,15 @@ def _method_predictions(
     train: Dataset,
     test: Dataset,
     hp: GbtHyperparams,
-    use_M: bool,
     sources: dict,
-    cell: dict | None = None,
+    cell: dict,
 ) -> list[float]:
     """Total-power predictions of one method on test.  ``cell`` is shared by
     the methods of one (k, seed) cell: the first FirePower-family model
     built there lends its event fits to the second."""
-    cell = {} if cell is None else cell
     if method == "mcpat_calib":
-        model = train_monolithic(train, use_M, hp)
-        X = monolithic_matrix(test, model.event_names, use_M)
-        return list(model.model.predict_many(X))
+        model = train_monolithic(train, hp)
+        return list(model.model.predict_many(design_matrix(test, model.core)))
     if method == "mcpat_calib_component":
         models = train_monolithic_per_component(train, hp)
         totals = np.zeros(len(test.samples))
@@ -72,10 +68,10 @@ def _method_predictions(
         return list(totals)
     if method == "mcpat_calib_transfer":
         source = sources["monolithic"]
-        pool = monolithic_matrix(train, source.event_names, use_M)
+        pool = design_matrix(train, source.core)
         labels = np.array([s.total_power for s in train.samples])
         w = TransferWrapper.build(source.model.predict_many, pool, labels)
-        return list(w.predict_many(monolithic_matrix(test, source.event_names, use_M)))
+        return list(w.predict_many(design_matrix(test, source.core)))
     if method == "mcpat_calib_component_transfer":
         comp_sources = sources["per_component"]
         totals = np.zeros(len(test.samples))
@@ -108,7 +104,6 @@ def run_experiment(
     seeds: list[int] = (0,),
     hp: GbtHyperparams | None = None,
     threshold: float = DEFAULT_THRESHOLD,
-    use_M: bool = False,
 ) -> list[EvalResult]:
     methods = list(methods) if methods else list(METHOD_KEYS)
     hp = hp or GbtHyperparams()
@@ -127,7 +122,7 @@ def run_experiment(
     kb = extract_knowledge(ds_known, hp, threshold)
     sources: dict = {}
     if "mcpat_calib_transfer" in methods:
-        sources["monolithic"] = train_monolithic(ds_known, use_M, hp)
+        sources["monolithic"] = train_monolithic(ds_known, hp)
     if "mcpat_calib_component_transfer" in methods:
         sources["per_component"] = train_monolithic_per_component(ds_known, hp)
 
@@ -139,7 +134,7 @@ def run_experiment(
             labels = [s.total_power for s in test.samples]
             cell: dict = {}
             for method in methods:
-                preds = _method_predictions(method, kb, train, test, hp, use_M, sources, cell)
+                preds = _method_predictions(method, kb, train, test, hp, sources, cell)
                 per_sample = [
                     (s.config_id, s.workload, float(p), float(s.total_power))
                     for s, p in zip(test.samples, preds)

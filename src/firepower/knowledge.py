@@ -174,13 +174,22 @@ def knowledge_base_from_dict(doc: dict) -> KnowledgeBase:
                 f"knowledge base: component {comp.name!r} has importances for "
                 f"{list(importance)}, not for its hardware parameters {list(comp.hw_params)}"
             )
+        what = f"knowledge base: component {comp.name!r}"
         for param, value in importance.items():
-            trees.finite_number(value, f"knowledge base: component {comp.name!r} importance of {param}")
+            trees.finite_number(value, f"{what} importance of {param}")
+        strategy = Strategy(entry["strategy"]["kind"], entry["strategy"]["param"])
+        if strategy.param not in (None, *comp.hw_params):
+            raise SchemaError(
+                f"{what} retrains on {strategy.param!r}, not one of its hardware parameters "
+                f"{list(comp.hw_params)}"
+            )
         per_component[comp.name] = ComponentKnowledge(
             component=comp.name,
-            hardware_model=trees.gbt_from_dict(entry["hardware_model"], version),
+            hardware_model=trees.gbt_from_dict(
+                entry["hardware_model"], version, len(comp.hw_params), f"{what} hardware model"
+            ),
             importance=importance,
-            strategy=Strategy(entry["strategy"]["kind"], entry["strategy"]["param"]),
+            strategy=strategy,
         )
     return KnowledgeBase(
         known_architecture=doc["known_architecture"],

@@ -625,11 +625,17 @@ def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNod
     return roots
 
 
-def gbt_from_dict(doc: dict, version: int = FORMAT_VERSION) -> GbtModel:
-    """A GBT of a format-`version` document, checked so that no walk can fail on it."""
+def gbt_from_dict(
+    doc: dict, version: int = FORMAT_VERSION, width: int | None = None, what: str = "GBT"
+) -> GbtModel:
+    """A GBT of a format-`version` document, checked so that no walk can fail
+    on it; with `width`, a GBT that reads another number of features is a
+    SchemaError naming `what`."""
     d, gains = doc["feature_count"], doc["cumulative_gain"]
     if type(d) is not int or type(gains) is not list or len(gains) != d:
         raise SchemaError(f"GBT feature_count {d!r} does not match cumulative_gain {gains!r}")
+    if width is not None and d != width:
+        raise SchemaError(f"{what} reads {d} features, not {width}")
     if not _all_finite(gains):
         raise SchemaError(f"GBT cumulative_gain {gains!r} holds a value that is not a finite number")
     if version == 1:

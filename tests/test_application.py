@@ -56,7 +56,7 @@ def test_total_is_sum_of_components(target_model, kb0, small_hp):
     # The harness scores the per-sample sum, in table order, of the
     # scalar per-component predictions that CLI predict writes.
     model, train, test = target_model
-    totals = _method_predictions("firepower", kb0, train, test, small_hp, False, {})
+    totals = _method_predictions("firepower", kb0, train, test, small_hp, {}, {})
     for sample, total in zip(test.samples[:10], totals):
         cfg = test.config(sample.config_id)
         parts = 0.0

@@ -217,6 +217,16 @@ def _set_importance(value):
     return edit
 
 
+def _widen(gbt):
+    """Make a GBT document claim one feature more than it reads."""
+    gbt["feature_count"] += 1
+    gbt["cumulative_gain"].append(0.0)
+
+
+def _set_strategy(doc):
+    doc["per_component"]["BPTAGE"]["strategy"] = {"kind": "retrain", "param": "RobEntry"}
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -240,6 +250,16 @@ def _set_importance(value):
             id="importance-inf",
         ),
         pytest.param(_set_importance(["FetchWidth"]), "knowledge base: malformed", id="importance-list"),
+        pytest.param(
+            lambda d: _widen(d["per_component"]["BPTAGE"]["hardware_model"]),
+            "knowledge base: component 'BPTAGE' hardware model reads 3 features, not 2",
+            id="hardware-model-width",
+        ),
+        pytest.param(
+            _set_strategy,
+            "knowledge base: component 'BPTAGE' retrains on 'RobEntry', not one of its hardware parameters",
+            id="retrain-param-outside-component",
+        ),
     ],
 )
 @pytest.mark.parametrize("fixture_format", [1, 2])
@@ -250,6 +270,28 @@ def test_kb_loader_checks(tmp_path, edit, message, fixture_format):
     assert code == EXIT_DATA
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "component,role,message",
+    [
+        pytest.param(
+            "BPTAGE", "event", "model: component 'BPTAGE' event model reads 4 features, not 3", id="event"
+        ),
+        pytest.param(
+            "I-TLB", "hw", "model: component 'I-TLB' hardware model reads 2 features, not 1", id="inherited-hw"
+        ),
+    ],
+)
+@pytest.mark.parametrize("fixture_format", [1, 2])
+def test_model_loader_checks_gbt_widths(tmp_path, component, role, message, fixture_format):
+    doc = _fixture("model.json") if fixture_format == 1 else _format2("model")
+    entry = doc["per_component"][component]
+    _widen(entry["event"] if role == "event" else entry["hw"]["gbt"])
+    code, err = _predict(_write(tmp_path / "model.json", doc), tmp_path / "preds.csv")
+    assert code == EXIT_DATA
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "preds.csv").exists()
 
 
 # --- fuzzing the format-2 GBT decoder -------------------------------------------

@@ -10,13 +10,12 @@ from firepower.baselines import (
     METHOD_KEYS,
     TRANSFER_EPSILON,
     TransferWrapper,
-    event_stat_names,
-    monolithic_matrix,
+    core_component,
     train_monolithic,
     train_monolithic_per_component,
 )
 from firepower.dataset import component_labels, design_matrix, feature_row
-from firepower.errors import ModelError, ValidationError
+from firepower.errors import ModelError
 from firepower.harness import _method_predictions
 from firepower.trees import GbtHyperparams, fit_gbt, gbt_to_dict
 
@@ -33,12 +32,14 @@ def test_method_keys():
 
 
 def test_event_names_follow_component_table(tiny_dataset):
-    assert event_stat_names(tiny_dataset) == ["front_act", "core_act"]
+    core = core_component(tiny_dataset)
+    assert core.hw_params == tiny_dataset.registry.canonical
+    assert core.event_stats == ("front_act", "core_act")
 
 
 def test_sample_features_layout(tiny_dataset):
     # The monolithic baseline's rows: 14 canonical parameters, then events.
-    X = monolithic_matrix(tiny_dataset, ["front_act", "core_act"], use_M=False)
+    X = design_matrix(tiny_dataset, core_component(tiny_dataset))
     assert X.shape == (len(tiny_dataset.samples), 14 + 2)
     sample = tiny_dataset.samples[0]
     cfg = tiny_dataset.config(sample.config_id)
@@ -46,15 +47,10 @@ def test_sample_features_layout(tiny_dataset):
     assert list(X[0, 14:]) == [1.0, 2.0]
 
 
-def test_sample_features_requires_analytical_estimate(tiny_dataset):
-    with pytest.raises(ValidationError):
-        monolithic_matrix(tiny_dataset, [], use_M=True)
-
-
 def test_monolithic_fits_training_data(tiny_dataset, small_hp):
-    model = train_monolithic(tiny_dataset, use_M=False, hp=GbtHyperparams())
-    X = monolithic_matrix(tiny_dataset, model.event_names, use_M=False)
-    preds = model.model.predict_many(X)
+    model = train_monolithic(tiny_dataset, hp=GbtHyperparams())
+    assert model.core == core_component(tiny_dataset)
+    preds = model.model.predict_many(design_matrix(tiny_dataset, model.core))
     labels = [s.total_power for s in tiny_dataset.samples]
     assert float(np.abs(preds - labels).mean()) < 0.5
 
@@ -83,7 +79,7 @@ def test_per_component_total_additivity(tiny_dataset, small_hp):
     models = train_monolithic_per_component(tiny_dataset, small_hp)
     assert set(models) == {"Front", "Core", "Other Logic"}
     totals = _method_predictions(
-        "mcpat_calib_component", None, tiny_dataset, tiny_dataset, small_hp, False, {}
+        "mcpat_calib_component", None, tiny_dataset, tiny_dataset, small_hp, {}, {}
     )
     for total, sample in zip(totals, tiny_dataset.samples):
         cfg = tiny_dataset.config(sample.config_id)

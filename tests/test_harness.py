@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from firepower.baselines import METHOD_KEYS
+from firepower.dataset import dataset_from_dict, dataset_to_dict, load_dataset, save_dataset
 from firepower.errors import ValidationError
 from firepower.harness import EvalResult, choose_labeled_configs, run_experiment, summarize
 from firepower.metrics import mape, pearson_r
@@ -81,6 +83,31 @@ def test_summarize_means_per_seed(small_run):
         rows = [x for x in small_run if x.method == method and x.k == k]
         assert m == pytest.approx(float(np.mean([x.mape_percent for x in rows])))
         assert r == pytest.approx(float(np.mean([x.pearson_r for x in rows])))
+
+
+def test_analytical_estimate_is_read_by_no_method(synth_pair, tmp_path):
+    # Each sample's analytical estimate (McPAT's M) survives save and load,
+    # and no method reads it: every prediction is bit-equal to the run on
+    # the same data without the field.
+    ds_known, ds_target, _ = synth_pair
+
+    def with_estimates(ds, name):
+        doc = dataset_to_dict(ds)
+        for sample in doc["samples"]:
+            sample["analytical_estimate"] = 0.8 * sample["total_power"]
+        save_dataset(dataset_from_dict(doc), tmp_path / name)
+        loaded = load_dataset(tmp_path / name)
+        assert [s.analytical_estimate for s in loaded.samples] == [
+            sample["analytical_estimate"] for sample in doc["samples"]
+        ]
+        return loaded
+
+    known, target = with_estimates(ds_known, "known.json"), with_estimates(ds_target, "target.json")
+    assert all(s.analytical_estimate is None for s in ds_known.samples + ds_target.samples)
+    plain = run_experiment(ds_known, ds_target, ks=[2], seeds=[0], hp=tiny_hp)
+    marked = run_experiment(known, target, ks=[2], seeds=[0], hp=tiny_hp)
+    assert [r.method for r in plain] == sorted(METHOD_KEYS)
+    assert repr(marked) == repr(plain)
 
 
 def test_unknown_method_rejected(synth_pair):
