@@ -116,6 +116,33 @@ def retrain_hardware_model(
     return trees.fit_linear_one_feature(X[:, j], y, feature_index=j)
 
 
+def _hardware_model(
+    kb: KnowledgeBase, ds_target_train: Dataset, comp: ComponentDef, force_no_retrain: bool
+) -> GbtModel | LinearModel:
+    """comp's F_hw: the Retrain refit on ds_target_train, unless the kb
+    says NoRetrain, force_no_retrain is set or the refit is constant; else
+    the kb's hardware model itself."""
+    ck = kb.per_component[comp.name]
+    if ck.strategy.kind == RETRAIN and not force_no_retrain:
+        retrained = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
+        # The fit is constant exactly when the labeled configurations all
+        # share the important parameter's value: no slope, so inherit.
+        if not retrained.is_constant:
+            return retrained
+    return ck.hardware_model
+
+
+def _event_training_data(
+    ds_target_train: Dataset, comp: ComponentDef, hw: EffectiveHardwareModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The event GBT's (X, y): comp's design matrix and the ratio labels P_i / F_hw."""
+    if not ds_target_train.samples:
+        raise ValidationError("no training samples for the event model")
+    factors = hw.predict_samples(ds_target_train)
+    power = np.array(component_labels(ds_target_train.samples, comp.name))
+    return design_matrix(ds_target_train, comp), power / factors
+
+
 def train_event_model(
     ds_target_train: Dataset,
     comp: ComponentDef,
@@ -123,11 +150,16 @@ def train_event_model(
     hp: GbtHyperparams,
 ) -> GbtModel:
     """Fit the event GBT on the ratio labels P_i / F_hw."""
-    if not ds_target_train.samples:
-        raise ValidationError("no training samples for the event model")
-    factors = hw.predict_samples(ds_target_train)
-    power = np.array(component_labels(ds_target_train.samples, comp.name))
-    return trees.fit_gbt(design_matrix(ds_target_train, comp), power / factors, hp)
+    return trees.fit_gbt(*_event_training_data(ds_target_train, comp, hw), hp)
+
+
+def _check_tables(kb: KnowledgeBase, ds_target_train: Dataset):
+    kb_names = [c.name for c in kb.component_table]
+    ds_names = [c.name for c in ds_target_train.component_table]
+    if kb_names != ds_names:
+        raise ValidationError(
+            "knowledge base and target dataset disagree on the component table"
+        )
 
 
 def build_target_model(
@@ -135,42 +167,60 @@ def build_target_model(
     ds_target_train: Dataset,
     hp: GbtHyperparams | None = None,
     force_no_retrain: bool = False,
-    *,
-    reuse_from: FirePowerModel | None = None,
 ) -> FirePowerModel:
-    """The target model; with ``reuse_from``, a model built from the same
-    kb and ds_target_train, each component whose hardware model is the same
-    kb model object (and whose event hyperparameters equal hp) takes
-    reuse_from's event GBT instead of fitting the identical one again."""
+    """The target model, one event fit per component."""
     hp = hp or GbtHyperparams()
-    kb_names = [c.name for c in kb.component_table]
-    ds_names = [c.name for c in ds_target_train.component_table]
-    if kb_names != ds_names:
-        raise ValidationError(
-            "knowledge base and target dataset disagree on the component table"
-        )
+    _check_tables(kb, ds_target_train)
     per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]] = {}
     for comp in ds_target_train.component_table:
-        ck = kb.per_component[comp.name]
-        hw_model = ck.hardware_model
-        if ck.strategy.kind == RETRAIN and not force_no_retrain:
-            retrained = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
-            # The fit is constant exactly when the labeled configurations all
-            # share the important parameter's value: no slope, so inherit.
-            if not retrained.is_constant:
-                hw_model = retrained
+        hw_model = _hardware_model(kb, ds_target_train, comp, force_no_retrain)
         hw = EffectiveHardwareModel(comp.hw_params, hw_model)
-        shared = reuse_from.per_component.get(comp.name) if reuse_from else None
-        if shared and shared[0].model is hw_model and shared[1].hyperparams == hp:
-            event = shared[1]
-        else:
-            event = train_event_model(ds_target_train, comp, hw, hp)
-        per_component[comp.name] = (hw, event)
+        per_component[comp.name] = (hw, train_event_model(ds_target_train, comp, hw, hp))
     return FirePowerModel(
         target_architecture=ds_target_train.architecture,
         per_component=per_component,
         component_table=ds_target_train.component_table,
     )
+
+
+def build_target_models(
+    kb: KnowledgeBase,
+    ds_target_train: Dataset,
+    hp: GbtHyperparams,
+    force_no_retrain: list[bool],
+) -> list[FirePowerModel]:
+    """One model per flag, each equal to ``build_target_model(kb,
+    ds_target_train, hp, flag)``, with every event GBT grown in one
+    ``fit_gbt_many`` batch.  A component's event GBT depends only on its
+    hardware model, so each distinct (component, hardware model object) is
+    fit once, and the models that share it share the GBT and its
+    EffectiveHardwareModel."""
+    _check_tables(kb, ds_target_train)
+    table = ds_target_train.component_table
+    shared: dict[tuple[str, int], tuple[EffectiveHardwareModel, int]] = {}
+    Xs, ys, variants = [], [], []
+    for flag in force_no_retrain:
+        picks = []
+        for comp in table:
+            hw_model = _hardware_model(kb, ds_target_train, comp, flag)
+            key = (comp.name, id(hw_model))
+            if key not in shared:
+                hw = EffectiveHardwareModel(comp.hw_params, hw_model)
+                X, y = _event_training_data(ds_target_train, comp, hw)
+                shared[key] = (hw, len(Xs))
+                Xs.append(X)
+                ys.append(y)
+            picks.append(shared[key])
+        variants.append(picks)
+    events = trees.fit_gbt_many(Xs, ys, hp)
+    return [
+        FirePowerModel(
+            target_architecture=ds_target_train.architecture,
+            per_component={comp.name: (hw, events[i]) for comp, (hw, i) in zip(table, picks)},
+            component_table=table,
+        )
+        for picks in variants
+    ]
 
 
 # --- serialization ----------------------------------------------------------

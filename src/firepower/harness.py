@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .application import build_target_model
+from .application import FirePowerModel, build_target_models
 from .baselines import (
     METHOD_KEYS,
     TransferWrapper,
@@ -23,6 +23,10 @@ from .trees import GbtHyperparams
 
 # Labeled target configurations per experiment cell (the paper's k).
 DEFAULT_KS = (2, 3, 4)
+
+# The methods scored with a FirePower target model, each with its
+# build_target_model force_no_retrain flag.
+FIREPOWER_METHODS = {"firepower": False, "firepower_no_retrain": True}
 
 
 @dataclass
@@ -47,16 +51,15 @@ def choose_labeled_configs(ds_target: Dataset, k: int, seed: int) -> list[str]:
 
 def _method_predictions(
     method: str,
-    kb: KnowledgeBase,
     train: Dataset,
     test: Dataset,
     hp: GbtHyperparams,
     sources: dict,
-    cell: dict,
+    target_model: FirePowerModel | None = None,
 ) -> list[float]:
-    """Total-power predictions of one method on test.  ``cell`` is shared by
-    the methods of one (k, seed) cell: the first FirePower-family model
-    built there lends its event fits to the second."""
+    """Total-power predictions of one method on test.  The baselines fit
+    their models on train here; a FirePower-family method scores
+    ``target_model``, its model built on train (see _cell_models)."""
     if method == "mcpat_calib":
         model = train_monolithic(train, hp)
         return list(model.model.predict_many(design_matrix(test, model.core)))
@@ -82,18 +85,25 @@ def _method_predictions(
             )
             totals += w.predict_many(design_matrix(test, comp))
         return list(totals)
-    if method in ("firepower", "firepower_no_retrain"):
-        no_retrain = method == "firepower_no_retrain"
-        model = build_target_model(
-            kb, train, hp, force_no_retrain=no_retrain, reuse_from=cell.get("firepower")
-        )
-        cell.setdefault("firepower", model)
+    if method in FIREPOWER_METHODS:
         totals = np.zeros(len(test.samples))
         # Column by column in table order: the sums CLI predict forms per sample.
-        for column in model.predict_components(test).T:
+        for column in target_model.predict_components(test).T:
             totals += column
         return list(totals)
     raise ValidationError(f"unknown method {method!r}")
+
+
+def _cell_models(methods: list[str], kb: KnowledgeBase, train: Dataset, hp: GbtHyperparams):
+    """(method, FirePower model or None) for each method of one cell: the
+    baselines first, then the FirePower family, whose models are built
+    together by build_target_models once the baselines' models are gone
+    (alive beside the family's batch, their trees raise the peak memory)."""
+    family = [m for m in methods if m in FIREPOWER_METHODS]
+    yield from ((m, None) for m in methods if m not in FIREPOWER_METHODS)
+    if family:
+        flags = [FIREPOWER_METHODS[m] for m in family]
+        yield from zip(family, build_target_models(kb, train, hp, flags))
 
 
 def run_experiment(
@@ -105,6 +115,10 @@ def run_experiment(
     hp: GbtHyperparams | None = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[EvalResult]:
+    """Every method on every (k, seed) cell, sorted by (method, k, seed).
+    The knowledge base and the transfer sources are fit once on ds_known;
+    per cell, each baseline fits its own models, and the FirePower family's
+    event GBTs grow as one batch (build_target_models)."""
     methods = list(methods) if methods else list(METHOD_KEYS)
     hp = hp or GbtHyperparams()
     for m in methods:
@@ -132,9 +146,8 @@ def run_experiment(
             labeled = choose_labeled_configs(ds_target, k, seed)
             train, test = few_shot_split(ds_target, labeled)
             labels = [s.total_power for s in test.samples]
-            cell: dict = {}
-            for method in methods:
-                preds = _method_predictions(method, kb, train, test, hp, sources, cell)
+            for method, target_model in _cell_models(methods, kb, train, hp):
+                preds = _method_predictions(method, train, test, hp, sources, target_model)
                 per_sample = [
                     (s.config_id, s.workload, float(p), float(s.total_power))
                     for s, p in zip(test.samples, preds)

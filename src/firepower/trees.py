@@ -9,7 +9,7 @@ the single-feature linear regressor used by the retraining strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
 
@@ -625,6 +625,26 @@ def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNod
     return roots
 
 
+def _hyperparams_from_dict(doc: dict, what: str) -> GbtHyperparams:
+    """The five hyperparameters of a GBT document, every one required: the
+    counts ints (not bools) of at least 1, learning_rate a finite number in
+    (0, 1], l2_leaf_reg a finite number at least 0; else a SchemaError
+    naming `what` and the field."""
+    names = [f.name for f in fields(GbtHyperparams)]
+    if type(doc) is not dict or sorted(doc) != sorted(names):
+        raise SchemaError(f"{what} hyperparams {doc!r} do not hold exactly {names}")
+    for name in ("n_estimators", "max_depth", "min_samples_leaf"):
+        if type(doc[name]) is not int or doc[name] < 1:
+            raise SchemaError(f"{what} hyperparameter {name} {doc[name]!r} is not an integer >= 1")
+    lr = finite_number(doc["learning_rate"], f"{what} hyperparameter learning_rate")
+    if not 0 < lr <= 1:
+        raise SchemaError(f"{what} hyperparameter learning_rate {lr!r} is not in (0, 1]")
+    l2 = finite_number(doc["l2_leaf_reg"], f"{what} hyperparameter l2_leaf_reg")
+    if l2 < 0:
+        raise SchemaError(f"{what} hyperparameter l2_leaf_reg {l2!r} is negative")
+    return GbtHyperparams(**doc)
+
+
 def gbt_from_dict(
     doc: dict, version: int = FORMAT_VERSION, width: int | None = None, what: str = "GBT"
 ) -> GbtModel:
@@ -648,7 +668,7 @@ def gbt_from_dict(
     return GbtModel(
         base_prediction=finite_number(doc["base_prediction"], "GBT base prediction"),
         trees=roots,
-        hyperparams=GbtHyperparams(**doc["hyperparams"]),
+        hyperparams=_hyperparams_from_dict(doc["hyperparams"], what),
         feature_count=d,
         cumulative_gain=np.array(gains, dtype=float),
     )

@@ -289,7 +289,7 @@ def test_metrics_against_oracles(tmp_path, synth_pair, kb0, small_hp):
                 scalar = m.predict_component_power(comp, cfg, sample.event_stats)
                 mismatches += int(again[i, j] != scalar or batched[i, j] != scalar)
     # The harness total is the row sum in component-table order.
-    totals = _method_predictions("firepower", kb0, train, test, small_hp, {}, {})
+    totals = _method_predictions("firepower", train, test, small_hp, {}, model)
     additive = len(totals) == len(test.samples)
     for total, row in zip(totals, batched):
         acc = 0.0

@@ -13,6 +13,7 @@ from firepower.application import (
     RETRAINED,
     EffectiveHardwareModel,
     build_target_model,
+    build_target_models,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -21,7 +22,7 @@ from firepower.application import (
 )
 from firepower.dataset import Dataset, dataset_from_dict, design_matrix, few_shot_split
 from firepower.errors import ValidationError
-from firepower import harness
+from firepower import harness, trees
 from firepower.harness import _method_predictions, choose_labeled_configs
 from firepower.knowledge import RETRAIN
 from firepower.metrics import mape
@@ -52,11 +53,11 @@ def test_strategies_map_to_variants(target_model, kb0):
             assert hw.model is kb0.per_component[comp.name].hardware_model
 
 
-def test_total_is_sum_of_components(target_model, kb0, small_hp):
+def test_total_is_sum_of_components(target_model, small_hp):
     # The harness scores the per-sample sum, in table order, of the
     # scalar per-component predictions that CLI predict writes.
     model, train, test = target_model
-    totals = _method_predictions("firepower", kb0, train, test, small_hp, {}, {})
+    totals = _method_predictions("firepower", train, test, small_hp, {}, model)
     for sample, total in zip(test.samples[:10], totals):
         cfg = test.config(sample.config_id)
         parts = 0.0
@@ -213,9 +214,7 @@ def test_variants_of_a_cell_share_inherited_event_fits(kb0, synth_pair, small_hp
     else:
         labeled = _demoting_pair(ds_target)
     train, _ = few_shot_split(ds_target, labeled)
-    full = build_target_model(kb0, train, small_hp)
-    ablation = build_target_model(kb0, train, small_hp, force_no_retrain=True, reuse_from=full)
-    alone = build_target_model(kb0, train, small_hp, force_no_retrain=True)
+    full, ablation = build_target_models(kb0, train, small_hp, [False, True])
     shared = retrained = 0
     for comp in train.component_table:
         (hw_full, ev_full), (hw_abl, ev_abl) = full.per_component[comp.name], ablation.per_component[comp.name]
@@ -226,30 +225,42 @@ def test_variants_of_a_cell_share_inherited_event_fits(kb0, synth_pair, small_hp
         else:
             assert hw_full.variant == RETRAINED and ev_abl is not ev_full
             retrained += 1
-        assert json.dumps(gbt_to_dict(ev_abl)) == json.dumps(gbt_to_dict(alone.per_component[comp.name][1]))
+    # Each variant is the model build_target_model fits on its own: every
+    # event GBT's gbt_to_dict and hardware model, and the training SSEs.
+    for model, flag in ((full, False), (ablation, True)):
+        alone = build_target_model(kb0, train, small_hp, force_no_retrain=flag)
+        assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(alone))
+        for name, (_, ev) in model.per_component.items():
+            assert repr(ev.training_sse) == repr(alone.per_component[name][1].training_sse)
     retrain_kind = sum(ck.strategy.kind == RETRAIN for ck in kb0.per_component.values())
     assert shared > 0 and retrained > 0
     assert (retrained < retrain_kind) == (draw == "demoting")
-    # Event fits under other hyperparameters are never taken over.
-    other_hp = build_target_model(kb0, train, GbtHyperparams(n_estimators=5), reuse_from=full)
-    assert all(other_hp.per_component[n][1] is not full.per_component[n][1] for n in full.per_component)
 
 
-def test_harness_lends_the_first_variant_to_the_second(monkeypatch, synth_pair, small_hp):
-    built = []
-
-    def recording_build(*args, **kwargs):
-        model = build_target_model(*args, **kwargs)
-        built.append((model, kwargs.get("reuse_from")))
-        return model
-
-    monkeypatch.setattr(harness, "build_target_model", recording_build)
+def test_harness_grows_a_cells_firepower_family_in_one_batch(monkeypatch, kb0, synth_pair, small_hp):
     ds_known, ds_target, _ = synth_pair
+    ks = [2, 3]
+    n = len(ds_known.component_table)
+    # extract_knowledge's single hardware fits, then per cell one batch of
+    # both variants' distinct event fits: every component, plus each
+    # Retrain refit that FirePower keeps.
+    want = [1] * n
+    for k in ks:
+        train, _ = few_shot_split(ds_target, choose_labeled_configs(ds_target, k, 0))
+        full = build_target_model(kb0, train, small_hp)
+        want.append(n + sum(hw.variant == RETRAINED for hw, _ in full.per_component.values()))
+    batches = []
+    grow = trees.fit_gbt_many
+
+    def recording_grow(Xs, ys, hp=None):
+        batches.append(len(Xs))
+        return grow(Xs, ys, hp)
+
+    monkeypatch.setattr(trees, "fit_gbt_many", recording_grow)
     methods = ["firepower_no_retrain", "firepower"]
-    harness.run_experiment(ds_known, ds_target, methods=methods, ks=[2, 3], seeds=[0], hp=small_hp)
-    assert len(built) == 4
-    for (first, lent), (second, reused) in zip(built[::2], built[1::2]):
-        assert lent is None and reused is first
+    harness.run_experiment(ds_known, ds_target, methods=methods, ks=ks, seeds=[0], hp=small_hp)
+    assert batches == want
+    assert all(size > n for size in want[n:])
 
 
 def test_no_retrain_scale_compensation(small_hp):

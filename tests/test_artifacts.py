@@ -294,6 +294,53 @@ def test_model_loader_checks_gbt_widths(tmp_path, component, role, message, fixt
     assert not (tmp_path / "preds.csv").exists()
 
 
+def _set_hyperparam(name, value):
+    def edit(hyperparams):
+        if name is None:
+            hyperparams.clear()
+        else:
+            hyperparams[name] = value
+
+    return edit
+
+
+_HYPERPARAM_EDITS = [
+    pytest.param(_set_hyperparam(None, None), "hyperparams {} do not hold exactly", id="empty"),
+    pytest.param(lambda h: h.pop("l2_leaf_reg"), "do not hold exactly", id="field-missing"),
+    pytest.param(_set_hyperparam("subsample", 0.5), "do not hold exactly", id="field-extra"),
+    pytest.param(_set_hyperparam("n_estimators", True), "n_estimators True is not an integer", id="count-bool"),
+    pytest.param(_set_hyperparam("max_depth", 0), "max_depth 0 is not an integer >= 1", id="count-zero"),
+    pytest.param(_set_hyperparam("min_samples_leaf", 2.0), "min_samples_leaf 2.0 is not an integer", id="count-float"),
+    pytest.param(_set_hyperparam("learning_rate", True), "learning_rate True is not a finite number", id="rate-bool"),
+    pytest.param(_set_hyperparam("learning_rate", float("nan")), "learning_rate nan is not a finite", id="rate-nan"),
+    pytest.param(_set_hyperparam("learning_rate", 1.5), "learning_rate 1.5 is not in (0, 1]", id="rate-above-1"),
+    pytest.param(_set_hyperparam("learning_rate", 0.0), "learning_rate 0.0 is not in (0, 1]", id="rate-zero"),
+    pytest.param(_set_hyperparam("l2_leaf_reg", float("inf")), "l2_leaf_reg inf is not a finite", id="l2-inf"),
+    pytest.param(_set_hyperparam("l2_leaf_reg", -1.0), "l2_leaf_reg -1.0 is negative", id="l2-negative"),
+]
+
+
+@pytest.mark.parametrize("edit,message", _HYPERPARAM_EDITS)
+@pytest.mark.parametrize("fixture_format", [1, 2])
+def test_loaders_require_valid_hyperparams(tmp_path, edit, message, fixture_format):
+    # Defaults must not stand in for a missing field, nor a bool for a number.
+    kb = _fixture("kb.json") if fixture_format == 1 else _format2("kb")
+    edit(kb["per_component"]["BPTAGE"]["hardware_model"]["hyperparams"])
+    code, err = _build(_write(tmp_path / "kb.json", kb), tmp_path / "built.json")
+    assert code == EXIT_DATA and "Traceback" not in err
+    assert err.startswith("error: knowledge base: component 'BPTAGE' hardware model hyperpar")
+    assert message in err and not (tmp_path / "built.json").exists()
+    for component, role in (("BPTAGE", "event"), ("I-TLB", "hw")):
+        model = _fixture("model.json") if fixture_format == 1 else _format2("model")
+        entry = model["per_component"][component]
+        edit((entry["event"] if role == "event" else entry["hw"]["gbt"])["hyperparams"])
+        code, err = _predict(_write(tmp_path / "model.json", model), tmp_path / "preds.csv")
+        what = "event model" if role == "event" else "hardware model"
+        assert code == EXIT_DATA and "Traceback" not in err
+        assert err.startswith(f"error: model: component {component!r} {what} hyperpar")
+        assert message in err and not (tmp_path / "preds.csv").exists()
+
+
 # --- fuzzing the format-2 GBT decoder -------------------------------------------
 
 _X = np.random.default_rng(3).uniform(0, 10, size=(24, 3))

@@ -78,9 +78,7 @@ def test_per_component_total_additivity(tiny_dataset, small_hp):
     # the sum of that sample's scalar component predictions.
     models = train_monolithic_per_component(tiny_dataset, small_hp)
     assert set(models) == {"Front", "Core", "Other Logic"}
-    totals = _method_predictions(
-        "mcpat_calib_component", None, tiny_dataset, tiny_dataset, small_hp, {}, {}
-    )
+    totals = _method_predictions("mcpat_calib_component", tiny_dataset, tiny_dataset, small_hp, {})
     for total, sample in zip(totals, tiny_dataset.samples):
         cfg = tiny_dataset.config(sample.config_id)
         parts = sum(
