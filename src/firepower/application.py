@@ -102,29 +102,17 @@ class FirePowerModel:
         return out
 
 
-def retrain_hardware_model(
-    ds_target_train: Dataset, comp: ComponentDef, important_param: str
-) -> LinearModel:
-    if important_param not in comp.hw_params:
-        raise ValidationError(
-            f"parameter {important_param!r} is not part of component {comp.name!r}"
-        )
-    if not ds_target_train.configurations:
-        raise ValidationError("no target configurations to retrain on")
-    X, y = hardware_training_matrix(ds_target_train, comp)
-    j = comp.hw_params.index(important_param)
-    return trees.fit_linear_one_feature(X[:, j], y, feature_index=j)
-
-
 def _hardware_model(
     kb: KnowledgeBase, ds_target_train: Dataset, comp: ComponentDef, force_no_retrain: bool
 ) -> GbtModel | LinearModel:
-    """comp's F_hw: the Retrain refit on ds_target_train, unless the kb
-    says NoRetrain, force_no_retrain is set or the refit is constant; else
-    the kb's hardware model itself."""
+    """comp's F_hw: for a Retrain component, a one-parameter linear refit on
+    ds_target_train of the kb's important parameter, unless force_no_retrain
+    is set or the refit is constant; else the kb's hardware model itself."""
     ck = kb.per_component[comp.name]
     if ck.strategy.kind == RETRAIN and not force_no_retrain:
-        retrained = retrain_hardware_model(ds_target_train, comp, ck.strategy.param)
+        X, y = hardware_training_matrix(ds_target_train, comp)
+        j = comp.hw_params.index(ck.strategy.param)
+        retrained = trees.fit_linear_one_feature(X[:, j], y, feature_index=j)
         # The fit is constant exactly when the labeled configurations all
         # share the important parameter's value: no slope, so inherit.
         if not retrained.is_constant:
@@ -136,8 +124,6 @@ def _event_training_data(
     ds_target_train: Dataset, comp: ComponentDef, hw: EffectiveHardwareModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """The event GBT's (X, y): comp's design matrix and the ratio labels P_i / F_hw."""
-    if not ds_target_train.samples:
-        raise ValidationError("no training samples for the event model")
     factors = hw.predict_samples(ds_target_train)
     power = np.array(component_labels(ds_target_train.samples, comp.name))
     return design_matrix(ds_target_train, comp), power / factors
@@ -147,19 +133,48 @@ def train_event_model(
     ds_target_train: Dataset,
     comp: ComponentDef,
     hw: EffectiveHardwareModel,
-    hp: GbtHyperparams,
+    hp: GbtHyperparams | None,
 ) -> GbtModel:
     """Fit the event GBT on the ratio labels P_i / F_hw."""
     return trees.fit_gbt(*_event_training_data(ds_target_train, comp, hw), hp)
 
 
-def _check_tables(kb: KnowledgeBase, ds_target_train: Dataset):
-    kb_names = [c.name for c in kb.component_table]
-    ds_names = [c.name for c in ds_target_train.component_table]
-    if kb_names != ds_names:
-        raise ValidationError(
-            "knowledge base and target dataset disagree on the component table"
+def _plan(kb: KnowledgeBase, ds_target_train: Dataset, flags: list[bool]):
+    """The event fits, as (component, EffectiveHardwareModel) pairs, that
+    the models of flags need, and per flag the index of the fit that each
+    component of the table uses.  A component's event GBT depends only on
+    its hardware model, so each distinct (component, hardware model object)
+    is fit once, and the models that share it share the GBT and its
+    EffectiveHardwareModel."""
+    if [c.name for c in kb.component_table] != [c.name for c in ds_target_train.component_table]:
+        raise ValidationError("knowledge base and target dataset disagree on the component table")
+    if not ds_target_train.samples:
+        raise ValidationError("no training samples for the event model")
+    fits, index, picks = [], {}, []
+    for flag in flags:
+        row = []
+        for comp in ds_target_train.component_table:
+            hw_model = _hardware_model(kb, ds_target_train, comp, flag)
+            key = (comp.name, id(hw_model))
+            if key not in index:
+                index[key] = len(fits)
+                fits.append((comp, EffectiveHardwareModel(comp.hw_params, hw_model)))
+            row.append(index[key])
+        picks.append(row)
+    return fits, picks
+
+
+def _assemble(ds_target_train: Dataset, fits, events: list[GbtModel], picks) -> list[FirePowerModel]:
+    """One model per row of _plan's picks, from its fits and their event GBTs."""
+    table = ds_target_train.component_table
+    return [
+        FirePowerModel(
+            target_architecture=ds_target_train.architecture,
+            per_component={comp.name: (fits[i][1], events[i]) for comp, i in zip(table, row)},
+            component_table=table,
         )
+        for row in picks
+    ]
 
 
 def build_target_model(
@@ -168,19 +183,12 @@ def build_target_model(
     hp: GbtHyperparams | None = None,
     force_no_retrain: bool = False,
 ) -> FirePowerModel:
-    """The target model, one event fit per component."""
-    hp = hp or GbtHyperparams()
-    _check_tables(kb, ds_target_train)
-    per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]] = {}
-    for comp in ds_target_train.component_table:
-        hw_model = _hardware_model(kb, ds_target_train, comp, force_no_retrain)
-        hw = EffectiveHardwareModel(comp.hw_params, hw_model)
-        per_component[comp.name] = (hw, train_event_model(ds_target_train, comp, hw, hp))
-    return FirePowerModel(
-        target_architecture=ds_target_train.architecture,
-        per_component=per_component,
-        component_table=ds_target_train.component_table,
-    )
+    """The target model of one flag: build_target_models' plan for
+    ``[force_no_retrain]``, with one train_event_model call per event GBT
+    (not a batch: perfbench counts fit calls)."""
+    fits, picks = _plan(kb, ds_target_train, [force_no_retrain])
+    events = [train_event_model(ds_target_train, comp, hw, hp) for comp, hw in fits]
+    return _assemble(ds_target_train, fits, events, picks)[0]
 
 
 def build_target_models(
@@ -190,37 +198,12 @@ def build_target_models(
     force_no_retrain: list[bool],
 ) -> list[FirePowerModel]:
     """One model per flag, each equal to ``build_target_model(kb,
-    ds_target_train, hp, flag)``, with every event GBT grown in one
-    ``fit_gbt_many`` batch.  A component's event GBT depends only on its
-    hardware model, so each distinct (component, hardware model object) is
-    fit once, and the models that share it share the GBT and its
-    EffectiveHardwareModel."""
-    _check_tables(kb, ds_target_train)
-    table = ds_target_train.component_table
-    shared: dict[tuple[str, int], tuple[EffectiveHardwareModel, int]] = {}
-    Xs, ys, variants = [], [], []
-    for flag in force_no_retrain:
-        picks = []
-        for comp in table:
-            hw_model = _hardware_model(kb, ds_target_train, comp, flag)
-            key = (comp.name, id(hw_model))
-            if key not in shared:
-                hw = EffectiveHardwareModel(comp.hw_params, hw_model)
-                X, y = _event_training_data(ds_target_train, comp, hw)
-                shared[key] = (hw, len(Xs))
-                Xs.append(X)
-                ys.append(y)
-            picks.append(shared[key])
-        variants.append(picks)
-    events = trees.fit_gbt_many(Xs, ys, hp)
-    return [
-        FirePowerModel(
-            target_architecture=ds_target_train.architecture,
-            per_component={comp.name: (hw, events[i]) for comp, (hw, i) in zip(table, picks)},
-            component_table=table,
-        )
-        for picks in variants
-    ]
+    ds_target_train, hp, flag)``, with the event GBTs of every flag grown in
+    one ``fit_gbt_many`` batch."""
+    fits, picks = _plan(kb, ds_target_train, force_no_retrain)
+    data = [_event_training_data(ds_target_train, comp, hw) for comp, hw in fits]
+    events = trees.fit_gbt_many([X for X, _ in data], [y for _, y in data], hp)
+    return _assemble(ds_target_train, fits, events, picks)
 
 
 # --- serialization ----------------------------------------------------------

@@ -82,6 +82,8 @@ def _config_value(action: argparse.Action, value):
         ok = type(value) is int
     elif action.type is float:
         ok = type(value) in (int, float)
+        if ok:  # read as the flag's text is: an int beyond the float range is inf
+            return float(str(value))
     elif action.type in (_int_list, _name_list) and type(value) is list:
         item = int if action.type is _int_list else str
         ok = bool(value) and all(type(v) is item for v in value)

@@ -20,6 +20,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import AliasError, ParseError, SchemaError, ValidationError
+from .trees import all_finite, finite_number
 
 OTHER_LOGIC = "Other Logic"
 
@@ -294,10 +295,33 @@ def _parse_configuration(entry: dict, architecture: str, registry: ParameterRegi
     return Configuration(id=cid, architecture=architecture, params=params)
 
 
-def _parse_sample(entry: dict, table: tuple[ComponentDef, ...]) -> PowerSample:
+def _sample_numbers_finite(entries: list) -> bool:
+    """Whether every number of every sample entry is a finite int or float,
+    as trees.finite_number requires, checked in bulk.  float() alone reads
+    "12.5", true, NaN and inf and overflows on an int beyond the float range."""
+    values = []
+    for entry in entries:
+        values.append(entry.get("total_power"))
+        values.extend(entry.get("component_power", {}).values())
+        values.extend(entry.get("event_stats", {}).values())
+        if entry.get("analytical_estimate") is not None:
+            values.append(entry["analytical_estimate"])
+    return all_finite(values)
+
+
+def _parse_sample(entry: dict, table: tuple[ComponentDef, ...], checked: bool) -> PowerSample:
+    """The sample of entry; unless checked, its numbers pass trees.finite_number first."""
     cid = str(_require(entry, "config_id", "sample"))
     workload = str(_require(entry, "workload", f"sample of {cid}"))
     context = f"sample ({cid}, {workload})"
+    if not checked:
+        numbers = [("total_power", _require(entry, "total_power", context))]
+        for key in ("component_power", "event_stats"):
+            numbers += [(f"{key} of {name}", v) for name, v in entry.get(key, {}).items()]
+        if entry.get("analytical_estimate") is not None:
+            numbers.append(("analytical_estimate", entry["analytical_estimate"]))
+        for name, value in numbers:
+            finite_number(value, f"{context} {name}")
     total = float(_require(entry, "total_power", context))
     if total <= 0:
         raise ValidationError(f"{context}: total_power must be positive")
@@ -375,7 +399,9 @@ def dataset_from_dict(doc: dict) -> Dataset:
     )
     if len({c.id for c in configurations}) != len(configurations):
         raise ValidationError("duplicate configuration ids")
-    samples = tuple(_parse_sample(entry, table) for entry in _require(doc, "samples", "dataset"))
+    entries = _require(doc, "samples", "dataset")
+    checked = _sample_numbers_finite(entries)
+    samples = tuple(_parse_sample(entry, table, checked) for entry in entries)
     config_ids = {c.id for c in configurations}
     seen: set[tuple[str, str]] = set()
     for s in samples:

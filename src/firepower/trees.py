@@ -569,7 +569,7 @@ def finite_number(value, what: str):
     return value
 
 
-def _all_finite(values: list) -> bool:
+def all_finite(values: list) -> bool:
     """Whether every entry is a finite int or float, not a bool."""
     if not set(map(type, values)) <= {int, float}:
         return False
@@ -598,7 +598,7 @@ def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNod
     features_ok = not feature or (
         set(map(type, feature)) == {int} and min(feature) >= LEAF and max(feature) < feature_count
     )
-    if not (features_ok and _all_finite(value)):
+    if not (features_ok and all_finite(value)):
         for j, v in zip(feature, value):
             if type(j) is not int or not LEAF <= j < feature_count:
                 raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
@@ -656,7 +656,7 @@ def gbt_from_dict(
         raise SchemaError(f"GBT feature_count {d!r} does not match cumulative_gain {gains!r}")
     if width is not None and d != width:
         raise SchemaError(f"{what} reads {d} features, not {width}")
-    if not _all_finite(gains):
+    if not all_finite(gains):
         raise SchemaError(f"GBT cumulative_gain {gains!r} holds a value that is not a finite number")
     if version == 1:
         try:

@@ -18,7 +18,7 @@ from firepower.application import load_model, model_to_dict, save_model
 from firepower.cli import EXIT_DATA, EXIT_OK, main
 from firepower.dataset import load_dataset
 from firepower.errors import ModelError, SchemaError
-from firepower.knowledge import compute_importance, load_knowledge_base, save_knowledge_base
+from firepower.knowledge import load_knowledge_base, save_knowledge_base
 
 # Written by firepower before format 2 (commit a954740): `extract` and `build`
 # with --n-estimators 4 --max-depth 3 on a 6 + 4 configuration x 3 workload
@@ -98,7 +98,7 @@ def test_format1_kb_importances_bit_equal():
     for comp in kb.component_table:
         ck = kb.per_component[comp.name]
         assert ck.importance == doc["per_component"][comp.name]["importance"]
-        assert compute_importance(ck.hardware_model, comp) == ck.importance
+        assert dict(zip(comp.hw_params, trees.feature_importance(ck.hardware_model).tolist())) == ck.importance
 
 
 def test_format1_rewritten_as_format2_is_the_same_model(tmp_path):

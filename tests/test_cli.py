@@ -527,7 +527,9 @@ def test_bad_gbt_flags_are_usage_errors(workspace, tmp_path, capsys, command, ke
     "command,key",
     [("extract", "threshold"), ("experiment", "threshold"), ("build", "gate_threshold")],
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int-beyond-float")]
+)
 def test_non_finite_thresholds_are_usage_errors(workspace, tmp_path, capsys, command, key, value, via_config):
     assert _run_with_value(workspace, tmp_path, command, key, value, via_config) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -755,6 +757,29 @@ def test_missing_component_label_is_data_error(workspace, tmp_path, capsys, meth
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "lacks a label for 'IFU'" in err
+
+
+@pytest.mark.parametrize("field", ["total_power", "component_power", "event_stats", "analytical_estimate"])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), "12.5", True, pytest.param(10**400, id="int-beyond-float")],
+)
+def test_sample_numbers_are_checked_on_load(workspace, tmp_path, capsys, field, value):
+    def edit(doc):
+        sample = doc["samples"][0]
+        if field in ("component_power", "event_stats"):
+            sample[field][next(iter(sample[field]))] = value
+        else:
+            sample[field] = value
+
+    data = _edited_copy(workspace / "data" / "target.json", tmp_path / "target.json", edit)
+    code = main(["predict", "--model", str(workspace / "model.json"), "--input", data,
+                 "--out", str(tmp_path / "preds.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"sample (T01, w0) {field}" in err and "is not a finite number" in err
+    assert not (tmp_path / "preds.csv").exists()
 
 
 @pytest.mark.parametrize("via_config", [False, True])

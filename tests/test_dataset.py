@@ -1,9 +1,12 @@
 import copy
 import json
+import math
 import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firepower.dataset import (
     BUILTIN_ALIASES,
@@ -273,6 +276,43 @@ def test_feature_vector_missing_event(tiny_dataset):
         feature_row(comp, tiny_dataset.config(sample.config_id), sample.event_stats)
     with pytest.raises(ValidationError, match=r"sample \(C1, w0\).*absent"):
         design_matrix(tiny_dataset, comp)
+
+
+_NUMBER_LIKE = st.one_of(
+    st.floats(),  # NaN and both infinities included
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["12.5", "nan", "1e400"]),
+    st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.floats(), max_size=2),
+)
+
+
+@given(
+    field=st.sampled_from(["total_power", "component_power", "event_stats", "analytical_estimate"]),
+    whole=st.booleans(),
+    value=_NUMBER_LIKE,
+)
+@settings(max_examples=300, deadline=None)
+def test_sample_numbers_load_as_finite_floats_or_fail_cleanly(field, whole, value):
+    # One value of sample 0, or (whole) the field itself, is replaced.
+    doc = tiny_doc()
+    sample = doc["samples"][0]
+    if field in ("component_power", "event_stats") and not whole:
+        sample[field][next(iter(sample[field]))] = value
+    else:
+        sample[field] = value
+    try:
+        ds = dataset_from_dict(doc)
+    except (SchemaError, ValidationError):
+        return
+    for s in ds.samples:
+        numbers = [s.total_power, *s.component_power.values(), *s.event_stats.values()]
+        if s.analytical_estimate is not None:
+            numbers.append(s.analytical_estimate)
+        assert all(type(v) is float and math.isfinite(v) for v in numbers)
 
 
 def test_malformed_file(tmp_path):

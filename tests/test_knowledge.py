@@ -8,15 +8,12 @@ from firepower.knowledge import (
     NO_RETRAIN,
     RETRAIN,
     Strategy,
-    compute_importance,
     extract_knowledge,
-    hardware_training_matrix,
     knowledge_base_from_dict,
     knowledge_base_to_dict,
     load_knowledge_base,
     save_knowledge_base,
     select_strategy,
-    train_hardware_model,
 )
 
 
@@ -47,6 +44,7 @@ def test_extract_builds_entry_per_component(kb0, synth_pair):
     assert len(kb0.per_component) == 22
     for name, ck in kb0.per_component.items():
         assert ck.component == name
+        assert list(ck.importance) == list(ds_known.component(name).hw_params)
         assert abs(sum(ck.importance.values()) - 1.0) < 1e-12
 
 
@@ -91,25 +89,12 @@ def test_flat_component_inherits(kb0):
     assert ck.strategy == Strategy(NO_RETRAIN)
 
 
-def test_train_hardware_model_needs_two_configs(tiny_dataset):
+def test_extract_needs_two_configs(tiny_dataset, small_hp):
     from firepower.dataset import few_shot_split
 
     train, _ = few_shot_split(tiny_dataset, ["C1"])
-    comp = tiny_dataset.component("Front")
-    with pytest.raises(ValidationError):
-        train_hardware_model(*hardware_training_matrix(train, comp), fp.GbtHyperparams())
-
-
-def test_compute_importance_checks_feature_count(tiny_dataset, small_hp):
-    comp_front = tiny_dataset.component("Front")
-    comp_core = tiny_dataset.component("Core")
-    model = train_hardware_model(*hardware_training_matrix(tiny_dataset, comp_front), small_hp)
-    bad = fp.fit_gbt([[1.0], [2.0]], [1.0, 2.0], small_hp)
-    assert set(compute_importance(model, comp_front)) == set(comp_front.hw_params)
-    from firepower.errors import ModelError
-
-    with pytest.raises(ModelError):
-        compute_importance(bad, comp_core)
+    with pytest.raises(ValidationError, match="need at least 2 configurations to train a hardware model"):
+        extract_knowledge(train, small_hp)
 
 
 def test_extract_rejects_empty_dataset(tiny_dataset, small_hp):
