@@ -125,7 +125,7 @@ def _event_training_data(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The event GBT's (X, y): comp's design matrix and the ratio labels P_i / F_hw."""
     factors = hw.predict_samples(ds_target_train)
-    power = np.array(component_labels(ds_target_train.samples, comp.name))
+    power = component_labels(ds_target_train, comp.name)
     return design_matrix(ds_target_train, comp), power / factors
 
 

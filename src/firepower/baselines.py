@@ -57,7 +57,7 @@ def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dic
     table = ds_train.component_table
     models = trees.fit_gbt_many(
         [design_matrix(ds_train, comp) for comp in table],
-        [np.array(component_labels(ds_train.samples, comp.name)) for comp in table],
+        [component_labels(ds_train, comp.name) for comp in table],
         hp,
     )
     return {comp.name: model for comp, model in zip(table, models)}

@@ -127,7 +127,8 @@ def _check_values(args):
     """Range checks on values from flags or --config.  A threshold compares
     with importances or MAPEs; NaN or inf would decide every component the
     same way without a word.  A k labels at least one configuration, a seed
-    count is not negative (0 runs no cell), and a method is one of
+    count is not negative (0 runs no cell) nor above sys.maxsize (the
+    largest range), and a method is one of
     METHOD_KEYS; no k or method is given twice; all before any file is
     read."""
     for key in ("threshold", "gate_threshold"):
@@ -138,6 +139,8 @@ def _check_values(args):
         _usage_error(f"--ks values must be at least 1, not {min(args.ks)}")
     if "seeds" in args and args.seeds < 0:
         _usage_error(f"--seeds must not be negative, not {args.seeds}")
+    if "seeds" in args and args.seeds > sys.maxsize:
+        _usage_error(f"--seeds must be at most {sys.maxsize}")
     for method in getattr(args, "methods", ()):
         if method not in METHOD_KEYS:
             _usage_error(f"unknown --methods name {method!r}; choose from {', '.join(METHOD_KEYS)}")
@@ -204,13 +207,13 @@ def cmd_predict(args) -> int:
     rows = [PER_SAMPLE_HEADER]
     totals_pred = []
     totals_label = []
-    for sample in ds.samples:
+    for sample, labels, events in ds.entries():
         cfg = ds.config(sample.config_id)
         total = 0.0
         for comp in model.component_table:
-            pred = model.predict_component_power(comp, cfg, sample.event_stats)
+            pred = model.predict_component_power(comp, cfg, events)
             total += pred
-            label = sample.component_power.get(comp.name)
+            label = labels.get(comp.name)
             rows.append(
                 f"{sample.config_id},{sample.workload},{comp.name},{pred!r},"
                 f"{'' if label is None else repr(label)}"
@@ -240,7 +243,7 @@ def cmd_experiment(args) -> int:
         ds_target,
         methods=args.methods,
         ks=args.ks,
-        seeds=list(range(args.seeds)),
+        seeds=range(args.seeds),
         hp=hp,
         threshold=args.threshold,
     )

@@ -13,9 +13,11 @@ import json
 import operator
 import os
 import tempfile
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -154,37 +156,196 @@ class Configuration:
     params: dict[str, int]
 
 
-@dataclass(frozen=True)
+class _Table:
+    """A samples x names float64 matrix, NaN where a sample has no entry,
+    and its name -> column dict, columns in first-seen order.  Read-only."""
+
+    __slots__ = ("values", "columns", "dense")
+
+    def __init__(self, values: np.ndarray, columns: dict[str, int]):
+        values.flags.writeable = False
+        self.values = values
+        self.columns = columns
+        self.dense = not np.isnan(values).any()  # no absent entry
+
+    @classmethod
+    def of(cls, mappings: list[Mapping]) -> "_Table":
+        """The rows of mappings; ValidationError if one holds NaN, which
+        would read as an absent entry."""
+        names = tuple(mappings[0]) if mappings else ()
+        entries = chain.from_iterable(m.values() for m in mappings)
+        if all(tuple(m) == names for m in mappings):  # the same keys in the same order
+            given = len(mappings) * len(names)
+            values = np.fromiter(entries, float, count=given).reshape(len(mappings), len(names))
+        else:
+            names = tuple(dict.fromkeys(chain.from_iterable(mappings)))
+            given = sum(map(len, mappings))
+            columns = {name: j for j, name in enumerate(names)}
+            values = np.full((len(mappings), len(names)), np.nan)
+            flat = [i * len(names) + columns[name] for i, m in enumerate(mappings) for name in m]
+            values.flat[flat] = np.fromiter(entries, float, count=given)
+        if np.count_nonzero(~np.isnan(values)) != given:
+            raise ValidationError("a sample's component_power or event_stats value is NaN")
+        return cls(values, {name: j for j, name in enumerate(names)})
+
+    def column(self, name: str) -> np.ndarray:
+        """A copy of name's column, all NaN if no sample has it."""
+        j = self.columns.get(name)
+        if j is None:
+            return np.full(len(self.values), np.nan)
+        return self.values[:, j].copy()
+
+    def row_dict(self, i: int) -> dict[str, float]:
+        """Row i as a plain dict in column order, absent entries left out."""
+        pairs = zip(self.columns, self.values[i].tolist())
+        return dict(pairs) if self.dense else {name: v for name, v in pairs if v == v}
+
+
+class _RowView(Mapping):
+    """One sample's entries of a _Table: read-only, iterated in column order
+    without the absent entries, values as Python floats."""
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, table: _Table, row: int):
+        self._table = table
+        self._row = row
+
+    def __getitem__(self, name: str) -> float:
+        value = self._table.values.item(self._row, self._table.columns[name])
+        if value != value:
+            raise KeyError(name)
+        return value
+
+    def __iter__(self):
+        return iter(self._table.row_dict(self._row))
+
+    def __len__(self) -> int:
+        return len(self._table.row_dict(self._row))
+
+    def __repr__(self) -> str:
+        return repr(self._table.row_dict(self._row))
+
+
+@dataclass(frozen=True, slots=True)
 class PowerSample:
-    """(configuration, workload) power labels in mW, plus optional extras."""
+    """(configuration, workload) power labels in mW, plus optional extras.
+
+    component_power and event_stats are read-only mappings.  A sample made
+    from plain mappings holds a one-row table of its own; a Dataset keeps
+    its samples' entries in two shared tables."""
 
     config_id: str
     workload: str
     total_power: float
-    component_power: dict[str, float] = field(default_factory=dict)
-    event_stats: dict[str, float] = field(default_factory=dict)
+    component_power: Mapping[str, float] = field(default_factory=dict)
+    event_stats: Mapping[str, float] = field(default_factory=dict)
     analytical_estimate: float | None = None
+
+    def __post_init__(self):
+        if type(self.component_power) is not _RowView:
+            object.__setattr__(self, "component_power", _RowView(_Table.of([self.component_power]), 0))
+        if type(self.event_stats) is not _RowView:
+            object.__setattr__(self, "event_stats", _RowView(_Table.of([self.event_stats]), 0))
+
+
+def _packed_samples(keys, totals, analytical, power: _Table, events: _Table) -> tuple[PowerSample, ...]:
+    """Sample i is (config_id, workload) keys[i], with total totals[i],
+    analytical estimate analytical[i] and row i of both tables."""
+    return tuple(
+        PowerSample(cid, workload, total, _RowView(power, i), _RowView(events, i), estimate)
+        for i, ((cid, workload), total, estimate) in enumerate(zip(keys, totals, analytical))
+    )
+
+
+def samples_from_arrays(
+    keys: list[tuple[str, str]],
+    totals: list[float],
+    power_names: list[str],
+    power: np.ndarray,
+    event_names: list[str],
+    events: np.ndarray,
+) -> tuple[PowerSample, ...]:
+    """Samples with (config_id, workload) keys[i] and total totals[i], whose
+    component powers and event statistics are row i of the samples x names
+    matrices power and events (NaN where a sample has no entry).  A Dataset
+    of these samples, in this order, keeps the two matrices as they are."""
+    return _packed_samples(
+        keys,
+        totals,
+        [None] * len(keys),
+        _Table(np.asarray(power, dtype=float), {n: j for j, n in enumerate(power_names)}),
+        _Table(np.asarray(events, dtype=float), {n: j for j, n in enumerate(event_names)}),
+    )
+
+
+def _shared_tables(samples: tuple[PowerSample, ...]) -> tuple[_Table, _Table] | None:
+    """The two tables of samples, rows gathered in sample order, if every
+    sample is one row of the same pair of tables; else None."""
+    if not samples:
+        return None
+    power, events = samples[0].component_power._table, samples[0].event_stats._table
+    if any(s.component_power._table is not power or s.event_stats._table is not events for s in samples):
+        return None
+    rows = [s.component_power._row for s in samples]
+    if rows != [s.event_stats._row for s in samples]:
+        return None
+    if rows == list(range(len(power.values))) and len(events.values) == len(rows):
+        return power, events
+    return _Table(power.values[rows], power.columns), _Table(events.values[rows], events.columns)
 
 
 @dataclass(frozen=True)
 class Dataset:
+    """Configurations and their power samples.  The samples' component
+    powers and event statistics are stored column-wise, in two samples x
+    names float64 tables (NaN where a sample has no entry) that are packed
+    once, here; each sample's mappings are read-only views of its row."""
+
     architecture: str
     configurations: tuple[Configuration, ...]
     samples: tuple[PowerSample, ...]
     component_table: tuple[ComponentDef, ...]
     registry: ParameterRegistry = field(default_factory=builtin_registry)
+    _power: _Table = field(init=False, repr=False, compare=False)
+    _events: _Table = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        samples = tuple(self.samples)
+        tables = _shared_tables(samples)
+        if tables is None:
+            tables = (
+                _Table.of([s.component_power for s in samples]),
+                _Table.of([s.event_stats for s in samples]),
+            )
+            samples = _packed_samples(
+                [(s.config_id, s.workload) for s in samples],
+                [s.total_power for s in samples],
+                [s.analytical_estimate for s in samples],
+                *tables,
+            )
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_power", tables[0])
+        object.__setattr__(self, "_events", tables[1])
 
     @cached_property
     def _config_index(self) -> dict[str, Configuration]:
         return {cfg.id: cfg for cfg in self.configurations}
 
     @cached_property
-    def _samples_by_config(self) -> dict[str, list[PowerSample]]:
-        """Each configuration's samples, in their original order."""
-        groups: dict[str, list[PowerSample]] = {}
-        for s in self.samples:
-            groups.setdefault(s.config_id, []).append(s)
-        return groups
+    def _rows_by_config(self) -> dict[str, np.ndarray]:
+        """Each configuration's sample rows, in sample order."""
+        groups: dict[str, list[int]] = {}
+        for i, s in enumerate(self.samples):
+            groups.setdefault(s.config_id, []).append(i)
+        return {cid: np.array(rows, dtype=np.intp) for cid, rows in groups.items()}
+
+    @cached_property
+    def _config_positions(self) -> np.ndarray:
+        """Each sample's configuration as its index in configurations, -1
+        for an unknown id."""
+        positions = {cfg.id: j for j, cfg in enumerate(self.configurations)}
+        return np.array([positions.get(s.config_id, -1) for s in self.samples], dtype=np.intp)
 
     def config(self, config_id: str) -> Configuration:
         try:
@@ -202,7 +363,14 @@ class Dataset:
         return [cfg.id for cfg in self.configurations]
 
     def samples_of(self, config_id: str) -> list[PowerSample]:
-        return list(self._samples_by_config.get(config_id, ()))
+        return [self.samples[i] for i in self._rows_by_config.get(config_id, ())]
+
+    def entries(self):
+        """(sample, component_power, event_stats) per sample, in sample
+        order, the two mappings as plain dicts in column order, made one
+        sample at a time."""
+        for i, s in enumerate(self.samples):
+            yield s, self._power.row_dict(i), self._events.row_dict(i)
 
 
 def left_sum(values) -> float:
@@ -309,8 +477,10 @@ def _sample_numbers_finite(entries: list) -> bool:
     return all_finite(values)
 
 
-def _parse_sample(entry: dict, table: tuple[ComponentDef, ...], checked: bool) -> PowerSample:
-    """The sample of entry; unless checked, its numbers pass trees.finite_number first."""
+def _parse_sample(entry: dict, table: tuple[ComponentDef, ...], checked: bool) -> tuple:
+    """(config_id, workload, total_power, component_power, event_stats,
+    analytical_estimate) of entry, the two mappings as dicts; unless
+    checked, its numbers pass trees.finite_number first."""
     cid = str(_require(entry, "config_id", "sample"))
     workload = str(_require(entry, "workload", f"sample of {cid}"))
     context = f"sample ({cid}, {workload})"
@@ -347,14 +517,7 @@ def _parse_sample(entry: dict, table: tuple[ComponentDef, ...], checked: bool) -
     analytical = entry.get("analytical_estimate")
     if analytical is not None:
         analytical = float(analytical)
-    return PowerSample(
-        config_id=cid,
-        workload=workload,
-        total_power=total,
-        component_power=comp_power,
-        event_stats=events,
-        analytical_estimate=analytical,
-    )
+    return cid, workload, total, comp_power, events, analytical
 
 
 def read_json_file(path: str | os.PathLike, kind: str):
@@ -401,16 +564,20 @@ def dataset_from_dict(doc: dict) -> Dataset:
         raise ValidationError("duplicate configuration ids")
     entries = _require(doc, "samples", "dataset")
     checked = _sample_numbers_finite(entries)
-    samples = tuple(_parse_sample(entry, table, checked) for entry in entries)
-    config_ids = {c.id for c in configurations}
-    seen: set[tuple[str, str]] = set()
-    for s in samples:
-        if s.config_id not in config_ids:
-            raise ValidationError(f"sample references unknown configuration {s.config_id!r}")
-        key = (s.config_id, s.workload)
-        if key in seen:
+    parsed = [_parse_sample(entry, table, checked) for entry in entries]
+    config_ids = {c.id: c.id for c in configurations}
+    workloads: dict[str, str] = {}
+    keys: dict[tuple[str, str], None] = {}
+    for cid, workload, *_ in parsed:
+        if cid not in config_ids:
+            raise ValidationError(f"sample references unknown configuration {cid!r}")
+        # Samples share their configuration's id and workload name strings.
+        key = (config_ids[cid], workloads.setdefault(workload, workload))
+        if key in keys:
             raise ValidationError(f"duplicate sample for {key}")
-        seen.add(key)
+        keys[key] = None
+    _, _, totals, powers, events, analytical = zip(*parsed) if parsed else ((),) * 6
+    samples = _packed_samples(keys, totals, analytical, _Table.of(powers), _Table.of(events))
     return Dataset(
         architecture=architecture,
         configurations=configurations,
@@ -438,11 +605,11 @@ def dataset_to_dict(ds: Dataset) -> dict:
                 "config_id": s.config_id,
                 "workload": s.workload,
                 "total_power": s.total_power,
-                "component_power": dict(s.component_power),
-                "event_stats": dict(s.event_stats),
+                "component_power": power,
+                "event_stats": events,
                 "analytical_estimate": s.analytical_estimate,
             }
-            for s in ds.samples
+            for s, power, events in ds.entries()
         ],
     }
 
@@ -471,27 +638,35 @@ def save_dataset(ds: Dataset, path: str | os.PathLike):
     write_text_atomic(path, json.dumps(dataset_to_dict(ds)) + "\n")
 
 
-def component_labels(samples, component: str) -> list[float]:
-    """Each sample's label for one component; ValidationError if one lacks it."""
-    try:
-        return [s.component_power[component] for s in samples]
-    except KeyError:
-        s = next(s for s in samples if component not in s.component_power)
-        raise ValidationError(
-            f"sample ({s.config_id}, {s.workload}) lacks a label for {component!r}"
-        ) from None
+def _lacks_label(s: PowerSample, component: str) -> ValidationError:
+    return ValidationError(f"sample ({s.config_id}, {s.workload}) lacks a label for {component!r}")
+
+
+def component_labels(ds: Dataset, component: str) -> np.ndarray:
+    """Each sample's label for one component, in sample order;
+    ValidationError naming the first sample that lacks it."""
+    labels = ds._power.column(component)
+    missing = np.flatnonzero(np.isnan(labels))
+    if missing.size:
+        raise _lacks_label(ds.samples[missing[0]], component)
+    return labels
 
 
 def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
-    """Arithmetic mean of a component's power over each configuration's workloads."""
+    """Arithmetic mean of a component's power over each configuration's
+    workloads: a left fold over its samples in sample order."""
     comp = ds.component(component)
+    labels = ds._power.column(comp.name)
     result: dict[str, float] = {}
     for cfg in ds.configurations:
-        samples = ds.samples_of(cfg.id)
-        if not samples:
+        rows = ds._rows_by_config.get(cfg.id)
+        if rows is None:
             raise ValidationError(f"configuration {cfg.id!r} has no samples")
-        values = component_labels(samples, comp.name)
-        result[cfg.id] = left_sum(values) / len(values)
+        values = labels[rows]
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise _lacks_label(ds.samples[rows[missing[0]]], comp.name)
+        result[cfg.id] = left_sum(values.tolist()) / len(rows)
     return result
 
 
@@ -544,11 +719,24 @@ def feature_row(comp: ComponentDef, cfg: Configuration, event_stats: dict) -> li
 
 
 def design_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
-    """One feature_row per sample, in sample order: n_samples x (|H_i| + |E_i|)."""
-    rows = []
-    for s in ds.samples:
+    """One feature_row per sample, in sample order: n_samples x (|H_i| + |E_i|).
+
+    Built from the configurations' H_i rows and the event-statistic
+    columns; a sample whose row cannot be built (its configuration is
+    unknown or lacks a parameter, or it lacks an event statistic) raises
+    feature_row's ValidationError, the first such sample in sample order."""
+    hw = np.full((len(ds.configurations) + 1, len(comp.hw_params)), np.nan)  # last row: unknown id
+    for j, cfg in enumerate(ds.configurations):
+        if all(p in cfg.params for p in comp.hw_params):
+            hw[j] = hw_row(comp.hw_params, cfg)
+    X = np.empty((len(ds.samples), len(comp.hw_params) + len(comp.event_stats)))
+    X[:, : len(comp.hw_params)] = hw[ds._config_positions]
+    for j, name in enumerate(comp.event_stats, start=len(comp.hw_params)):
+        X[:, j] = ds._events.column(name)
+    for i in np.flatnonzero(np.isnan(X).any(axis=1)):
+        s = ds.samples[i]
         try:
-            rows.append(feature_row(comp, ds.config(s.config_id), s.event_stats))
+            feature_row(comp, ds.config(s.config_id), s.event_stats)
         except ValidationError as exc:
             raise ValidationError(f"sample ({s.config_id}, {s.workload}): {exc}") from None
-    return np.array(rows).reshape(len(rows), len(comp.hw_params) + len(comp.event_stats))
+    return X

@@ -79,7 +79,7 @@ def _method_predictions(
         comp_sources = sources["per_component"]
         totals = np.zeros(len(test.samples))
         for comp in train.component_table:
-            labels = np.array(component_labels(train.samples, comp.name))
+            labels = component_labels(train, comp.name)
             w = TransferWrapper.build(
                 comp_sources[comp.name].predict_many, design_matrix(train, comp), labels
             )

@@ -23,11 +23,11 @@ from .dataset import (
     ComponentDef,
     Configuration,
     Dataset,
-    PowerSample,
     builtin_component_table,
     builtin_registry,
     left_sum,
     read_json_file,
+    samples_from_arrays,
     schema_errors,
     write_text_atomic,
 )
@@ -287,23 +287,29 @@ def _generate_samples(spec: SynthSpec, rng, arch: str, configs: list[Configurati
     # Each configuration over all workloads at once.  The noise draw follows the scalar loop's
     # (configuration, workload, component) order and each product its scalar order.
     gens = spec.components
-    z = rng.standard_normal((len(configs), spec.n_workloads, len(gens)))
+    shape = (len(configs), spec.n_workloads, len(gens))
+    z = rng.standard_normal(shape)
     noise = np.maximum(1.0 + spec.noise_sigma * z, 0.5)
     base = np.array(spec.workload_base)
-    samples = []
-    for cfg, cfg_noise in zip(configs, noise):
-        events = [gen.event_value(base, cfg.params) for gen in gens]
+    power, events = np.empty(shape), np.empty(shape)
+    for c, cfg in enumerate(configs):
+        event_columns = [gen.event_value(base, cfg.params) for gen in gens]
         clean = [
-            gen.hw_scale(arch, cfg.params) * gen.event_factor(arch, e) for gen, e in zip(gens, events)
+            gen.hw_scale(arch, cfg.params) * gen.event_factor(arch, e)
+            for gen, e in zip(gens, event_columns)
         ]
-        power = (np.array(clean).T * cfg_noise).tolist()
-        for w, (row, event_row) in enumerate(zip(power, np.array(events).T.tolist())):
-            samples.append(PowerSample(
-                config_id=cfg.id, workload=f"w{w}", total_power=left_sum(row),
-                component_power={gen.name: v for gen, v in zip(gens, row)},
-                event_stats={gen.event_stat: v for gen, v in zip(gens, event_row)},
-            ))
-    return samples
+        power[c] = np.array(clean).T * noise[c]
+        events[c] = np.array(event_columns).T
+    power = power.reshape(-1, len(gens))
+    workloads = [f"w{w}" for w in range(spec.n_workloads)]
+    return samples_from_arrays(
+        [(cfg.id, w) for cfg in configs for w in workloads],
+        [left_sum(row) for row in power.tolist()],
+        [gen.name for gen in gens],
+        power,
+        [gen.event_stat for gen in gens],
+        events.reshape(-1, len(gens)),
+    )
 
 
 def generate_pair(spec: SynthSpec) -> tuple[Dataset, Dataset, GroundTruth]:
@@ -320,14 +326,14 @@ def generate_pair(spec: SynthSpec) -> tuple[Dataset, Dataset, GroundTruth]:
     ds_known = Dataset(
         architecture=spec.known_arch,
         configurations=tuple(known_configs),
-        samples=tuple(_generate_samples(spec, rng, "known", known_configs)),
+        samples=_generate_samples(spec, rng, "known", known_configs),
         component_table=table,
         registry=registry,
     )
     ds_target = Dataset(
         architecture=spec.target_arch,
         configurations=tuple(target_configs),
-        samples=tuple(_generate_samples(spec, rng, "target", target_configs)),
+        samples=_generate_samples(spec, rng, "target", target_configs),
         component_table=table,
         registry=registry,
     )

@@ -65,7 +65,7 @@ def test_per_component_batch_equals_separate_fits(synth_pair, small_hp):
     for comp in ds_known.component_table:
         alone = fit_gbt(
             design_matrix(ds_known, comp),
-            np.array(component_labels(ds_known.samples, comp.name)),
+            component_labels(ds_known, comp.name),
             small_hp,
         )
         assert json.dumps(gbt_to_dict(models[comp.name])) == json.dumps(gbt_to_dict(alone))

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -792,6 +793,32 @@ def test_out_of_range_ks_and_seeds_are_usage_errors(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--{key}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_seed_count_beyond_sys_maxsize_is_usage_error(workspace, tmp_path, capsys, monkeypatch, via_config):
+    # A 401-digit count once ended in an OverflowError traceback from range().
+    import firepower.cli
+
+    loads = []
+    monkeypatch.setattr(firepower.cli, "load_dataset", lambda path: loads.append(path))
+    code = _run_with_value(workspace, tmp_path, "experiment", "seeds", 10**400, via_config)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--seeds must be at most {sys.maxsize}" in err
+    assert "Traceback" not in err
+    assert loads == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_largest_seed_count_reaches_the_harness_as_a_range(workspace, tmp_path, monkeypatch, via_config):
+    import firepower.cli
+
+    calls = []
+    monkeypatch.setattr(firepower.cli, "run_experiment", lambda *a, **kw: calls.append(kw) or [])
+    code = _run_with_value(workspace, tmp_path, "experiment", "seeds", sys.maxsize, via_config)
+    assert code == EXIT_OK
+    assert calls[0]["seeds"] == range(sys.maxsize)
 
 
 @pytest.mark.parametrize("via_config", [False, True])

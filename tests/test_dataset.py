@@ -1,9 +1,13 @@
 import copy
+import dataclasses
+import gc
 import json
 import math
 import os
 import stat
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +16,13 @@ from firepower.dataset import (
     BUILTIN_ALIASES,
     CANONICAL_PARAMETERS,
     ComponentDef,
+    Configuration,
     Dataset,
+    PowerSample,
     average_power_per_config,
     builtin_component_table,
     builtin_registry,
+    component_labels,
     dataset_from_dict,
     dataset_to_dict,
     design_matrix,
@@ -25,6 +32,7 @@ from firepower.dataset import (
     save_dataset,
 )
 from firepower.errors import AliasError, SchemaError, ValidationError
+from firepower.synthgen import default_spec, generate_pair
 
 from conftest import tiny_doc
 
@@ -313,6 +321,251 @@ def test_sample_numbers_load_as_finite_floats_or_fail_cleanly(field, whole, valu
         if s.analytical_estimate is not None:
             numbers.append(s.analytical_estimate)
         assert all(type(v) is float and math.isfinite(v) for v in numbers)
+
+
+_NAMES = ("Front", "Core", "Other Logic")
+_EVENTS = ("front_act", "core_act", "x_act", "y_act")
+
+
+@st.composite
+def _ragged_entries(draw):
+    """Sample entries of tiny_doc's configurations whose component_power
+    and event_stats hold different keys in different orders, or are absent;
+    each with the dicts the loaded sample should read as."""
+    floats = st.floats(min_value=0.5, max_value=100.0)
+    entries, refs = [], []
+    for cid in ("C1", "C2", "C3"):
+        for w in range(draw(st.integers(1, 2))):
+            parts = {name: draw(floats) for name in _NAMES}
+            total = _left_fold(parts.values())
+            order = draw(st.permutations(_NAMES))
+            power = {name: parts[name] for name in order[: draw(st.integers(0, 3))]}
+            order = draw(st.permutations(_EVENTS))
+            events = {name: draw(st.floats(0.0, 10.0)) for name in order[: draw(st.integers(0, 4))]}
+            entry = {"config_id": cid, "workload": f"w{w}", "total_power": total,
+                     "component_power": power, "event_stats": events}
+            for key in ("component_power", "event_stats"):
+                if not entry[key] and draw(st.booleans()):
+                    del entry[key]
+            ref_power = dict(power)
+            if {"Front", "Core"} <= set(power) and "Other Logic" not in power:
+                ref_power["Other Logic"] = total - _left_fold(power.values())
+            entries.append(entry)
+            refs.append((ref_power, dict(events)))
+    return entries, refs
+
+
+def _in_column_order(refs):
+    """Each reference dict's keys in first-seen order over all of them."""
+    columns = list(dict.fromkeys(name for ref in refs for name in ref))
+    return [[name for name in columns if name in ref] for ref in refs]
+
+
+@given(drawn=_ragged_entries())
+@settings(max_examples=150, deadline=None)
+def test_sample_mappings_read_as_their_dicts(drawn):
+    entries, refs = drawn
+    doc = tiny_doc()
+    doc["samples"] = entries
+    ds = dataset_from_dict(doc)
+    saved = dataset_to_dict(ds)["samples"]
+    for i, key in enumerate(("component_power", "event_stats")):
+        column_refs = [ref[i] for ref in refs]
+        orders = _in_column_order(column_refs)
+        for s, ref, order, entry in zip(ds.samples, column_refs, orders, saved):
+            view = getattr(s, key)
+            assert dict(view) == ref and list(view) == order
+            assert view == ref and ref == view and view != {**ref, "extra": 1.0}
+            assert len(view) == len(ref)
+            assert all(type(v) is float for v in view.values())
+            for name in (*_NAMES, *_EVENTS, "absent"):
+                assert (name in view) == (name in ref)
+                assert view.get(name) == ref.get(name)
+                assert view.get(name, -1.0) == ref.get(name, -1.0)
+            with pytest.raises(TypeError):
+                view["Front"] = 1.0
+            # A file whose samples order their keys differently is saved in column order.
+            assert entry[key] == ref and list(entry[key]) == order
+    # The same samples made from plain dicts pack to the same dataset.
+    rebuilt = dataclasses.replace(ds, samples=tuple(
+        PowerSample(s.config_id, s.workload, s.total_power, dict(p), dict(e))
+        for s, (p, e) in zip(ds.samples, refs)
+    ))
+    assert rebuilt == ds
+    assert json.dumps(dataset_to_dict(rebuilt)) == json.dumps(dataset_to_dict(ds))
+    train, test = few_shot_split(ds, ["C2"])
+    assert train.samples == tuple(s for s in ds.samples if s.config_id == "C2")
+    assert test.samples == tuple(s for s in ds.samples if s.config_id != "C2")
+    assert dataset_to_dict(train)["samples"] == [e for e in saved if e["config_id"] == "C2"]
+
+
+def test_sample_mappings_are_read_only():
+    sample = PowerSample("C1", "w0", 3.0, {"Front": 1.0, "Core": 2.0})
+    for view in (sample.component_power, sample.event_stats):
+        with pytest.raises(TypeError):
+            view["Front"] = 5.0
+        with pytest.raises(TypeError):
+            del view["Front"]
+        assert not hasattr(view, "update")
+    assert sample.component_power == {"Front": 1.0, "Core": 2.0} and sample.event_stats == {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.component_power = {}
+    with pytest.raises(ValidationError, match="NaN"):
+        PowerSample("C1", "w0", 3.0, {"Front": float("nan")})
+
+
+# The per-sample loops the bulk readers replaced, kept as their reference.
+
+
+def _reference_design_matrix(ds, comp):
+    rows = []
+    for s in ds.samples:
+        try:
+            rows.append(feature_row(comp, ds.config(s.config_id), s.event_stats))
+        except ValidationError as exc:
+            raise ValidationError(f"sample ({s.config_id}, {s.workload}): {exc}") from None
+    return np.array(rows).reshape(len(rows), len(comp.hw_params) + len(comp.event_stats))
+
+
+def _reference_labels(samples, component):
+    try:
+        return [s.component_power[component] for s in samples]
+    except KeyError:
+        s = next(s for s in samples if component not in s.component_power)
+        raise ValidationError(
+            f"sample ({s.config_id}, {s.workload}) lacks a label for {component!r}"
+        ) from None
+
+
+def _reference_averages(ds, component):
+    comp = ds.component(component)
+    result = {}
+    for cfg in ds.configurations:
+        samples = ds.samples_of(cfg.id)
+        if not samples:
+            raise ValidationError(f"configuration {cfg.id!r} has no samples")
+        values = _reference_labels(samples, comp.name)
+        result[cfg.id] = _left_fold(values) / len(values)
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def _assert_bit_equal(got, want):
+    if isinstance(want, str):
+        assert got == want
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    else:
+        want = np.asarray(want, dtype=float)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _bulk_readers_match_references(ds):
+    comps = list(ds.component_table) + [
+        ComponentDef("hw only", ("FetchWidth", "DecodeWidth")),
+        ComponentDef("events", ("RobEntry",), tuple(dict.fromkeys(
+            name for comp in ds.component_table for name in comp.event_stats))),
+    ]
+    for comp in comps:
+        _assert_bit_equal(_outcome(design_matrix, ds, comp), _outcome(_reference_design_matrix, ds, comp))
+    for comp in ds.component_table:
+        _assert_bit_equal(_outcome(component_labels, ds, comp.name),
+                          _outcome(_reference_labels, ds.samples, comp.name))
+        _assert_bit_equal(_outcome(average_power_per_config, ds, comp.name),
+                          _outcome(_reference_averages, ds, comp.name))
+
+
+def test_bulk_readers_bit_equal_to_per_sample_loops(synth_pair, tiny_dataset):
+    ds_known, ds_target, _ = synth_pair
+    train, test = few_shot_split(ds_target, [c.id for c in ds_target.configurations[::3]])
+    order = np.random.default_rng(0).permutation(len(ds_known.samples))
+    shuffled = dataclasses.replace(ds_known, samples=tuple(ds_known.samples[i] for i in order))
+    for ds in (ds_known, train, test, shuffled, tiny_dataset):
+        _bulk_readers_match_references(ds)
+
+
+def _without(ds, index, key, name):
+    """ds with sample index lacking name in its key mapping."""
+    samples = list(ds.samples)
+    s = samples[index]
+    entries = {k: dict(getattr(s, k)) for k in ("component_power", "event_stats")}
+    del entries[key][name]
+    samples[index] = dataclasses.replace(s, **entries)
+    return dataclasses.replace(ds, samples=tuple(samples))
+
+
+def _lacking_parameter(ds, config_id, param):
+    configs = tuple(
+        Configuration(c.id, c.architecture, {p: v for p, v in c.params.items() if p != param})
+        if c.id == config_id else c
+        for c in ds.configurations
+    )
+    return dataclasses.replace(ds, configurations=configs)
+
+
+def test_bulk_reader_errors_match_per_sample_loops(tiny_dataset):
+    # tiny_dataset's samples: C1 w0, C1 w1, C2 w0, C2 w1, C3 w0, C3 w1.
+    front = tiny_dataset.component("Front")
+    cases = {
+        "label": (_without(tiny_dataset, 3, "component_power", "Front"),
+                  "sample (C2, w1) lacks a label for 'Front'"),
+        "event": (_without(tiny_dataset, 3, "event_stats", "front_act"),
+                  "sample (C2, w1): configuration 'C2' lacks event statistic 'front_act' "
+                  "for component 'Front'"),
+        "parameter": (_lacking_parameter(tiny_dataset, "C3", "FetchWidth"),
+                      "sample (C3, w0): configuration 'C3' lacks parameter 'FetchWidth'"),
+        # The first sample in sample order that fails names the fault.
+        "event before parameter": (
+            _without(_lacking_parameter(tiny_dataset, "C3", "FetchWidth"), 1, "event_stats", "front_act"),
+            "sample (C1, w1): configuration 'C1' lacks event statistic 'front_act' "
+            "for component 'Front'"),
+        "unknown configuration": (
+            dataclasses.replace(tiny_dataset, configurations=tiny_dataset.configurations[:2]),
+            "sample (C3, w0): unknown configuration id 'C3'"),
+    }
+    for name, (ds, message) in cases.items():
+        _bulk_readers_match_references(ds)
+        reader = component_labels if name == "label" else design_matrix
+        with pytest.raises(ValidationError) as exc:
+            reader(ds, "Front" if name == "label" else front)
+        assert str(exc.value) == message, name
+    no_samples = dataclasses.replace(tiny_dataset, samples=tiny_dataset.samples[2:])
+    assert _outcome(average_power_per_config, no_samples, "Front") == \
+        "ValidationError: configuration 'C1' has no samples"
+    _bulk_readers_match_references(no_samples)
+
+
+def test_built_dataset_retains_under_1kb_per_sample(tmp_path):
+    # Two 20-configuration x 100-workload datasets, 4000 samples; with a
+    # dict per sample for each of its two mappings this was about 2.9 KB.
+    spec = default_spec(seed=0, n_known_configs=20, n_target_configs=20, n_workloads=100)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        known, target, _ = generate_pair(spec)
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0] - before
+        del target
+        save_dataset(known, tmp_path / "known.json")
+        del known
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_dataset(tmp_path / "known.json")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built / 4000 < 1024
+    assert len(loaded.samples) == 2000 and kept / 2000 < 1024
 
 
 def test_malformed_file(tmp_path):
