@@ -362,9 +362,6 @@ class Dataset:
     def config_ids(self) -> list[str]:
         return [cfg.id for cfg in self.configurations]
 
-    def samples_of(self, config_id: str) -> list[PowerSample]:
-        return [self.samples[i] for i in self._rows_by_config.get(config_id, ())]
-
     def entries(self):
         """(sample, component_power, event_stats) per sample, in sample
         order, the two mappings as plain dicts in column order, made one
@@ -477,10 +474,11 @@ def _sample_numbers_finite(entries: list) -> bool:
     return all_finite(values)
 
 
-def _parse_sample(entry: dict, table: tuple[ComponentDef, ...], checked: bool) -> tuple:
+def _parse_sample(entry: dict, names: set[str], checked: bool) -> tuple:
     """(config_id, workload, total_power, component_power, event_stats,
-    analytical_estimate) of entry, the two mappings as dicts; unless
-    checked, its numbers pass trees.finite_number first."""
+    analytical_estimate) of entry, checked against the component names
+    (unless checked, its numbers pass trees.finite_number first).  The two
+    mappings are entry's own, or a new dict with the Other Logic residual."""
     cid = str(_require(entry, "config_id", "sample"))
     workload = str(_require(entry, "workload", f"sample of {cid}"))
     context = f"sample ({cid}, {workload})"
@@ -495,29 +493,26 @@ def _parse_sample(entry: dict, table: tuple[ComponentDef, ...], checked: bool) -
     total = float(_require(entry, "total_power", context))
     if total <= 0:
         raise ValidationError(f"{context}: total_power must be positive")
-    comp_power = {str(k): float(v) for k, v in entry.get("component_power", {}).items()}
-    names = {c.name for c in table}
+    comp_power = entry.get("component_power", {})
     for comp_name in comp_power:
         if comp_name not in names:
             raise ValidationError(f"{context}: unknown component {comp_name!r}")
-    # Other Logic absorbs the residual when the remaining 21 are labeled.
-    if OTHER_LOGIC not in comp_power and names - {OTHER_LOGIC} <= set(comp_power):
-        comp_power[OTHER_LOGIC] = total - left_sum(comp_power.values())
+    # Other Logic takes the residual when all the other names are keys.
+    if OTHER_LOGIC in names and OTHER_LOGIC not in comp_power and len(comp_power) == len(names) - 1:
+        comp_power = {**comp_power, OTHER_LOGIC: total - left_sum(comp_power.values())}
     for comp_name, value in comp_power.items():
         if value <= 0:
             raise ValidationError(f"{context}: nonpositive power label for {comp_name!r}")
-    if set(comp_power) == names:
+    if len(comp_power) == len(names):
         parts = left_sum(comp_power.values())
         if abs(parts - total) > COMPONENT_SUM_RTOL * total:
             raise ValidationError(
                 f"{context}: component powers sum to {parts:.6g}, "
                 f"total is {total:.6g} (beyond {COMPONENT_SUM_RTOL:.1%} tolerance)"
             )
-    events = {str(k): float(v) for k, v in entry.get("event_stats", {}).items()}
     analytical = entry.get("analytical_estimate")
-    if analytical is not None:
-        analytical = float(analytical)
-    return cid, workload, total, comp_power, events, analytical
+    analytical = None if analytical is None else float(analytical)
+    return cid, workload, total, comp_power, entry.get("event_stats", {}), analytical
 
 
 def read_json_file(path: str | os.PathLike, kind: str):
@@ -564,7 +559,8 @@ def dataset_from_dict(doc: dict) -> Dataset:
         raise ValidationError("duplicate configuration ids")
     entries = _require(doc, "samples", "dataset")
     checked = _sample_numbers_finite(entries)
-    parsed = [_parse_sample(entry, table, checked) for entry in entries]
+    names = {c.name for c in table}
+    parsed = [_parse_sample(entry, names, checked) for entry in entries]
     config_ids = {c.id: c.id for c in configurations}
     workloads: dict[str, str] = {}
     keys: dict[tuple[str, str], None] = {}

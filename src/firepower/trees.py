@@ -9,6 +9,7 @@ the single-feature linear regressor used by the retraining strategy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
@@ -41,12 +42,17 @@ class GbtHyperparams:
     l2_leaf_reg: float = 1.0
 
     def __post_init__(self):
-        if self.n_estimators < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
-            raise ModelError("n_estimators, max_depth and min_samples_leaf must be >= 1")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise ModelError("learning_rate must lie in (0, 1]")
-        if self.l2_leaf_reg < 0:
-            raise ModelError("l2_leaf_reg must be nonnegative")
+        """A ModelError names the first field, in order, the trees cannot use."""
+        for name in ("n_estimators", "max_depth", "min_samples_leaf"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ModelError(f"hyperparameter {name} {value!r} is not an integer >= 1")
+        lr = finite_number(self.learning_rate, "hyperparameter learning_rate", ModelError)
+        if not 0 < lr <= 1:
+            raise ModelError(f"hyperparameter learning_rate {lr!r} is not in (0, 1]")
+        l2 = finite_number(self.l2_leaf_reg, "hyperparameter l2_leaf_reg", ModelError)
+        if l2 < 0:
+            raise ModelError(f"hyperparameter l2_leaf_reg {l2!r} is negative")
 
 
 @dataclass
@@ -557,15 +563,15 @@ def gbt_to_dict(m: GbtModel) -> dict:
     }
 
 
-def finite_number(value, what: str):
-    """A finite int or float (numpy's float64 is one), else a SchemaError
-    naming `what`; True and False are not numbers here."""
+def finite_number(value, what: str, error: type[Exception] = SchemaError):
+    """A finite int or float (numpy's float64 is one), else an `error`
+    (SchemaError by default) naming `what`; True and False are not numbers."""
     try:
         number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         number = False
     if not number:
-        raise SchemaError(f"{what} {value!r} is not a finite number")
+        raise error(f"{what} {value!r} is not a finite number")
     return value
 
 
@@ -626,23 +632,15 @@ def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNod
 
 
 def _hyperparams_from_dict(doc: dict, what: str) -> GbtHyperparams:
-    """The five hyperparameters of a GBT document, every one required: the
-    counts ints (not bools) of at least 1, learning_rate a finite number in
-    (0, 1], l2_leaf_reg a finite number at least 0; else a SchemaError
-    naming `what` and the field."""
+    """The five hyperparameters of a GBT document, every one required; a
+    SchemaError naming `what` if one is missing, extra or invalid."""
     names = [f.name for f in fields(GbtHyperparams)]
     if type(doc) is not dict or sorted(doc) != sorted(names):
         raise SchemaError(f"{what} hyperparams {doc!r} do not hold exactly {names}")
-    for name in ("n_estimators", "max_depth", "min_samples_leaf"):
-        if type(doc[name]) is not int or doc[name] < 1:
-            raise SchemaError(f"{what} hyperparameter {name} {doc[name]!r} is not an integer >= 1")
-    lr = finite_number(doc["learning_rate"], f"{what} hyperparameter learning_rate")
-    if not 0 < lr <= 1:
-        raise SchemaError(f"{what} hyperparameter learning_rate {lr!r} is not in (0, 1]")
-    l2 = finite_number(doc["l2_leaf_reg"], f"{what} hyperparameter l2_leaf_reg")
-    if l2 < 0:
-        raise SchemaError(f"{what} hyperparameter l2_leaf_reg {l2!r} is negative")
-    return GbtHyperparams(**doc)
+    try:
+        return GbtHyperparams(**doc)
+    except ModelError as exc:
+        raise SchemaError(f"{what} {exc}") from None
 
 
 def gbt_from_dict(

@@ -208,7 +208,10 @@ def test_event_model_ratio_contract():
         ds, samples=tuple(s for s in ds.samples if s.workload == "w0")
     )
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
-    y = [flat.samples_of(cfg.id)[0].component_power["Front"] for cfg in flat.configurations]
+    y = [
+        [s for s in flat.samples if s.config_id == cfg.id][0].component_power["Front"]
+        for cfg in flat.configurations
+    ]
     j = comp.hw_params.index("FetchWidth")
     hw = EffectiveHardwareModel(comp.hw_params, fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, GbtHyperparams())

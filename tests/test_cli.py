@@ -543,7 +543,7 @@ def test_non_finite_thresholds_are_usage_errors(workspace, tmp_path, capsys, com
     [
         ("extract", "--threshold", "-inf", "must be a finite number"),
         ("build", "--gate-threshold", "-inf", "must be a finite number"),
-        ("extract", "--learning-rate", "-1e-3", "learning_rate must lie in (0, 1]"),
+        ("extract", "--learning-rate", "-1e-3", "GBT flags: hyperparameter learning_rate -0.001 is not in (0, 1]"),
         ("experiment", "--ks", "-1,2", "--ks values must be at least 1, not -1"),
     ],
 )

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firepower.dataset import (
@@ -118,6 +118,32 @@ def test_component_sum_tolerance_enforced():
     doc["samples"][0]["total_power"] *= 1.2
     with pytest.raises(ValidationError):
         dataset_from_dict(doc)
+
+
+def _table_without_other_logic(doc):
+    doc["component_table"] = [c for c in doc["component_table"] if c["name"] != "Other Logic"]
+    for sample in doc["samples"]:
+        sample["total_power"] -= sample["component_power"].pop("Other Logic")
+    return doc
+
+
+def test_no_residual_without_other_logic_in_the_table(tmp_path):
+    # A table of Front and Core alone: a full label set is checked against
+    # its total, and no Other Logic label is made up that a reload rejects.
+    doc = _table_without_other_logic(tiny_doc())
+    sample = doc["samples"][0]
+    sample["component_power"] = {"Front": 1.0, "Core": 2.0}
+    sample["total_power"] = 100.0
+    with pytest.raises(ValidationError, match=r"sum to 3, total is 100 \(beyond 0.5% tolerance\)"):
+        dataset_from_dict(doc)
+    sample["total_power"] = 3.0
+    doc["samples"][1]["component_power"] = {"Core": 2.0}  # a partial set is left as it is
+    ds = dataset_from_dict(doc)
+    assert all("Other Logic" not in s.component_power for s in ds.samples)
+    assert dict(ds.samples[1].component_power) == {"Core": 2.0}
+    assert dataset_from_dict(dataset_to_dict(ds)) == ds
+    save_dataset(ds, tmp_path / "ds.json")
+    assert load_dataset(tmp_path / "ds.json") == ds
 
 
 def test_conflicting_merged_parameter_values():
@@ -323,6 +349,60 @@ def test_sample_numbers_load_as_finite_floats_or_fail_cleanly(field, whole, valu
         assert all(type(v) is float and math.isfinite(v) for v in numbers)
 
 
+@pytest.mark.parametrize("checked", [True, False])
+def test_loading_leaves_the_document_unchanged(checked):
+    # Sample 0 gains the Other Logic residual; with one numpy float the
+    # numbers are checked one by one instead of in bulk.
+    doc = tiny_doc()
+    del doc["samples"][0]["component_power"]["Other Logic"]
+    doc["samples"][1]["event_stats"] = {}
+    del doc["samples"][2]["component_power"]
+    if not checked:
+        doc["samples"][3]["total_power"] = np.float64(doc["samples"][3]["total_power"])
+    before = copy.deepcopy(doc)
+    ds = dataset_from_dict(doc)
+    assert doc == before
+    assert "Other Logic" in ds.samples[0].component_power
+    assert "Other Logic" not in doc["samples"][0]["component_power"]
+
+
+def _reference_label_floats(entry, names):
+    """The component labels of a sample entry as float(v), with the residual
+    of a full set of the others left-folded from 0.0."""
+    labels = {name: float(v) for name, v in entry["component_power"].items()}
+    if "Other Logic" not in labels and set(names) - {"Other Logic"} <= set(labels):
+        labels["Other Logic"] = float(entry["total_power"]) - _left_fold(labels.values())
+    return labels
+
+
+@given(
+    ints=st.lists(st.integers(1, 2**70), min_size=3, max_size=3),
+    events=st.lists(st.integers(-(2**70), 2**70), min_size=2, max_size=2),
+    residual=st.booleans(),
+)
+@example(ints=[2**53 + 1, 2**63 + 1, 2**70 - 1], events=[2**64 - 1, -(2**53) - 3], residual=True)
+@example(ints=[3, 2**62 + 7, 1], events=[0, 1], residual=False)
+@settings(max_examples=100, deadline=None)
+def test_integer_numbers_load_bit_equal_to_float(ints, events, residual):
+    doc = tiny_doc()
+    entry = doc["samples"][0]
+    entry["component_power"] = dict(zip(("Front", "Core", "Other Logic"), ints))
+    entry["total_power"] = sum(ints)
+    entry["event_stats"] = dict(zip(("front_act", "core_act"), events))
+    if residual:
+        del entry["component_power"]["Other Logic"]
+    want = _reference_label_floats(entry, _NAMES)
+    if want["Other Logic"] <= 0:
+        with pytest.raises(ValidationError, match="nonpositive power label for 'Other Logic'"):
+            dataset_from_dict(doc)
+        return
+    s = dataset_from_dict(doc).samples[0]
+    assert {k: v.hex() for k, v in s.component_power.items()} == {k: v.hex() for k, v in want.items()}
+    assert {k: v.hex() for k, v in s.event_stats.items()} == {
+        k: float(v).hex() for k, v in entry["event_stats"].items()
+    }
+
+
 _NAMES = ("Front", "Core", "Other Logic")
 _EVENTS = ("front_act", "core_act", "x_act", "y_act")
 
@@ -441,7 +521,7 @@ def _reference_averages(ds, component):
     comp = ds.component(component)
     result = {}
     for cfg in ds.configurations:
-        samples = ds.samples_of(cfg.id)
+        samples = [s for s in ds.samples if s.config_id == cfg.id]
         if not samples:
             raise ValidationError(f"configuration {cfg.id!r} has no samples")
         values = _reference_labels(samples, comp.name)

@@ -133,8 +133,9 @@ def test_events_carry_configuration_signal(synth_pair):
     # The same workload on different configurations produces different
     # event-statistic values for non-flat components.
     _, ds_target, _ = synth_pair
-    a = ds_target.samples_of(ds_target.configurations[0].id)[0]
-    b = ds_target.samples_of(ds_target.configurations[1].id)[0]
+    first, second = (cfg.id for cfg in ds_target.configurations[:2])
+    a = [s for s in ds_target.samples if s.config_id == first][0]
+    b = [s for s in ds_target.samples if s.config_id == second][0]
     assert a.workload == b.workload
     assert a.event_stats["rnu_act"] != b.event_stats["rnu_act"]
 

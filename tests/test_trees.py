@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,11 +53,29 @@ def test_default_hyperparams():
         {"learning_rate": 1.5},
         {"l2_leaf_reg": -1.0},
         {"min_samples_leaf": 0},
+        {"l2_leaf_reg": float("nan")},
+        {"learning_rate": float("nan")},
+        {"l2_leaf_reg": float("inf")},
+        {"n_estimators": True},
+        {"min_samples_leaf": False},
+        {"learning_rate": True},
+        {"max_depth": 2.5},
+        {"n_estimators": 3.0},
+        {"learning_rate": "0.3"},
     ],
 )
 def test_invalid_hyperparams(kwargs):
-    with pytest.raises(ModelError):
+    # The error names the field and its value.
+    [(name, value)] = kwargs.items()
+    with pytest.raises(ModelError, match=rf"^hyperparameter {name} {re.escape(repr(value))} is "):
         GbtHyperparams(**kwargs)
+
+
+def test_hyperparam_counts_accept_numpy_integers():
+    hp = GbtHyperparams(n_estimators=np.int64(4), max_depth=np.int32(2), min_samples_leaf=np.uint8(1))
+    X, y = random_problem(0, n=20, d=2)
+    a, b = (gbt_to_dict(fit_gbt(X, y, h)) for h in (hp, GbtHyperparams(4, 2)))
+    assert (a["tree_sizes"], a["feature"], a["value"]) == (b["tree_sizes"], b["feature"], b["value"])
 
 
 def test_tree_nodes_are_slotted():
