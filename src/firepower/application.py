@@ -145,6 +145,19 @@ def train_event_model(
     return trees.fit_gbt(*_event_training_data(ds_target_train, comp, hw), hp)
 
 
+def check_component_tables(known, target, source: str = "knowledge base"):
+    """ValidationError unless target lists known's components in order, each with
+    its hw_params in order: an inherited GBT reads its H_i row by position."""
+    if [c.name for c in known] != [c.name for c in target]:
+        raise ValidationError(f"{source} and target dataset disagree on the component table")
+    for a, b in zip(known, target):
+        if a.hw_params != b.hw_params:
+            raise ValidationError(
+                f"{source} and target dataset disagree on the hw_params of component "
+                f"{a.name!r}: {list(a.hw_params)} against {list(b.hw_params)}"
+            )
+
+
 def _plan(kb: KnowledgeBase, ds_target_train: Dataset, flags: list[bool]):
     """The event fits, as (component, EffectiveHardwareModel) pairs, that
     the models of flags need, and per flag the index of the fit that each
@@ -152,8 +165,7 @@ def _plan(kb: KnowledgeBase, ds_target_train: Dataset, flags: list[bool]):
     its hardware model, so each distinct (component, hardware model object)
     is fit once, and the models that share it share the GBT and its
     EffectiveHardwareModel."""
-    if [c.name for c in kb.component_table] != [c.name for c in ds_target_train.component_table]:
-        raise ValidationError("knowledge base and target dataset disagree on the component table")
+    check_component_tables(kb.component_table, ds_target_train.component_table)
     if not ds_target_train.samples:
         raise ValidationError("no training samples for the event model")
     fits, index, picks = [], {}, []
@@ -239,7 +251,7 @@ def _hw_from_dict(doc: dict, comp: ComponentDef, version: int) -> EffectiveHardw
         return EffectiveHardwareModel(comp.hw_params, gbt)
     if variant != RETRAINED:
         raise SchemaError(f"model: component {comp.name!r} has unknown hw variant {variant!r}")
-    linear = trees.linear_from_dict(doc["linear"])
+    linear = trees.linear_from_dict(doc["linear"], f"model: component {comp.name!r} linear model")
     j = linear.feature_index
     if not (0 <= j < len(comp.hw_params) and comp.hw_params[j] == doc["important_param"]):
         raise SchemaError(

@@ -1,5 +1,5 @@
-"""Baseline power models: monolithic calibration-style regressors, their
-per-component variant and pseudo-label transfer wrappers.  The
+"""Baseline power models: McPAT-Calib-style GBTs over a list of parts (the
+whole core, or every component) and the pseudo-label transfer wrapper.  The
 no-retraining ablation of the main method is
 `build_target_model(..., force_no_retrain=True)`."""
 
@@ -17,14 +17,21 @@ from .trees import GbtHyperparams, GbtModel
 
 TRANSFER_EPSILON = 1e-9
 
-METHOD_KEYS = (
-    "mcpat_calib",
-    "mcpat_calib_component",
-    "mcpat_calib_transfer",
-    "mcpat_calib_component_transfer",
-    "firepower_no_retrain",
-    "firepower",
-)
+# A McPAT-Calib model: one (part, GBT) pair per part, in part order.
+CalibModel = list[tuple[ComponentDef, GbtModel]]
+
+# McPAT-Calib and its variants: (one part per component, pseudo-label
+# transfer from a source fit on the known architecture).
+MCPAT_CALIB_METHODS = {
+    "mcpat_calib": (False, False),
+    "mcpat_calib_component": (True, False),
+    "mcpat_calib_transfer": (False, True),
+    "mcpat_calib_component_transfer": (True, True),
+}
+# FirePower and its ablation, each with its build_target_model
+# force_no_retrain flag.
+FIREPOWER_METHODS = {"firepower_no_retrain": True, "firepower": False}
+METHOD_KEYS = (*MCPAT_CALIB_METHODS, *FIREPOWER_METHODS)
 
 
 def core_component(ds: Dataset) -> ComponentDef:
@@ -36,31 +43,31 @@ def core_component(ds: Dataset) -> ComponentDef:
     return ComponentDef("core", ds.registry.canonical, tuple(events))
 
 
-@dataclass
-class MonolithicModel:
-    model: GbtModel
-    core: ComponentDef  # the design_matrix component the model reads
-
-
-def train_monolithic(ds_train: Dataset, hp: GbtHyperparams) -> MonolithicModel:
-    if not ds_train.samples:
+def calib_parts(ds: Dataset, per_component: bool) -> list[tuple[ComponentDef, np.ndarray]]:
+    """McPAT-Calib's parts of ds as (component, labels): the whole core with
+    the total power, or each component of the table with its own power."""
+    if not ds.samples:
         raise ValidationError("empty training dataset")
-    core = core_component(ds_train)
-    y = np.array([s.total_power for s in ds_train.samples])
-    return MonolithicModel(model=trees.fit_gbt(design_matrix(ds_train, core), y, hp), core=core)
+    if per_component:
+        return [(comp, component_labels(ds, comp.name)) for comp in ds.component_table]
+    return [(core_component(ds), np.array([s.total_power for s in ds.samples]))]
 
 
-def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> dict[str, GbtModel]:
-    """One GBT per component on its own design matrix, all grown as one batch."""
-    if not ds_train.samples:
-        raise ValidationError("empty training dataset")
-    table = ds_train.component_table
-    models = trees.fit_gbt_many(
-        [design_matrix(ds_train, comp) for comp in table],
-        [component_labels(ds_train, comp.name) for comp in table],
-        hp,
-    )
-    return {comp.name: model for comp, model in zip(table, models)}
+def _train_parts(ds_train: Dataset, hp: GbtHyperparams, per_component: bool) -> CalibModel:
+    """(part, GBT) pairs in part order, every part's GBT grown in one batch."""
+    comps, labels = zip(*calib_parts(ds_train, per_component))
+    models = trees.fit_gbt_many([design_matrix(ds_train, comp) for comp in comps], labels, hp)
+    return list(zip(comps, models))
+
+
+def train_monolithic(ds_train: Dataset, hp: GbtHyperparams) -> CalibModel:
+    """McPAT-Calib: one GBT on the whole core's total power."""
+    return _train_parts(ds_train, hp, per_component=False)
+
+
+def train_monolithic_per_component(ds_train: Dataset, hp: GbtHyperparams) -> CalibModel:
+    """McPAT-Calib per component: one GBT per component on its own power."""
+    return _train_parts(ds_train, hp, per_component=True)
 
 
 @dataclass

@@ -8,14 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .application import FirePowerModel, build_target_models
-from .baselines import (
-    METHOD_KEYS,
-    TransferWrapper,
-    train_monolithic,
-    train_monolithic_per_component,
-)
-from .dataset import Dataset, component_labels, design_matrix, few_shot_split
+from .application import FirePowerModel, build_target_models, check_component_tables
+from .baselines import FIREPOWER_METHODS, MCPAT_CALIB_METHODS, METHOD_KEYS, TransferWrapper
+from .baselines import calib_parts, train_monolithic, train_monolithic_per_component
+from .dataset import Dataset, design_matrix, few_shot_split
 from .errors import ValidationError
 from .knowledge import DEFAULT_THRESHOLD, KnowledgeBase, extract_knowledge
 from .metrics import mape, pearson_r
@@ -23,10 +19,6 @@ from .trees import GbtHyperparams
 
 # Labeled target configurations per experiment cell (the paper's k).
 DEFAULT_KS = (2, 3, 4)
-
-# The methods scored with a FirePower target model, each with its
-# build_target_model force_no_retrain flag.
-FIREPOWER_METHODS = {"firepower": False, "firepower_no_retrain": True}
 
 
 @dataclass
@@ -49,6 +41,11 @@ def choose_labeled_configs(ds_target: Dataset, k: int, seed: int) -> list[str]:
     return [ids[i] for i in rng.choice(len(ids), size=k, replace=False)]
 
 
+def _calib_models(ds: Dataset, hp: GbtHyperparams, per_component: bool):
+    # Read at each call, so a wrapper installed over a trainer (a tracer's) runs.
+    return (train_monolithic_per_component if per_component else train_monolithic)(ds, hp)
+
+
 def _method_predictions(
     method: str,
     train: Dataset,
@@ -57,48 +54,35 @@ def _method_predictions(
     sources: dict,
     target_model: FirePowerModel | None = None,
 ) -> list[float]:
-    """Total-power predictions of one method on test.  The baselines fit
-    their models on train here; a FirePower-family method scores
-    ``target_model``, its model built on train (see _cell_models)."""
-    if method == "mcpat_calib":
-        model = train_monolithic(train, hp)
-        return list(model.model.predict_many(design_matrix(test, model.core)))
-    if method == "mcpat_calib_component":
-        models = train_monolithic_per_component(train, hp)
-        totals = np.zeros(len(test.samples))
-        for comp in test.component_table:
-            totals += models[comp.name].predict_many(design_matrix(test, comp))
-        return list(totals)
-    if method == "mcpat_calib_transfer":
-        source = sources["monolithic"]
-        pool = design_matrix(train, source.core)
-        labels = np.array([s.total_power for s in train.samples])
-        w = TransferWrapper.build(source.model.predict_many, pool, labels)
-        return list(w.predict_many(design_matrix(test, source.core)))
-    if method == "mcpat_calib_component_transfer":
-        comp_sources = sources["per_component"]
-        totals = np.zeros(len(test.samples))
-        for comp in train.component_table:
-            labels = component_labels(train, comp.name)
-            w = TransferWrapper.build(
-                comp_sources[comp.name].predict_many, design_matrix(train, comp), labels
-            )
-            totals += w.predict_many(design_matrix(test, comp))
-        return list(totals)
+    """Total power of one method on test, the sum of one column per part.
+    McPAT-Calib fits its parts on train, or transfers those of its source
+    ``sources[per_component]``; FirePower scores ``target_model``."""
     if method in FIREPOWER_METHODS:
-        totals = np.zeros(len(test.samples))
-        # Column by column in table order: the sums CLI predict forms per sample.
-        for column in target_model.predict_components(test).T:
-            totals += column
-        return list(totals)
-    raise ValidationError(f"unknown method {method!r}")
+        columns = target_model.predict_components(test).T
+    elif method in MCPAT_CALIB_METHODS:
+        per_component, transfer = MCPAT_CALIB_METHODS[method]
+        if transfer:  # each source part, with train's labels paired by part name
+            labels = {comp.name: y for comp, y in calib_parts(train, per_component)}
+            models = [
+                (c, TransferWrapper.build(m.predict_many, design_matrix(train, c), labels[c.name]))
+                for c, m in sources[per_component]
+            ]
+        else:
+            models = _calib_models(train, hp, per_component)
+        columns = [model.predict_many(design_matrix(test, comp)) for comp, model in models]
+    else:
+        raise ValidationError(f"unknown method {method!r}")
+    totals = np.zeros(len(test.samples))
+    # Column by column in part order: the sums CLI predict forms per sample.
+    for column in columns:
+        totals += column
+    return list(totals)
 
 
 def _cell_models(methods: list[str], kb: KnowledgeBase, train: Dataset, hp: GbtHyperparams):
-    """(method, FirePower model or None) for each method of one cell: the
-    baselines first, then the FirePower family, whose models are built
-    together by build_target_models once the baselines' models are gone
-    (alive beside the family's batch, their trees raise the peak memory)."""
+    """(method, FirePower model or None) per method of one cell: the baselines
+    first, then the FirePower family, built together once the baselines'
+    models are gone (alive beside the batch, their trees raise peak memory)."""
     family = [m for m in methods if m in FIREPOWER_METHODS]
     yield from ((m, None) for m in methods if m not in FIREPOWER_METHODS)
     if family:
@@ -129,16 +113,16 @@ def run_experiment(
     for name, values in (("ks", list(ks)), ("methods", methods)):
         if len(set(values)) < len(values):
             raise ValidationError(f"{name} must not repeat a value, not {values}")
-    n_configs = len(ds_target.configurations)
-    if n_configs <= max(ks):
+    if len(ds_target.configurations) <= max(ks):
         raise ValidationError("target dataset has too few configurations for the given ks")
+    check_component_tables(ds_known.component_table, ds_target.component_table, "known dataset")
 
     kb = extract_knowledge(ds_known, hp, threshold)
-    sources: dict = {}
-    if "mcpat_calib_transfer" in methods:
-        sources["monolithic"] = train_monolithic(ds_known, hp)
-    if "mcpat_calib_component_transfer" in methods:
-        sources["per_component"] = train_monolithic_per_component(ds_known, hp)
+    sources = {
+        per_component: _calib_models(ds_known, hp, per_component)
+        for method, (per_component, transfer) in MCPAT_CALIB_METHODS.items()
+        if transfer and method in methods
+    }
 
     results = []
     for k in ks:
@@ -152,16 +136,8 @@ def run_experiment(
                     (s.config_id, s.workload, float(p), float(s.total_power))
                     for s, p in zip(test.samples, preds)
                 ]
-                results.append(
-                    EvalResult(
-                        method=method,
-                        k=k,
-                        seed=seed,
-                        mape_percent=mape(preds, labels),
-                        pearson_r=pearson_r(preds, labels),
-                        per_sample=per_sample,
-                    )
-                )
+                metrics = (mape(preds, labels), pearson_r(preds, labels))
+                results.append(EvalResult(method, k, seed, *metrics, per_sample))
     results.sort(key=EvalResult.sort_key)
     return results
 

@@ -47,6 +47,7 @@ class GbtHyperparams:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ModelError(f"hyperparameter {name} {value!r} is not an integer >= 1")
+            object.__setattr__(self, name, int(value))  # JSON writes no numpy integer
         lr = finite_number(self.learning_rate, "hyperparameter learning_rate", ModelError)
         if not 0 < lr <= 1:
             raise ModelError(f"hyperparameter learning_rate {lr!r} is not in (0, 1]")
@@ -681,10 +682,14 @@ def linear_to_dict(m: LinearModel) -> dict:
     }
 
 
-def linear_from_dict(doc: dict) -> LinearModel:
+def linear_from_dict(doc: dict, what: str = "linear model") -> LinearModel:
+    """A LinearModel; a SchemaError names `what` and the first bad field."""
+    for key, kind in (("feature_index", int), ("is_constant", bool)):
+        if type(doc[key]) is not kind:  # True is no index, 1 no flag
+            raise SchemaError(f"{what} {key} {doc[key]!r} is not of type {kind.__name__}")
     return LinearModel(
         feature_index=doc["feature_index"],
-        slope=finite_number(doc["slope"], "linear model slope"),
-        intercept=finite_number(doc["intercept"], "linear model intercept"),
+        slope=finite_number(doc["slope"], f"{what} slope"),
+        intercept=finite_number(doc["intercept"], f"{what} intercept"),
         is_constant=doc["is_constant"],
     )

@@ -90,3 +90,27 @@ def tiny_doc():
 @pytest.fixture
 def tiny_dataset():
     return dataset_from_dict(tiny_doc())
+
+
+def _reverse_ifu_hw_params(doc):
+    (ifu,) = [c for c in doc["component_table"] if c["name"] == "IFU"]
+    ifu["hw_params"].reverse()
+
+
+def _swap_first_components(doc):
+    table = doc["component_table"]
+    table[0], table[1] = table[1], table[0]
+
+
+# Edits of a dataset document on the built-in table that build and
+# run_experiment reject, with the part of the message that names the fault.
+TABLE_EDITS = [
+    pytest.param(_swap_first_components, "disagree on the component table", id="component-order"),
+    pytest.param(
+        _reverse_ifu_hw_params,
+        "disagree on the hw_params of component 'IFU': ['FetchWidth', 'DecodeWidth', "
+        "'FetchBufferEntry', 'ICacheFetchBytes'] against ['ICacheFetchBytes', "
+        "'FetchBufferEntry', 'DecodeWidth', 'FetchWidth']",
+        id="hw-params-order",
+    ),
+]

@@ -14,11 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from firepower import trees
-from firepower.application import load_model, model_to_dict, save_model
+from firepower.application import build_target_model, load_model, model_to_dict, save_model
 from firepower.cli import EXIT_DATA, EXIT_OK, main
 from firepower.dataset import load_dataset
 from firepower.errors import ModelError, SchemaError
-from firepower.knowledge import load_knowledge_base, save_knowledge_base
+from firepower.knowledge import (
+    extract_knowledge,
+    knowledge_base_to_dict,
+    load_knowledge_base,
+    save_knowledge_base,
+)
 
 # Written by firepower before format 2 (commit a954740): `extract` and `build`
 # with --n-estimators 4 --max-depth 3 on a 6 + 4 configuration x 3 workload
@@ -122,6 +127,19 @@ def test_format1_rewritten_as_format2_is_the_same_model(tmp_path):
     for name, (hw, _) in model.per_component.items():
         if hw.variant == "inherited":
             assert trees.gbt_to_dict(hw.model) == trees.gbt_to_dict(kb.per_component[name].hardware_model)
+
+
+def test_numpy_integer_counts_save_and_reload(tmp_path):
+    # GbtHyperparams accepts numpy integer counts and stores them as int,
+    # which JSON can write.
+    hp = trees.GbtHyperparams(n_estimators=np.int64(4), max_depth=np.int32(3), min_samples_leaf=np.uint8(1))
+    assert hp == _HP and {type(v) for v in (hp.n_estimators, hp.max_depth, hp.min_samples_leaf)} == {int}
+    kb = extract_knowledge(load_dataset(FORMAT1 / "test.json"), hp)
+    save_knowledge_base(kb, tmp_path / "kb.json")
+    assert knowledge_base_to_dict(load_knowledge_base(tmp_path / "kb.json")) == knowledge_base_to_dict(kb)
+    model = build_target_model(kb, load_dataset(FORMAT1 / "train.json"), hp)
+    save_model(model, tmp_path / "model.json")
+    assert model_to_dict(load_model(tmp_path / "model.json")) == model_to_dict(model)
 
 
 # --- versions -----------------------------------------------------------------
@@ -292,6 +310,35 @@ def test_model_loader_checks_gbt_widths(tmp_path, component, role, message, fixt
     assert code == EXIT_DATA
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+def _set_linear(key, value):
+    def edit(doc):
+        doc["per_component"]["BPTAGE"]["hw"]["linear"][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(_set_linear("feature_index", True), "feature_index True is not of type int", id="index-bool"),
+        pytest.param(_set_linear("feature_index", 0.0), "feature_index 0.0 is not of type int", id="index-float"),
+        pytest.param(_set_linear("feature_index", "0"), "feature_index '0' is not of type int", id="index-text"),
+        pytest.param(_set_linear("is_constant", "yes"), "is_constant 'yes' is not of type bool", id="flag-text"),
+        pytest.param(_set_linear("is_constant", 0), "is_constant 0 is not of type bool", id="flag-int"),
+        pytest.param(_set_linear("is_constant", None), "is_constant None is not of type bool", id="flag-null"),
+    ],
+)
+@pytest.mark.parametrize("fixture_format", [1, 2])
+def test_model_loader_checks_linear_types(tmp_path, edit, message, fixture_format):
+    # BPTAGE's hardware model is a retrained linear model in both fixtures.
+    doc = _fixture("model.json") if fixture_format == 1 else _format2("model")
+    edit(doc)
+    code, err = _predict(_write(tmp_path / "model.json", doc), tmp_path / "preds.csv")
+    assert code == EXIT_DATA
+    assert err.startswith("error: model: component 'BPTAGE' linear model ") and message in err
+    assert "Traceback" not in err and not (tmp_path / "preds.csv").exists()
 
 
 def _set_hyperparam(name, value):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from firepower.application import INHERITED, build_target_model
 from firepower.baselines import (
+    FIREPOWER_METHODS,
+    MCPAT_CALIB_METHODS,
     METHOD_KEYS,
     TRANSFER_EPSILON,
     TransferWrapper,
@@ -14,9 +16,9 @@ from firepower.baselines import (
     train_monolithic,
     train_monolithic_per_component,
 )
-from firepower.dataset import component_labels, design_matrix, feature_row
+from firepower.dataset import component_labels, design_matrix, feature_row, few_shot_split
 from firepower.errors import ModelError
-from firepower.harness import _method_predictions
+from firepower.harness import _method_predictions, choose_labeled_configs
 from firepower.trees import GbtHyperparams, fit_gbt, gbt_to_dict
 
 
@@ -29,6 +31,9 @@ def test_method_keys():
         "firepower_no_retrain",
         "firepower",
     )
+    # Every method is either McPAT-Calib or FirePower, never both.
+    assert set(MCPAT_CALIB_METHODS).isdisjoint(FIREPOWER_METHODS)
+    assert set(MCPAT_CALIB_METHODS) | set(FIREPOWER_METHODS) == set(METHOD_KEYS)
 
 
 def test_event_names_follow_component_table(tiny_dataset):
@@ -48,11 +53,14 @@ def test_sample_features_layout(tiny_dataset):
 
 
 def test_monolithic_fits_training_data(tiny_dataset, small_hp):
-    model = train_monolithic(tiny_dataset, hp=GbtHyperparams())
-    assert model.core == core_component(tiny_dataset)
-    preds = model.model.predict_many(design_matrix(tiny_dataset, model.core))
+    # One part: the whole core, on the total power.
+    ((core, model),) = train_monolithic(tiny_dataset, hp=GbtHyperparams())
+    assert core == core_component(tiny_dataset)
+    preds = model.predict_many(design_matrix(tiny_dataset, core))
     labels = [s.total_power for s in tiny_dataset.samples]
     assert float(np.abs(preds - labels).mean()) < 0.5
+    alone = fit_gbt(design_matrix(tiny_dataset, core), np.array(labels), GbtHyperparams())
+    assert json.dumps(gbt_to_dict(model)) == json.dumps(gbt_to_dict(alone))
 
 
 def test_per_component_batch_equals_separate_fits(synth_pair, small_hp):
@@ -60,32 +68,57 @@ def test_per_component_batch_equals_separate_fits(synth_pair, small_hp):
     # fit_gbt call grows, bit for bit.
     ds_known, _, _ = synth_pair
     models = train_monolithic_per_component(ds_known, small_hp)
-    assert list(models) == [c.name for c in ds_known.component_table]
+    assert [comp for comp, _ in models] == list(ds_known.component_table)
     assert len(models) == 22
-    for comp in ds_known.component_table:
+    for comp, model in models:
         alone = fit_gbt(
             design_matrix(ds_known, comp),
             component_labels(ds_known, comp.name),
             small_hp,
         )
-        assert json.dumps(gbt_to_dict(models[comp.name])) == json.dumps(gbt_to_dict(alone))
-        assert repr(models[comp.name].training_sse) == repr(alone.training_sse)
+        assert json.dumps(gbt_to_dict(model)) == json.dumps(gbt_to_dict(alone))
+        assert repr(model.training_sse) == repr(alone.training_sse)
 
 
-def test_per_component_total_additivity(tiny_dataset, small_hp):
-    # The harness scores this baseline as the sum of the per-component
-    # models over each component's design matrix; every total must equal
-    # the sum of that sample's scalar component predictions.
-    models = train_monolithic_per_component(tiny_dataset, small_hp)
-    assert set(models) == {"Front", "Core", "Other Logic"}
-    totals = _method_predictions("mcpat_calib_component", tiny_dataset, tiny_dataset, small_hp, {})
-    for total, sample in zip(totals, tiny_dataset.samples):
-        cfg = tiny_dataset.config(sample.config_id)
-        parts = sum(
-            models[c.name].predict(feature_row(c, cfg, sample.event_stats))
-            for c in tiny_dataset.component_table
-        )
-        assert total == parts
+def _part_labels(ds, comp, per_component):
+    if per_component:
+        return component_labels(ds, comp.name)
+    return [s.total_power for s in ds.samples]
+
+
+def test_per_component_total_additivity(synth_pair, small_hp):
+    # The harness scores every McPAT-Calib method as the sum of its parts'
+    # predictions over each part's design matrix; every total must equal
+    # the left-to-right sum of that sample's scalar part predictions.
+    ds_known, ds_target, _ = synth_pair
+    train, test = few_shot_split(ds_target, choose_labeled_configs(ds_target, 2, 0))
+    # The per-component source lists its parts in reverse table order, so a
+    # transfer that paired them with train's labels by position would fail.
+    sources = {
+        False: train_monolithic(ds_known, small_hp),
+        True: train_monolithic_per_component(ds_known, small_hp)[::-1],
+    }
+    assert [c.name for c, _ in sources[False]] == ["core"]
+    assert [c.name for c, _ in sources[True]] == [c.name for c in train.component_table][::-1]
+    for method, (per_component, transfer) in MCPAT_CALIB_METHODS.items():
+        totals = _method_predictions(method, train, test, small_hp, sources)
+        if transfer:
+            parts = []
+            for c, m in sources[per_component]:
+                labels = _part_labels(train, c, per_component)
+                parts.append((c, TransferWrapper.build(m.predict_many, design_matrix(train, c), labels)))
+            predict = lambda part, row: part.predict_many(np.array([row]))[0]  # noqa: E731
+        else:
+            trainer = train_monolithic_per_component if per_component else train_monolithic
+            parts = trainer(train, small_hp)
+            predict = lambda part, row: part.predict(row)  # noqa: E731
+        assert len(totals) == len(test.samples)
+        for total, sample in zip(totals, test.samples):
+            cfg = test.config(sample.config_id)
+            acc = 0.0
+            for c, part in parts:
+                acc += predict(part, feature_row(c, cfg, sample.event_stats))
+            assert total == acc, method
 
 
 def test_transfer_formula_hand_case():

@@ -7,6 +7,8 @@ import pytest
 from firepower.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from firepower.metrics import mape, pearson_r
 
+from conftest import TABLE_EDITS
+
 HP_FLAGS = ["--n-estimators", "20"]
 
 
@@ -407,6 +409,19 @@ def test_kb_missing_key_is_data_error(workspace, tmp_path, capsys):
     )
     assert code == EXIT_DATA
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", TABLE_EDITS)
+def test_build_needs_the_kb_component_table(workspace, tmp_path, capsys, edit, message):
+    # An inherited GBT reads its H_i row by position: the same names in
+    # another order would feed it the wrong parameters without a word.
+    target = _edited_copy(workspace / "data" / "target.json", tmp_path / "target.json", edit)
+    out = tmp_path / "model.json"
+    argv = ["build", "--kb", str(workspace / "kb.json"), "--target-train", target, "--out", str(out)]
+    assert main(argv + HP_FLAGS) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: knowledge base and target dataset ") and message in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def _predict_with_model(workspace, tmp_path, edit) -> int:

@@ -8,6 +8,8 @@ from firepower.harness import EvalResult, choose_labeled_configs, run_experiment
 from firepower.metrics import mape, pearson_r
 from firepower.trees import GbtHyperparams
 
+from conftest import TABLE_EDITS
+
 tiny_hp = GbtHyperparams(n_estimators=10)
 
 
@@ -141,3 +143,15 @@ def test_repeated_ks_or_methods_rejected(synth_pair, kwargs):
 def test_eval_result_sort_key():
     r = EvalResult("m", 2, 1, 5.0, 0.9, [])
     assert r.sort_key() == ("m", 2, 1)
+
+
+@pytest.mark.parametrize("edit,message", TABLE_EDITS)
+def test_experiment_needs_matching_component_tables(synth_pair, edit, message):
+    # Checked before any fit: transfer pairs parts by name, and FirePower
+    # reads the kb's GBTs by position.
+    ds_known, ds_target, _ = synth_pair
+    doc = dataset_to_dict(ds_target)
+    edit(doc)
+    with pytest.raises(ValidationError) as err:
+        run_experiment(ds_known, dataset_from_dict(doc), ks=[2], hp=tiny_hp)
+    assert str(err.value).startswith("known dataset and target dataset ") and message in str(err.value)
