@@ -9,8 +9,19 @@ is one (workload, seed, trace) present on both sides.  Per workload and
 metric the summary gives each side's median, the parent's quartiles, the
 ratio of the medians (change / parent), the number of pairs and the number
 the change wins (strictly better in the metric's direction, from
-BENCHMARK.json).  It also records the machine, both sides' git SHA and
-``src/`` line count, and each side's failed and incorrect runs.
+BENCHMARK.json).  Each end-to-end metric also gets a verdict against its
+bound in BENCHMARK.json (which this script only reads):
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound, a share of the parent's median;
+- ``unresolved``: the parent's quartile distance (IQR) is wider than the
+  bound and not every change run beats every parent run;
+- ``gain``: the change wins at least 9 in 10 pairs, and its median is
+  better by more than the parent's IQR;
+- ``within``: otherwise.
+
+It also records the machine, both sides' git SHA and ``src/`` line count,
+and each side's failed and incorrect runs.
 """
 
 from __future__ import annotations
@@ -52,7 +63,28 @@ def one_of(values, what: str):
     return distinct[0]
 
 
-def summarize(parent: dict, change: dict, better: dict[str, str]) -> dict:
+def beats(better: str):
+    """f(a, b): whether change value b is strictly better than parent value a."""
+    return (lambda a, b: b < a) if better == "lower" else (lambda a, b: b > a)
+
+
+def verdict(p: list[float], c: list[float], better: str, bound: float) -> str:
+    """The change's runs c against the parent's runs p, paired in order, on
+    a metric whose median may be worse by at most bound x the parent's."""
+    won = beats(better)
+    p_med, c_med = statistics.median(p), statistics.median(c)
+    worse_by = c_med - p_med if better == "lower" else p_med - c_med
+    q1, q3 = quartiles(p)
+    if worse_by > bound * abs(p_med):
+        return "worse"
+    if q3 - q1 > bound * abs(p_med) and not all(won(a, b) for a in p for b in c):
+        return "unresolved"
+    if sum(map(won, p, c)) >= 0.9 * len(p) and -worse_by > q3 - q1:
+        return "gain"
+    return "within"
+
+
+def summarize(parent: dict, change: dict, better: dict[str, str], bounds: dict[str, float]) -> dict:
     pairs = sorted(set(parent) & set(change))
     unpaired = sorted(set(parent) ^ set(change))
     if unpaired:
@@ -67,7 +99,7 @@ def summarize(parent: dict, change: dict, better: dict[str, str]) -> dict:
             p = [parent[k]["metrics"][name]["value"] for k in keys]
             c = [change[k]["metrics"][name]["value"] for k in keys]
             direction = better.get(name, "lower")
-            wins = sum((b < a) if direction == "lower" else (b > a) for a, b in zip(p, c))
+            wins = sum(map(beats(direction), p, c))
             p_med, c_med = statistics.median(p), statistics.median(c)
             q1, q3 = quartiles(p)
             metrics[name] = {
@@ -81,6 +113,8 @@ def summarize(parent: dict, change: dict, better: dict[str, str]) -> dict:
                 "wins": wins,
                 "pairs": len(keys),
             }
+            if name in bounds:
+                metrics[name]["verdict"] = verdict(p, c, direction, bounds[name])
         section = workloads.setdefault(workload, {})
         section["traced" if trace else "untraced"] = {
             "seeds": [k[1] for k in keys],
@@ -114,7 +148,8 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-    summary = summarize(load_records(args.parent), load_records(args.change), better)
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
+    summary = summarize(load_records(args.parent), load_records(args.change), better, bounds)
     with open(args.out, "w") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
@@ -123,7 +158,7 @@ def main(argv=None) -> int:
             m = sections.get("untraced", {}).get("metrics", {}).get(name)
             if m:
                 print(f"{workload:<14} {name:<12} {m['parent_median']:>10.4g} -> {m['change_median']:<10.4g} "
-                      f"ratio {m['ratio']:.3f}  wins {m['wins']}/{m['pairs']}")
+                      f"ratio {m['ratio']:.3f}  wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     return 0
 
 

@@ -74,14 +74,7 @@ class EffectiveHardwareModel:
     def predict_samples(self, ds: Dataset) -> np.ndarray:
         """The clamped factor of each sample of ds, in sample order."""
         # The hardware factor depends on the configuration alone.
-        positions = ds._config_positions
-        unknown = np.flatnonzero(positions < 0)
-        if unknown.size:
-            s = ds.samples[unknown[0]]
-            raise ValidationError(
-                f"sample ({s.config_id}, {s.workload}): unknown configuration id {s.config_id!r}"
-            )
-        return np.array([self.predict(cfg) for cfg in ds.configurations])[positions]
+        return np.array([self.predict(cfg) for cfg in ds.configurations])[ds._config_positions]
 
 
 @dataclass

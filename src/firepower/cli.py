@@ -139,6 +139,8 @@ def _check_values(args):
         _usage_error(f"--ks values must be at least 1, not {min(args.ks)}")
     if "seeds" in args and args.seeds < 0:
         _usage_error(f"--seeds must not be negative, not {args.seeds}")
+    if "seed" in args and args.seed < 0:
+        _usage_error(f"--seed must not be negative, not {args.seed}")
     if "seeds" in args and args.seeds > sys.maxsize:
         _usage_error(f"--seeds must be at most {sys.maxsize}")
     for method in getattr(args, "methods", ()):
@@ -226,10 +228,14 @@ def cmd_predict(args) -> int:
     write_text_atomic(args.out, "\n".join(rows) + "\n")
     if len(totals_pred) >= 2:
         m = mape(totals_pred, totals_label)
-        r = pearson_r(totals_pred, totals_label)
+        try:
+            r = pearson_r(totals_pred, totals_label)
+        except ModelError:  # the predicted or the labeled totals do not vary
+            r = None
         summary_path = args.out + ".summary.csv"
-        write_text_atomic(summary_path, f"mape_percent,pearson_r\n{m!r},{r!r}\n")
-        print(f"total-power MAPE {m:.3f}%  R {r:.4f}  (summary: {summary_path})")
+        write_text_atomic(summary_path, f"mape_percent,pearson_r\n{m!r},{'' if r is None else repr(r)}\n")
+        shown = "undefined (zero variance)" if r is None else f"{r:.4f}"
+        print(f"total-power MAPE {m:.3f}%  R {shown}  (summary: {summary_path})")
     print(f"predictions written to {args.out}")
     return EXIT_OK
 

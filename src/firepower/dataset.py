@@ -300,7 +300,10 @@ class Dataset:
     """Configurations and their power samples.  The samples' component
     powers and event statistics are stored column-wise, in two samples x
     names float64 tables (NaN where a sample has no entry) that are packed
-    once, here; each sample's mappings are read-only views of its row."""
+    once, here; each sample's mappings are read-only views of its row.
+    Here too, and only here, its references are checked: distinct
+    configuration ids, each with every parameter the table reads, and
+    distinct (configuration, workload) samples of known configurations."""
 
     architecture: str
     configurations: tuple[Configuration, ...]
@@ -309,6 +312,8 @@ class Dataset:
     registry: ParameterRegistry = field(default_factory=builtin_registry)
     _power: _Table = field(init=False, repr=False, compare=False)
     _events: _Table = field(init=False, repr=False, compare=False)
+    _config_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _config_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -327,29 +332,37 @@ class Dataset:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_power", tables[0])
         object.__setattr__(self, "_events", tables[1])
+        index = {cfg.id: j for j, cfg in enumerate(self.configurations)}
+        if len(index) != len(self.configurations):
+            raise ValidationError("duplicate configuration ids")
+        needed = dict.fromkeys(chain.from_iterable(c.hw_params for c in self.component_table))
+        for cfg in self.configurations:
+            if not needed.keys() <= cfg.params.keys():
+                hw_row(tuple(needed), cfg)  # raises, naming the first parameter cfg lacks
+        try:
+            positions = np.array([index[s.config_id] for s in samples], dtype=np.intp)
+        except KeyError:
+            s = next(s for s in samples if s.config_id not in index)
+            message = f"sample ({s.config_id}, {s.workload}): unknown configuration id {s.config_id!r}"
+            raise ValidationError(message) from None
+        if len({(s.config_id, s.workload) for s in samples}) < len(samples):
+            seen: set[tuple[str, str]] = set()  # set.add returns None: next() stops at a repeat
+            key = next(k for k in ((s.config_id, s.workload) for s in samples) if k in seen or seen.add(k))
+            raise ValidationError(f"duplicate sample for {key}")
+        object.__setattr__(self, "_config_index", index)
+        object.__setattr__(self, "_config_positions", positions)
 
     @cached_property
-    def _config_index(self) -> dict[str, Configuration]:
-        return {cfg.id: cfg for cfg in self.configurations}
-
-    @cached_property
-    def _rows_by_config(self) -> dict[str, np.ndarray]:
-        """Each configuration's sample rows, in sample order."""
-        groups: dict[str, list[int]] = {}
-        for i, s in enumerate(self.samples):
-            groups.setdefault(s.config_id, []).append(i)
-        return {cid: np.array(rows, dtype=np.intp) for cid, rows in groups.items()}
-
-    @cached_property
-    def _config_positions(self) -> np.ndarray:
-        """Each sample's configuration as its index in configurations, -1
-        for an unknown id."""
-        positions = {cfg.id: j for j, cfg in enumerate(self.configurations)}
-        return np.array([positions.get(s.config_id, -1) for s in self.samples], dtype=np.intp)
+    def _rows_by_config(self) -> list[np.ndarray]:
+        """Each configuration's sample rows, in sample order, one array per
+        configuration in configuration order."""
+        order = np.argsort(self._config_positions, kind="stable")
+        counts = np.bincount(self._config_positions, minlength=len(self.configurations))
+        return np.split(order, np.cumsum(counts)[:-1])
 
     def config(self, config_id: str) -> Configuration:
         try:
-            return self._config_index[config_id]
+            return self.configurations[self._config_index[config_id]]
         except KeyError:
             raise ValidationError(f"unknown configuration id {config_id!r}") from None
 
@@ -555,23 +568,14 @@ def dataset_from_dict(doc: dict) -> Dataset:
     configurations = tuple(
         _parse_configuration(entry, architecture, registry) for entry in raw_configs
     )
-    if len({c.id for c in configurations}) != len(configurations):
-        raise ValidationError("duplicate configuration ids")
     entries = _require(doc, "samples", "dataset")
     checked = _sample_numbers_finite(entries)
     names = {c.name for c in table}
     parsed = [_parse_sample(entry, names, checked) for entry in entries]
+    # Samples share their configuration's id and workload name strings.
     config_ids = {c.id: c.id for c in configurations}
     workloads: dict[str, str] = {}
-    keys: dict[tuple[str, str], None] = {}
-    for cid, workload, *_ in parsed:
-        if cid not in config_ids:
-            raise ValidationError(f"sample references unknown configuration {cid!r}")
-        # Samples share their configuration's id and workload name strings.
-        key = (config_ids[cid], workloads.setdefault(workload, workload))
-        if key in keys:
-            raise ValidationError(f"duplicate sample for {key}")
-        keys[key] = None
+    keys = [(config_ids.get(c, c), workloads.setdefault(w, w)) for c, w, *_ in parsed]
     _, _, totals, powers, events, analytical = zip(*parsed) if parsed else ((),) * 6
     samples = _packed_samples(keys, totals, analytical, _Table.of(powers), _Table.of(events))
     return Dataset(
@@ -654,9 +658,8 @@ def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
     comp = ds.component(component)
     labels = ds._power.column(comp.name)
     result: dict[str, float] = {}
-    for cfg in ds.configurations:
-        rows = ds._rows_by_config.get(cfg.id)
-        if rows is None:
+    for cfg, rows in zip(ds.configurations, ds._rows_by_config):
+        if not rows.size:
             raise ValidationError(f"configuration {cfg.id!r} has no samples")
         values = labels[rows]
         missing = np.flatnonzero(np.isnan(values))
@@ -718,15 +721,11 @@ def design_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
     """One feature_row per sample, in sample order: n_samples x (|H_i| + |E_i|).
 
     Built from the configurations' H_i rows and the event-statistic
-    columns; a sample whose row cannot be built (its configuration is
-    unknown or lacks a parameter, or it lacks an event statistic) raises
-    feature_row's ValidationError, the first such sample in sample order."""
-    hw = np.full((len(ds.configurations) + 1, len(comp.hw_params)), np.nan)  # last row: unknown id
-    for j, cfg in enumerate(ds.configurations):
-        if all(p in cfg.params for p in comp.hw_params):
-            hw[j] = hw_row(comp.hw_params, cfg)
+    columns; a sample that lacks an event statistic raises feature_row's
+    ValidationError, the first such sample in sample order."""
+    hw = np.array([hw_row(comp.hw_params, cfg) for cfg in ds.configurations])
     X = np.empty((len(ds.samples), len(comp.hw_params) + len(comp.event_stats)))
-    X[:, : len(comp.hw_params)] = hw[ds._config_positions]
+    X[:, : len(comp.hw_params)] = hw.reshape(-1, len(comp.hw_params))[ds._config_positions]
     for j, name in enumerate(comp.event_stats, start=len(comp.hw_params)):
         X[:, j] = ds._events.column(name)
     for i in np.flatnonzero(np.isnan(X).any(axis=1)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .dataset import (
     schema_errors,
     write_text_atomic,
 )
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
+from .trees import all_finite
 
 # Design-space bounds per hardware parameter (min, max).
 PARAM_RANGES = {
@@ -53,6 +54,9 @@ PARAM_RANGES = {
 
 # How strongly event-statistic values depend on the configuration.
 EVENT_CONFIG_COUPLING = 0.05
+
+# The hardware-scale forms ComponentGen._shape reads.
+HW_FORMS = ("constant", "linear", "reversed", "product")
 
 # How far the target architecture's linear coefficients move for dominant
 # components: c0 shrinks by half this fraction, c1 grows by all of it.
@@ -361,8 +365,63 @@ def spec_to_dict(spec: SynthSpec) -> dict:
     }
 
 
+def _field(doc: dict, key: str, ok, want: str, where: str = ""):
+    """doc[key], or a SchemaError naming the field unless ok(doc[key])."""
+    value = doc[key]
+    if not ok(value):
+        raise SchemaError(f"synthetic spec: {where}{key} {value!r} is not {want}")
+    return value
+
+
+def _exact_fields(doc, cls, where: str):
+    """SchemaError unless doc is a mapping with exactly cls's fields."""
+    if type(doc) is not dict:
+        raise SchemaError(f"synthetic spec: {where}is not a mapping")
+    names = [f.name for f in fields(cls)]
+    for key in [*names, *doc]:
+        if key not in doc or key not in names:
+            raise SchemaError(f"synthetic spec: {where}{'lacks' if key in names else 'has unknown'} field {key!r}")
+
+
+def _is_param(value) -> bool:
+    return type(value) is str and value in PARAM_RANGES
+
+
+def _is_pair(value) -> bool:
+    return type(value) is list and len(value) == 2 and all_finite(value)
+
+
 @schema_errors("synthetic spec")
 def spec_from_dict(doc: dict) -> SynthSpec:
+    """Inverse of spec_to_dict.  The document holds exactly SynthSpec's
+    fields and each component exactly ComponentGen's; a value that the
+    generator cannot read, by type or range, is a SchemaError naming it."""
+    _exact_fields(doc, SynthSpec, "the document ")
+    _field(doc, "seed", lambda v: type(v) is int and v >= 0, "an integer >= 0")
+    for key in ("n_known_configs", "n_target_configs", "n_workloads"):
+        _field(doc, key, lambda v: type(v) is int, "an integer")
+    _field(doc, "noise_sigma", lambda v: all_finite([v]) and v >= 0, "a finite number >= 0")
+    for key in ("known_arch", "target_arch"):
+        _field(doc, key, lambda v: type(v) is str, "a string")
+    base = _field(doc, "workload_base", lambda v: type(v) is list, "a list")
+    bad = [v for v in base if not all_finite([v])]
+    if bad:
+        raise SchemaError(f"synthetic spec: workload_base entry {bad[0]!r} is not a finite number")
+    for g in _field(doc, "components", lambda v: type(v) is list, "a list"):
+        _exact_fields(g, ComponentGen, "a component ")
+        where = f"component {_field(g, 'name', lambda v: type(v) is str, 'a string')!r} "
+        _field(g, "hw_params", lambda v: type(v) is list and v and all(map(_is_param, v)),
+               "a nonempty list of hardware parameters", where)
+        _field(g, "ref_param", _is_param, "a hardware parameter", where)
+        for key in ("hw_form_known", "hw_form_target"):
+            _field(g, key, lambda v: v in HW_FORMS, f"one of {', '.join(HW_FORMS)}", where)
+        for key in ("hw_coeffs_known", "hw_coeffs_target", "event_coeffs_known", "event_coeffs_target"):
+            _field(g, key, _is_pair, "a list of 2 finite numbers", where)
+        for key in ("arch_scale_known", "arch_scale_target"):
+            _field(g, key, lambda v: all_finite([v]), "a finite number", where)
+        _field(g, "event_stat", lambda v: type(v) is str, "a string", where)
+    if sorted(g["name"] for g in doc["components"]) != sorted(c.name for c in builtin_component_table()):
+        raise SchemaError("synthetic spec: components must name each built-in component once")
     components = tuple(
         ComponentGen(**{k: tuple(v) if isinstance(v, list) else v for k, v in g.items()})
         for g in doc["components"]

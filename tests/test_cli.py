@@ -933,3 +933,74 @@ def test_model_epsilon_other_than_the_clamp_is_data_error(workspace, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and "epsilon" in err and "Traceback" not in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_predict_without_a_correlation_writes_an_empty_r(tmp_path, capsys):
+    # Two samples of one configuration with the same events: the predicted
+    # totals do not vary, so R is undefined; MAPE is still written.
+    doc = json.loads((FORMAT1 / "test.json").read_text())
+    first = doc["samples"][0]
+    doc["samples"] = [first, {**first, "workload": "copy"}]
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(doc))
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(FORMAT1 / "model.json"), "--input", str(two), "--out", str(out)]) == EXIT_OK
+    assert "R undefined" in capsys.readouterr().out
+    header, row = (tmp_path / "preds.csv.summary.csv").read_text().splitlines()
+    (total,) = [line.split(",") for line in out.read_text().splitlines() if line.startswith(f"{first['config_id']},copy,Total,")]
+    assert header == "mape_percent,pearson_r" and row == f"{mape([float(total[3])], [float(total[4])])!r},"
+    # The predictions are those of a run on the whole file, which has an R.
+    full = tmp_path / "full.csv"
+    assert main(["predict", "--model", str(FORMAT1 / "model.json"), "--input", str(FORMAT1 / "test.json"),
+                 "--out", str(full)]) == EXIT_OK
+    assert (tmp_path / "full.csv.summary.csv").read_text().splitlines()[1].split(",")[1] != ""
+    lines = full.read_text().splitlines()
+    rows = [line for line in lines if line.startswith(f"{first['config_id']},{first['workload']},")]
+    copies = [line.replace(f",{first['workload']},", ",copy,", 1) for line in rows]
+    assert out.read_bytes() == ("\n".join([lines[0], *rows, *copies]) + "\n").encode()
+
+
+def _spec_field(key, value, component=None):
+    def edit(doc):
+        (doc if component is None else doc["components"][component])[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "flags, edit, code, message",
+    [
+        pytest.param(["--seed", "-1"], None, EXIT_USAGE, "--seed must not be negative, not -1", id="seed-flag"),
+        pytest.param([], _spec_field("seed", -1), EXIT_DATA, "seed -1 is not an integer >= 0", id="seed-negative"),
+        pytest.param([], _spec_field("seed", 1.5), EXIT_DATA, "seed 1.5 is not an integer >= 0", id="seed-float"),
+        pytest.param([], _spec_field("seed", "x"), EXIT_DATA, "seed 'x' is not an integer >= 0", id="seed-text"),
+        pytest.param([], _spec_field("noise_sigma", "a"), EXIT_DATA, "noise_sigma 'a' is not a finite number >= 0",
+                     id="noise-text"),
+        pytest.param([], lambda d: d["workload_base"].__setitem__(2, "x"), EXIT_DATA,
+                     "workload_base entry 'x' is not a finite number", id="workload-base-text"),
+        pytest.param([], _spec_field("hw_coeffs_known", [0.5, "x"], 0), EXIT_DATA,
+                     "component 'BPTAGE' hw_coeffs_known [0.5, 'x'] is not a list of 2 finite numbers",
+                     id="coeffs-text"),
+        pytest.param([], _spec_field("arch_scale_known", "x", 0), EXIT_DATA,
+                     "component 'BPTAGE' arch_scale_known 'x' is not a finite number", id="arch-scale-text"),
+        pytest.param([], _spec_field("ref_param", "Nope", 0), EXIT_DATA,
+                     "component 'BPTAGE' ref_param 'Nope' is not a hardware parameter", id="ref-param-unknown"),
+        pytest.param([], _spec_field("hw_coeffs_target", [1.0], 0), EXIT_DATA,
+                     "component 'BPTAGE' hw_coeffs_target [1.0] is not a list of 2 finite numbers",
+                     id="coeffs-one-entry"),
+        pytest.param([], _spec_field("extra", 1), EXIT_DATA, "the document has unknown field 'extra'",
+                     id="unknown-key"),
+    ],
+)
+def test_synth_names_a_bad_seed_or_spec_field(tmp_path, capsys, flags, edit, code, message):
+    from firepower.synthgen import default_spec, spec_to_dict
+
+    argv = ["synth", "--out-dir", str(tmp_path / "out"), *flags]
+    if edit is not None:
+        doc = spec_to_dict(default_spec(seed=0))
+        edit(doc)
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        argv += ["--spec", str(tmp_path / "spec.json")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -31,7 +31,7 @@ from firepower.dataset import (
     load_dataset,
     save_dataset,
 )
-from firepower.errors import AliasError, SchemaError, ValidationError
+from firepower.errors import AliasError, FirePowerError, SchemaError, ValidationError
 from firepower.synthgen import default_spec, generate_pair
 
 from conftest import tiny_doc
@@ -170,21 +170,21 @@ def test_nonpositive_power_rejected():
 def test_duplicate_sample_rejected():
     doc = tiny_doc()
     doc["samples"].append(copy.deepcopy(doc["samples"][0]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^duplicate sample for \('C1', 'w0'\)$"):
         dataset_from_dict(doc)
 
 
 def test_duplicate_config_id_rejected():
     doc = tiny_doc()
     doc["configurations"].append(copy.deepcopy(doc["configurations"][0]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^duplicate configuration ids$"):
         dataset_from_dict(doc)
 
 
 def test_sample_with_unknown_config_rejected():
     doc = tiny_doc()
     doc["samples"][0]["config_id"] = "C9"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^sample \(C9, w0\): unknown configuration id 'C9'$"):
         dataset_from_dict(doc)
 
 
@@ -600,16 +600,6 @@ def test_bulk_reader_errors_match_per_sample_loops(tiny_dataset):
         "event": (_without(tiny_dataset, 3, "event_stats", "front_act"),
                   "sample (C2, w1): configuration 'C2' lacks event statistic 'front_act' "
                   "for component 'Front'"),
-        "parameter": (_lacking_parameter(tiny_dataset, "C3", "FetchWidth"),
-                      "sample (C3, w0): configuration 'C3' lacks parameter 'FetchWidth'"),
-        # The first sample in sample order that fails names the fault.
-        "event before parameter": (
-            _without(_lacking_parameter(tiny_dataset, "C3", "FetchWidth"), 1, "event_stats", "front_act"),
-            "sample (C1, w1): configuration 'C1' lacks event statistic 'front_act' "
-            "for component 'Front'"),
-        "unknown configuration": (
-            dataclasses.replace(tiny_dataset, configurations=tiny_dataset.configurations[:2]),
-            "sample (C3, w0): unknown configuration id 'C3'"),
     }
     for name, (ds, message) in cases.items():
         _bulk_readers_match_references(ds)
@@ -621,6 +611,113 @@ def test_bulk_reader_errors_match_per_sample_loops(tiny_dataset):
     assert _outcome(average_power_per_config, no_samples, "Front") == \
         "ValidationError: configuration 'C1' has no samples"
     _bulk_readers_match_references(no_samples)
+
+
+def test_broken_references_raise_at_construction(tiny_dataset):
+    # A missing parameter or an unknown configuration is refused as the
+    # Dataset is built, before any reader sees it.
+    without_event = _without(tiny_dataset, 1, "event_stats", "front_act")
+    cases = {
+        "parameter": (lambda: _lacking_parameter(tiny_dataset, "C3", "FetchWidth"),
+                      "configuration 'C3' lacks parameter 'FetchWidth'"),
+        # A sample's missing event is a reader's fault; the parameter is found first.
+        "event before parameter": (lambda: _lacking_parameter(without_event, "C3", "FetchWidth"),
+                                   "configuration 'C3' lacks parameter 'FetchWidth'"),
+        "unknown configuration": (
+            lambda: dataclasses.replace(tiny_dataset, configurations=tiny_dataset.configurations[:2]),
+            "sample (C3, w0): unknown configuration id 'C3'"),
+    }
+    for name, (build, message) in cases.items():
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message, name
+
+
+_EDIT_BASE = generate_pair(default_spec(seed=0, n_known_configs=3, n_target_configs=2, n_workloads=2))[0]
+_BASE_IDS = [c.id for c in _EDIT_BASE.configurations]
+
+_EDITS = st.one_of(
+    st.tuples(st.just("drop configuration"), st.integers(0, 9)),
+    st.tuples(st.just("repeat configuration id"), st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.just("duplicate sample"), st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.just("rename configuration"), st.integers(0, 9), st.sampled_from(_BASE_IDS + ["Z9"])),
+    st.tuples(st.just("drop parameter"), st.integers(0, 9), st.sampled_from(CANONICAL_PARAMETERS)),
+)
+
+
+def _edited(edits):
+    """The synth dataset's configurations as (id, params) and samples as
+    (config_id, workload, source sample index), with edits applied in order."""
+    configs = [(c.id, dict(c.params)) for c in _EDIT_BASE.configurations]
+    samples = [(s.config_id, s.workload, i) for i, s in enumerate(_EDIT_BASE.samples)]
+    for kind, i, *rest in edits:
+        if kind == "drop configuration" and len(configs) > 1:
+            del configs[i % len(configs)]
+        elif kind == "repeat configuration id":
+            configs[rest[0] % len(configs)] = (configs[i % len(configs)][0], configs[rest[0] % len(configs)][1])
+        elif kind == "duplicate sample":
+            samples.insert(rest[0] % (len(samples) + 1), samples[i % len(samples)])
+        elif kind == "rename configuration":
+            samples[i % len(samples)] = (rest[0], *samples[i % len(samples)][1:])
+        elif kind == "drop parameter":
+            configs[i % len(configs)][1].pop(rest[0], None)
+    return configs, samples
+
+
+def _first_reference_fault(configs, samples, table):
+    """The first fault in construction's order, found by plain loops."""
+    ids = [cid for cid, _ in configs]
+    if len(set(ids)) < len(ids):
+        return "ValidationError: duplicate configuration ids"
+    needed = dict.fromkeys(p for comp in table for p in comp.hw_params)
+    for cid, params in configs:
+        for p in needed:
+            if p not in params:
+                return f"ValidationError: configuration {cid!r} lacks parameter {p!r}"
+    for cid, workload, _ in samples:
+        if cid not in ids:
+            return f"ValidationError: sample ({cid}, {workload}): unknown configuration id {cid!r}"
+    seen = set()
+    for cid, workload, _ in samples:
+        if (cid, workload) in seen:
+            return f"ValidationError: duplicate sample for {(cid, workload)}"
+        seen.add((cid, workload))
+    return None
+
+
+def _first_fault(build):
+    try:
+        build()
+    except FirePowerError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@given(edits=st.lists(_EDITS, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_edited_references_fail_alike_loaded_or_replaced(edits):
+    ds = _EDIT_BASE
+    configs, samples = _edited(edits)
+    replaced = _first_fault(lambda: dataclasses.replace(
+        ds,
+        configurations=tuple(Configuration(cid, ds.architecture, params) for cid, params in configs),
+        samples=tuple(dataclasses.replace(ds.samples[k], config_id=cid, workload=w) for cid, w, k in samples),
+    ))
+    doc = dataset_to_dict(ds)
+    entries = doc["samples"]
+    doc["configurations"] = [{"id": cid, "params": params} for cid, params in configs]
+    doc["samples"] = [{**entries[k], "config_id": cid, "workload": w} for cid, w, k in samples]
+    loaded = _first_fault(lambda: dataset_from_dict(doc))
+    assert replaced == _first_reference_fault(configs, samples, ds.component_table)
+    lacking = [(cid, params) for cid, params in configs if len(params) < len(CANONICAL_PARAMETERS)]
+    if lacking:
+        # A file's configuration must give every registry parameter, which the
+        # loader checks first; the table reads every one of them.
+        cid, params = lacking[0]
+        missing = [p for p in CANONICAL_PARAMETERS if p not in params]
+        assert loaded == f"SchemaError: configuration {cid}: missing parameters {missing}"
+    else:
+        assert loaded == replaced
 
 
 def test_built_dataset_retains_under_1kb_per_sample(tmp_path):
