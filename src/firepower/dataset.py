@@ -2,9 +2,13 @@
 
 A dataset file is a JSON document with top-level keys `architecture`,
 `parameters` (optional registry override), `component_table` (optional),
-`configurations` and `samples`.  All hardware-parameter names are
-canonicalized through an alias registry on load, so that e.g. "ICacheWay"
-and "DCacheWay" both resolve to the merged parameter "DCache/ICacheWay".
+`configurations` and `samples`.  save_dataset writes format 2, whose
+samples are columns: a list per field and, per mapping, one `names` list
+and one row per sample, null where it has no entry.  A file without
+`format_version` is format 1, a list of sample objects, and still loads.
+All hardware-parameter names are canonicalized through an alias registry
+on load, so that e.g. "ICacheWay" and "DCacheWay" both resolve to the
+merged parameter "DCache/ICacheWay".
 """
 
 from __future__ import annotations
@@ -14,15 +18,15 @@ import operator
 import os
 import tempfile
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain
 
 import numpy as np
 
 from .errors import AliasError, ParseError, SchemaError, ValidationError
-from .trees import all_finite, finite_number
+from .trees import FORMAT_VERSION, finite_number, format_version
 
 OTHER_LOGIC = "Other Logic"
 
@@ -156,6 +160,22 @@ class Configuration:
     params: dict[str, int]
 
 
+def _rows(mappings: list[Mapping]) -> tuple[tuple[str, ...], list[list], int]:
+    """(names, rows, given): the keys of mappings in first-seen order, one
+    list of values per mapping in that order (None where it has no entry),
+    and how many entries the mappings hold."""
+    names = tuple(mappings[0]) if mappings else ()
+    if all(tuple(m) == names for m in mappings):  # the same keys in the same order
+        return names, [list(m.values()) for m in mappings], len(mappings) * len(names)
+    names = tuple(dict.fromkeys(chain.from_iterable(mappings)))
+    return names, [[m.get(name) for name in names] for m in mappings], sum(map(len, mappings))
+
+
+def _matrix(names, rows: list[list]) -> np.ndarray:
+    """rows as a len(rows) x len(names) float64 matrix, NaN for None."""
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
 class _Table:
     """A samples x names float64 matrix, NaN where a sample has no entry,
     and its name -> column dict, columns in first-seen order.  Read-only."""
@@ -170,22 +190,12 @@ class _Table:
 
     @classmethod
     def of(cls, mappings: list[Mapping]) -> "_Table":
-        """The rows of mappings; ValidationError if one holds NaN, which
-        would read as an absent entry."""
-        names = tuple(mappings[0]) if mappings else ()
-        entries = chain.from_iterable(m.values() for m in mappings)
-        if all(tuple(m) == names for m in mappings):  # the same keys in the same order
-            given = len(mappings) * len(names)
-            values = np.fromiter(entries, float, count=given).reshape(len(mappings), len(names))
-        else:
-            names = tuple(dict.fromkeys(chain.from_iterable(mappings)))
-            given = sum(map(len, mappings))
-            columns = {name: j for j, name in enumerate(names)}
-            values = np.full((len(mappings), len(names)), np.nan)
-            flat = [i * len(names) + columns[name] for i, m in enumerate(mappings) for name in m]
-            values.flat[flat] = np.fromiter(entries, float, count=given)
+        """The rows of mappings; ValidationError if one holds NaN or None,
+        which would read as an absent entry."""
+        names, rows, given = _rows(mappings)
+        values = _matrix(names, rows)
         if np.count_nonzero(~np.isnan(values)) != given:
-            raise ValidationError("a sample's component_power or event_stats value is NaN")
+            raise ValidationError("a sample's component_power or event_stats value is NaN or None")
         return cls(values, {name: j for j, name in enumerate(names)})
 
     def column(self, name: str) -> np.ndarray:
@@ -269,12 +279,18 @@ def samples_from_arrays(
     """Samples with (config_id, workload) keys[i] and total totals[i], whose
     component powers and event statistics are row i of the samples x names
     matrices power and events (NaN where a sample has no entry).  A Dataset
-    of these samples, in this order, keeps the two matrices as they are."""
+    of these samples, in this order, keeps the two matrices as they are.
+    ValidationError, as a loader gives it, if a power label is not positive."""
+    labels = np.asarray(power, dtype=float)
+    bad = np.argwhere(labels <= 0)  # row by row: the first sample, then its first component
+    if bad.size:
+        (cid, workload), j = keys[bad[0, 0]], bad[0, 1]
+        raise ValidationError(f"sample ({cid}, {workload}): nonpositive power label for {power_names[j]!r}")
     return _packed_samples(
         keys,
         totals,
         [None] * len(keys),
-        _Table(np.asarray(power, dtype=float), {n: j for j, n in enumerate(power_names)}),
+        _Table(labels, {n: j for j, n in enumerate(power_names)}),
         _Table(np.asarray(events, dtype=float), {n: j for j, n in enumerate(event_names)}),
     )
 
@@ -473,59 +489,153 @@ def _parse_configuration(entry: dict, architecture: str, registry: ParameterRegi
     return Configuration(id=cid, architecture=architecture, params=params)
 
 
-def _sample_numbers_finite(entries: list) -> bool:
-    """Whether every number of every sample entry is a finite int or float,
-    as trees.finite_number requires, checked in bulk.  float() alone reads
-    "12.5", true, NaN and inf and overflows on an int beyond the float range."""
-    values = []
-    for entry in entries:
-        values.append(entry.get("total_power"))
-        values.extend(entry.get("component_power", {}).values())
-        values.extend(entry.get("event_stats", {}).values())
-        if entry.get("analytical_estimate") is not None:
-            values.append(entry["analytical_estimate"])
-    return all_finite(values)
+def _with_residual(power: Mapping, total, names: set[str]) -> Mapping:
+    """power, or a new dict that adds Other Logic last, total less the left
+    fold of power's values in power's own order, if power labels every
+    component of the table but Other Logic, which the table has."""
+    if OTHER_LOGIC in names and OTHER_LOGIC not in power and len(power) == len(names) - 1:
+        return {**power, OTHER_LOGIC: float(total) - left_sum(power.values())}
+    return power
 
 
-def _parse_sample(entry: dict, names: set[str], checked: bool) -> tuple:
-    """(config_id, workload, total_power, component_power, event_stats,
-    analytical_estimate) of entry, checked against the component names
-    (unless checked, its numbers pass trees.finite_number first).  The two
-    mappings are entry's own, or a new dict with the Other Logic residual."""
+def _check_sample(entry: dict, names: set[str]):
+    """Raise on the first fault of one sample in format 1's form, checked
+    against the component names.  _validated calls this on the samples that
+    may be at fault, so that the message names the sample and the field."""
     cid = str(_require(entry, "config_id", "sample"))
     workload = str(_require(entry, "workload", f"sample of {cid}"))
     context = f"sample ({cid}, {workload})"
-    if not checked:
-        numbers = [("total_power", _require(entry, "total_power", context))]
-        for key in ("component_power", "event_stats"):
-            numbers += [(f"{key} of {name}", v) for name, v in entry.get(key, {}).items()]
-        if entry.get("analytical_estimate") is not None:
-            numbers.append(("analytical_estimate", entry["analytical_estimate"]))
-        for name, value in numbers:
-            finite_number(value, f"{context} {name}")
-    total = float(_require(entry, "total_power", context))
+    numbers = [("total_power", _require(entry, "total_power", context))]
+    for key in ("component_power", "event_stats"):
+        numbers += [(f"{key} of {name}", v) for name, v in entry.get(key, {}).items()]
+    if entry.get("analytical_estimate") is not None:
+        numbers.append(("analytical_estimate", entry["analytical_estimate"]))
+    for name, value in numbers:
+        finite_number(value, f"{context} {name}")
+    total = float(entry["total_power"])
     if total <= 0:
         raise ValidationError(f"{context}: total_power must be positive")
     comp_power = entry.get("component_power", {})
     for comp_name in comp_power:
         if comp_name not in names:
             raise ValidationError(f"{context}: unknown component {comp_name!r}")
-    # Other Logic takes the residual when all the other names are keys.
-    if OTHER_LOGIC in names and OTHER_LOGIC not in comp_power and len(comp_power) == len(names) - 1:
-        comp_power = {**comp_power, OTHER_LOGIC: total - left_sum(comp_power.values())}
+    comp_power = _with_residual(comp_power, total, names)
     for comp_name, value in comp_power.items():
         if value <= 0:
             raise ValidationError(f"{context}: nonpositive power label for {comp_name!r}")
-    if len(comp_power) == len(names):
-        parts = left_sum(comp_power.values())
-        if abs(parts - total) > COMPONENT_SUM_RTOL * total:
-            raise ValidationError(
-                f"{context}: component powers sum to {parts:.6g}, "
-                f"total is {total:.6g} (beyond {COMPONENT_SUM_RTOL:.1%} tolerance)"
-            )
-    analytical = entry.get("analytical_estimate")
-    analytical = None if analytical is None else float(analytical)
-    return cid, workload, total, comp_power, entry.get("event_stats", {}), analytical
+    parts = left_sum(comp_power.values())
+    if len(comp_power) == len(names) and abs(parts - total) > COMPONENT_SUM_RTOL * total:
+        raise ValidationError(
+            f"{context}: component powers sum to {parts:.6g}, "
+            f"total is {total:.6g} (beyond {COMPONENT_SUM_RTOL:.1%} tolerance)"
+        )
+
+
+def _format1_columns(entries: list, names: set[str]) -> tuple:
+    """Format 1's sample list as (keys, totals, estimates, power, events),
+    the two mappings as _rows gives them, each sample's Other Logic
+    residual derived in the sample's own key order."""
+    keys, powers = [], []
+    for entry in entries:
+        cid = str(_require(entry, "config_id", "sample"))
+        keys.append((cid, str(_require(entry, "workload", f"sample of {cid}"))))
+        powers.append(entry.get("component_power", {}))
+        with suppress(TypeError, ValueError, OverflowError):  # not a number, which _check_sample names
+            powers[-1] = _with_residual(powers[-1], entry.get("total_power"), names)
+    totals, estimates = ([e.get(key) for e in entries] for key in ("total_power", "analytical_estimate"))
+    return keys, totals, estimates, _rows(powers), _rows([e.get("event_stats", {}) for e in entries])
+
+
+def _format2_columns(samples: dict) -> tuple:
+    """Format 2's samples as (keys, totals, estimates, power, events), the
+    two mappings as (names, rows, how many entries are not null); a list
+    of the wrong length is a SchemaError that names the field."""
+    n = len(samples["config_id"])
+
+    def column(value, name: str) -> list:
+        if type(value) is not list or len(value) != n:
+            raise SchemaError(f"dataset: samples {name} is not a list of {n} entries, one per config_id")
+        return value
+
+    def table(key: str) -> tuple:
+        names, rows = samples[key]["names"], column(samples[key]["rows"], f"{key} rows")
+        if type(names) is not list or set(map(type, names)) - {str} or len(set(names)) < len(names):
+            raise SchemaError(f"dataset: samples {key} names are not a list of distinct strings")
+        for i, row in enumerate(rows):
+            if type(row) is not list or len(row) != len(names):
+                message = f"row {i} is not a list of {len(names)} entries, one per name"
+                raise SchemaError(f"dataset: samples {key} {message}")
+        return tuple(names), rows, n * len(names) - sum(row.count(None) for row in rows)
+
+    keys = list(zip(*(map(str, column(samples[key], key)) for key in ("config_id", "workload"))))
+    totals = column(samples["total_power"], "total_power")
+    estimates = column(samples.get("analytical_estimate", [None] * n), "analytical_estimate")
+    return keys, totals, estimates, table("component_power"), table("event_stats")
+
+
+def _format1_entry(samples: dict, i: int) -> dict:
+    """Sample i of format 2's samples in format 1's form."""
+    entry = {key: samples[key][i] for key in ("config_id", "workload", "total_power")}
+    for key in ("component_power", "event_stats"):
+        pairs = zip(samples[key]["names"], samples[key]["rows"][i])
+        entry[key] = {name: v for name, v in pairs if v is not None}
+    entry["analytical_estimate"] = samples["analytical_estimate"][i] if "analytical_estimate" in samples else None
+    return entry
+
+
+def _validated(totals: list, estimates: list, power: tuple, events: tuple, names: set[str], entry) -> tuple:
+    """(totals, estimates, power, events) as float lists and _Tables, of a
+    file's sample columns: power and events as (names, rows, how many
+    entries are given), entry(i) sample i in format 1's form.  The columns
+    are checked all at once for what _check_sample checks, and the samples
+    that may be at fault go to _check_sample, in file order, to be named.
+    A sample that lacks only Other Logic gets the residual of its labels
+    added up in column order."""
+    (power_names, power_rows, power_given), (event_names, event_rows, event_given) = power, events
+
+    def numbers():
+        return (np.array(totals, dtype=float), np.array(estimates, dtype=float),
+                _matrix(power_names, power_rows), _matrix(event_names, event_rows))
+
+    # Only ints and floats, finite, and None only for an absent entry.
+    cells = chain(estimates, chain.from_iterable(power_rows), chain.from_iterable(event_rows))
+    present = (len(totals), len(estimates) - estimates.count(None), power_given, event_given)
+    try:
+        typed = set(map(type, totals)) <= {int, float} and set(map(type, cells)) <= {int, float, type(None)}
+        arrays = typed and numbers()
+    except OverflowError:  # an int beyond the float range
+        arrays = None
+    if not arrays or any(np.count_nonzero(np.isfinite(a)) != k for a, k in zip(arrays, present)):
+        for i in range(len(totals)):
+            _check_sample(entry(i), names)
+        arrays = numbers()  # of numbers _check_sample takes, such as numpy's floats
+    totals, estimates, power, event_values = arrays
+    index = {name: j for j, name in enumerate(power_names)}
+    unknown = [j for name, j in index.items() if name not in names]
+    # Each sample's labels added up as left_sum adds them, in column order.
+    parts = reduce(operator.add, np.where(np.isnan(power), 0.0, power).T, np.zeros(len(power)))
+    others = [index.get(name) for name in names if name != OTHER_LOGIC]
+    if OTHER_LOGIC in names and None not in others:
+        j = index.get(OTHER_LOGIC)
+        derive = ~np.isnan(power[:, others]).any(axis=1) & (True if j is None else np.isnan(power[:, j]))
+        if derive.any():
+            if j is None:
+                j = index[OTHER_LOGIC] = len(index)
+                power = np.hstack([power, np.full((len(power), 1), np.nan)])
+            power[derive, j] = totals[derive] - parts[derive]
+            parts[derive] += power[derive, j]  # added last, as _with_residual adds it
+    # The sum check's slack leaves a format-1 sample whose keys add up in
+    # an order of their own to _check_sample, which decides.
+    off = (np.count_nonzero(~np.isnan(power), axis=1) == len(names)) & (
+        np.abs(parts - totals) > COMPONENT_SUM_RTOL * (1 - 1e-9) * totals)
+    bad = ~(totals > 0) | ~np.isnan(power[:, unknown]).all(axis=1) | (power <= 0).any(axis=1) | off
+    for i in np.flatnonzero(bad):
+        _check_sample(entry(i), names)
+    if unknown:  # a name that no sample labels
+        name = power_names[unknown[0]]
+        raise SchemaError(f"dataset: samples component_power name {name!r} is not a component of the table")
+    events = _Table(event_values, {name: j for j, name in enumerate(event_names)})
+    return totals.tolist(), [v if v == v else None for v in estimates.tolist()], _Table(power, index), events
 
 
 def read_json_file(path: str | os.PathLike, kind: str):
@@ -559,6 +669,7 @@ def schema_errors(kind: str):
 def dataset_from_dict(doc: dict) -> Dataset:
     if not isinstance(doc, dict):
         raise SchemaError("dataset document must be a mapping")
+    version = format_version(doc, "dataset")
     architecture = str(_require(doc, "architecture", "dataset"))
     registry = _parse_registry(doc)
     table = _parse_component_table(doc, registry)
@@ -568,20 +679,23 @@ def dataset_from_dict(doc: dict) -> Dataset:
     configurations = tuple(
         _parse_configuration(entry, architecture, registry) for entry in raw_configs
     )
-    entries = _require(doc, "samples", "dataset")
-    checked = _sample_numbers_finite(entries)
+    samples = _require(doc, "samples", "dataset")
     names = {c.name for c in table}
-    parsed = [_parse_sample(entry, names, checked) for entry in entries]
+    if version == 1:
+        keys, totals, estimates, power, events = _format1_columns(samples, names)
+        entry = samples.__getitem__
+    else:
+        keys, totals, estimates, power, events = _format2_columns(samples)
+        entry = partial(_format1_entry, samples)
+    totals, estimates, power, events = _validated(totals, estimates, power, events, names, entry)
     # Samples share their configuration's id and workload name strings.
     config_ids = {c.id: c.id for c in configurations}
     workloads: dict[str, str] = {}
-    keys = [(config_ids.get(c, c), workloads.setdefault(w, w)) for c, w, *_ in parsed]
-    _, _, totals, powers, events, analytical = zip(*parsed) if parsed else ((),) * 6
-    samples = _packed_samples(keys, totals, analytical, _Table.of(powers), _Table.of(events))
+    keys = [(config_ids.get(c, c), workloads.setdefault(w, w)) for c, w in keys]
     return Dataset(
         architecture=architecture,
         configurations=configurations,
-        samples=samples,
+        samples=_packed_samples(keys, totals, estimates, power, events),
         component_table=table,
         registry=registry,
     )
@@ -591,8 +705,26 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     return dataset_from_dict(read_json_file(path, "dataset"))
 
 
+def _named_rows_to_dict(table: _Table) -> dict:
+    """{"names": the column names, "rows": one list per sample, null where it has no entry}."""
+    values = table.values if table.dense else np.where(np.isnan(table.values), None, table.values)
+    return {"names": list(table.columns), "rows": values.tolist()}
+
+
 def dataset_to_dict(ds: Dataset) -> dict:
+    """ds as a format-2 document, the sample columns read from its matrices."""
+    samples = {
+        "config_id": [s.config_id for s in ds.samples],
+        "workload": [s.workload for s in ds.samples],
+        "total_power": [s.total_power for s in ds.samples],
+        "component_power": _named_rows_to_dict(ds._power),
+        "event_stats": _named_rows_to_dict(ds._events),
+    }
+    estimates = [s.analytical_estimate for s in ds.samples]
+    if any(e is not None for e in estimates):
+        samples["analytical_estimate"] = estimates
     return {
+        "format_version": FORMAT_VERSION,
         "architecture": ds.architecture,
         "parameters": {
             "canonical": list(ds.registry.canonical),
@@ -600,17 +732,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
         },
         "component_table": [component_to_dict(c) for c in ds.component_table],
         "configurations": [{"id": c.id, "params": dict(c.params)} for c in ds.configurations],
-        "samples": [
-            {
-                "config_id": s.config_id,
-                "workload": s.workload,
-                "total_power": s.total_power,
-                "component_power": power,
-                "event_stats": events,
-                "analytical_estimate": s.analytical_estimate,
-            }
-            for s, power, events in ds.entries()
-        ],
+        "samples": samples,
     }
 
 

@@ -92,6 +92,31 @@ def tiny_dataset():
     return dataset_from_dict(tiny_doc())
 
 
+def format1_doc(doc):
+    """A format-2 dataset document in format 1's layout, one object per
+    sample, keys and values as format 1's writer wrote them."""
+    samples = doc["samples"]
+    n = len(samples["config_id"])
+    estimates = samples.get("analytical_estimate", [None] * n)
+
+    def mapping(key, i):
+        names, rows = samples[key]["names"], samples[key]["rows"]
+        return {name: v for name, v in zip(names, rows[i]) if v is not None}
+
+    entries = [
+        {
+            "config_id": samples["config_id"][i],
+            "workload": samples["workload"][i],
+            "total_power": samples["total_power"][i],
+            "component_power": mapping("component_power", i),
+            "event_stats": mapping("event_stats", i),
+            "analytical_estimate": estimates[i],
+        }
+        for i in range(n)
+    ]
+    return {**{k: v for k, v in doc.items() if k != "format_version"}, "samples": entries}
+
+
 def _reverse_ifu_hw_params(doc):
     (ifu,) = [c for c in doc["component_table"] if c["name"] == "IFU"]
     ifu["hw_params"].reverse()

@@ -760,8 +760,10 @@ def test_kb_base_prediction_is_checked_on_load(workspace, tmp_path, capsys):
 )
 def test_missing_component_label_is_data_error(workspace, tmp_path, capsys, method):
     def drop_ifu(doc):
-        for sample in doc["samples"]:
-            sample["component_power"].pop("IFU", None)
+        power = doc["samples"]["component_power"]
+        j = power["names"].index("IFU")
+        for row in power["rows"]:
+            row[j] = None
 
     data = workspace / "data"
     target = _edited_copy(data / "target.json", tmp_path / "target.json", drop_ifu)
@@ -782,11 +784,12 @@ def test_missing_component_label_is_data_error(workspace, tmp_path, capsys, meth
 )
 def test_sample_numbers_are_checked_on_load(workspace, tmp_path, capsys, field, value):
     def edit(doc):
-        sample = doc["samples"][0]
+        samples = doc["samples"]
         if field in ("component_power", "event_stats"):
-            sample[field][next(iter(sample[field]))] = value
+            samples[field]["rows"][0][0] = value
         else:
-            sample[field] = value
+            column = samples.get(field) or [None] * len(samples["config_id"])
+            samples[field] = [value, *column[1:]]
 
     data = _edited_copy(workspace / "data" / "target.json", tmp_path / "target.json", edit)
     code = main(["predict", "--model", str(workspace / "model.json"), "--input", data,
@@ -989,6 +992,9 @@ def _spec_field(key, value, component=None):
                      id="coeffs-one-entry"),
         pytest.param([], _spec_field("extra", 1), EXIT_DATA, "the document has unknown field 'extra'",
                      id="unknown-key"),
+        # A spec the checks pass whose functions give a power no dataset file may hold.
+        pytest.param([], _spec_field("arch_scale_known", -1.0, 0), EXIT_DATA,
+                     "sample (K01, w0): nonpositive power label for 'BPTAGE'", id="arch-scale-negative"),
     ],
 )
 def test_synth_names_a_bad_seed_or_spec_field(tmp_path, capsys, flags, edit, code, message):

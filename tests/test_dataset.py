@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 
@@ -29,12 +30,13 @@ from firepower.dataset import (
     feature_row,
     few_shot_split,
     load_dataset,
+    samples_from_arrays,
     save_dataset,
 )
 from firepower.errors import AliasError, FirePowerError, SchemaError, ValidationError
 from firepower.synthgen import default_spec, generate_pair
 
-from conftest import tiny_doc
+from conftest import format1_doc, tiny_doc
 
 
 def test_canonical_parameter_count():
@@ -349,21 +351,265 @@ def test_sample_numbers_load_as_finite_floats_or_fail_cleanly(field, whole, valu
         assert all(type(v) is float and math.isfinite(v) for v in numbers)
 
 
-@pytest.mark.parametrize("checked", [True, False])
-def test_loading_leaves_the_document_unchanged(checked):
-    # Sample 0 gains the Other Logic residual; with one numpy float the
-    # numbers are checked one by one instead of in bulk.
+def format2_doc(doc):
+    """A format-1 dataset document in format 2's layout, values as they are:
+    each mapping's names in first-seen order, null where a sample has none."""
+    entries = doc["samples"]
+    samples = {key: [e[key] for e in entries] for key in ("config_id", "workload", "total_power")}
+    for key in ("component_power", "event_stats"):
+        names = list(dict.fromkeys(name for e in entries for name in e.get(key, {})))
+        samples[key] = {"names": names, "rows": [[e.get(key, {}).get(name) for name in names] for e in entries]}
+    if any(e.get("analytical_estimate") is not None for e in entries):
+        samples["analytical_estimate"] = [e.get("analytical_estimate") for e in entries]
+    return {**doc, "format_version": 2, "samples": samples}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_loading_leaves_the_document_unchanged(version):
+    # Sample 0 gains the Other Logic residual.  With one numpy float the
+    # numbers go through the per-sample check, not the column-wise one.
+    for numpy_total in (False, True):
+        doc = tiny_doc()
+        del doc["samples"][0]["component_power"]["Other Logic"]
+        doc["samples"][1]["event_stats"] = {}
+        del doc["samples"][2]["component_power"]
+        if numpy_total:
+            doc["samples"][3]["total_power"] = np.float64(doc["samples"][3]["total_power"])
+        doc = doc if version == 1 else format2_doc(doc)
+        before = copy.deepcopy(doc)
+        ds = dataset_from_dict(doc)
+        assert doc == before
+        assert "Other Logic" in ds.samples[0].component_power
+        assert ds.samples[3].total_power == float(before["samples"][3]["total_power"] if version == 1
+                                                  else before["samples"]["total_power"][3])
+
+
+def _set(key, name, value):
+    """An edit that sets sample 3's entry name of mapping key to value."""
+    return lambda sample: sample[key].__setitem__(name, value)
+
+
+def _scale_total(sample):
+    sample["total_power"] *= 1.2
+
+
+def _drop_other_logic_and_grow_front(sample):
+    del sample["component_power"]["Other Logic"]
+    sample["component_power"]["Front"] = sample["total_power"] * 2
+
+
+# One fault of sample 3, (C2, w1), and the message that names it.
+_SAMPLE_FAULTS = [
+    pytest.param(_set("component_power", "Front", float("nan")),
+                 "sample (C2, w1) component_power of Front nan is not a finite number", id="nan-label"),
+    pytest.param(_set("event_stats", "core_act", float("-inf")),
+                 "sample (C2, w1) event_stats of core_act -inf is not a finite number", id="inf-event"),
+    pytest.param(_set("component_power", "Core", True),
+                 "sample (C2, w1) component_power of Core True is not a finite number", id="bool-label"),
+    pytest.param(lambda s: s.__setitem__("total_power", "12.5"),
+                 "sample (C2, w1) total_power '12.5' is not a finite number", id="text-total"),
+    pytest.param(lambda s: s.__setitem__("total_power", 10**400),
+                 f"sample (C2, w1) total_power {10**400!r} is not a finite number", id="int-beyond-float"),
+    pytest.param(lambda s: s.__setitem__("analytical_estimate", float("nan")),
+                 "sample (C2, w1) analytical_estimate nan is not a finite number", id="nan-estimate"),
+    pytest.param(lambda s: s.__setitem__("total_power", None),
+                 "sample (C2, w1) total_power None is not a finite number", id="null-total"),
+    pytest.param(lambda s: s.__setitem__("total_power", 0), "sample (C2, w1): total_power must be positive",
+                 id="zero-total"),
+    pytest.param(_set("component_power", "Bogus", 1.0), "sample (C2, w1): unknown component 'Bogus'",
+                 id="unknown-component"),
+    pytest.param(_set("component_power", "Front", -1.0), "sample (C2, w1): nonpositive power label for 'Front'",
+                 id="nonpositive-label"),
+    pytest.param(_drop_other_logic_and_grow_front, "sample (C2, w1): nonpositive power label for 'Other Logic'",
+                 id="nonpositive-residual"),
+    pytest.param(_scale_total, "sample (C2, w1): component powers sum to 25.5, total is 30.6 "
+                 "(beyond 0.5% tolerance)", id="sum-tolerance"),
+]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("edit, message", _SAMPLE_FAULTS)
+def test_sample_faults_are_named_alike_in_both_formats(edit, message, version):
+    # A second fault, of another kind, in a later sample: the first sample at
+    # fault in file order is the one named.
     doc = tiny_doc()
-    del doc["samples"][0]["component_power"]["Other Logic"]
-    doc["samples"][1]["event_stats"] = {}
-    del doc["samples"][2]["component_power"]
-    if not checked:
-        doc["samples"][3]["total_power"] = np.float64(doc["samples"][3]["total_power"])
-    before = copy.deepcopy(doc)
-    ds = dataset_from_dict(doc)
-    assert doc == before
-    assert "Other Logic" in ds.samples[0].component_power
-    assert "Other Logic" not in doc["samples"][0]["component_power"]
+    doc["samples"][3]["component_power"]["Other Logic"] = 1.0
+    doc["samples"][3]["total_power"] = 25.5  # 14.0 + 10.5 + 1.0
+    edit(doc["samples"][3])
+    doc["samples"][5]["component_power"]["Core"] = -2.0
+    doc = doc if version == 1 else format2_doc(doc)
+    with pytest.raises(FirePowerError) as exc:
+        dataset_from_dict(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("value", [0, 3, 2.0, "2", True, None])
+def test_unknown_dataset_format_version_is_a_schema_error(version, value):
+    doc = tiny_doc() if version == 1 else format2_doc(tiny_doc())
+    doc["format_version"] = value
+    with pytest.raises(SchemaError, match=rf"^dataset: unknown format_version {re.escape(repr(value))} "
+                       r"\(this version reads 1 and 2\)$"):
+        dataset_from_dict(doc)
+
+
+def _shorten(*path):
+    def edit(samples):
+        for key in path[:-1]:
+            samples = samples[key]
+        samples[path[-1]] = samples[path[-1]][:-1]
+    return edit
+
+
+def _unlabeled_name(samples):
+    """Name a component the table lacks, null in every row."""
+    samples["component_power"]["names"].append("Bogus")
+    for row in samples["component_power"]["rows"]:
+        row.append(None)
+
+
+def _row(i, value):
+    return lambda samples: samples["component_power"]["rows"].__setitem__(i, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_shorten("total_power"), "samples total_power is not a list of 6 entries, one per config_id",
+                     id="short-totals"),
+        pytest.param(_shorten("workload"), "samples workload is not a list of 6 entries, one per config_id",
+                     id="short-workloads"),
+        pytest.param(lambda s: s.__setitem__("analytical_estimate", [1.0] * 7),
+                     "samples analytical_estimate is not a list of 6 entries, one per config_id", id="long-estimates"),
+        pytest.param(_shorten("event_stats", "rows"),
+                     "samples event_stats rows is not a list of 6 entries, one per config_id", id="short-rows"),
+        pytest.param(_row(2, [1.0, 2.0]), "samples component_power row 2 is not a list of 3 entries, one per name",
+                     id="short-row"),
+        pytest.param(_row(4, {"Front": 1.0}), "samples component_power row 4 is not a list of 3 entries, one per name",
+                     id="row-not-a-list"),
+        pytest.param(lambda s: s["component_power"].__setitem__("names", ["Front", "Front", "Core"]),
+                     "samples component_power names are not a list of distinct strings", id="repeated-name"),
+        pytest.param(lambda s: s.pop("event_stats"), "missing field 'event_stats'", id="no-event-stats"),
+        pytest.param(lambda s: s.__setitem__("config_id", "C1"), "samples config_id is not a list of 2 entries",
+                     id="text-config-ids"),
+        pytest.param(_unlabeled_name, "samples component_power name 'Bogus' is not a component of the table",
+                     id="unknown-name-without-labels"),
+    ],
+)
+def test_misshapen_format2_columns_are_schema_errors(edit, message):
+    doc = format2_doc(tiny_doc())
+    edit(doc["samples"])
+    with pytest.raises(SchemaError) as exc:
+        dataset_from_dict(doc)
+    assert str(exc.value).startswith(f"dataset: {message}")
+
+
+def test_saved_file_is_format2_columns(tiny_dataset):
+    doc = dataset_to_dict(_without(tiny_dataset, 2, "component_power", "Core"))
+    samples = doc["samples"]
+    assert doc["format_version"] == 2 and list(doc)[0] == "format_version"
+    assert list(samples) == ["config_id", "workload", "total_power", "component_power", "event_stats"]
+    assert samples["config_id"] == ["C1", "C1", "C2", "C2", "C3", "C3"]
+    power = samples["component_power"]
+    assert power["names"] == ["Front", "Core", "Other Logic"]
+    assert power["rows"][2][1] is None and None not in power["rows"][1]
+    assert power["rows"][0] == [tiny_dataset.samples[0].component_power[n] for n in power["names"]]
+
+
+def test_residual_folds_in_each_formats_own_order():
+    # 1.0 + 1e-16 + 1e-16 is 1.0, and 1e-16 + 1e-16 + 1.0 is 1.0000000000000002.
+    # Format 1 adds a sample's labels in its own key order, format 2 in the
+    # order of the names; a saved file keeps the residual it was given.
+    doc = tiny_doc()
+    doc["component_table"].insert(0, {"name": "Tail", "hw_params": ["FetchWidth"], "event_stats": []})
+    doc["samples"] = [
+        {"config_id": "C1", "workload": "w0", "total_power": 3.0,
+         "component_power": {"Front": 1.0, "Core": 1e-16, "Tail": 1e-16}},
+        {"config_id": "C1", "workload": "w1", "total_power": 3.0,
+         "component_power": {"Tail": 1e-16, "Core": 1e-16, "Front": 1.0}},
+    ]
+    own = dataset_from_dict(doc)
+    assert [s.component_power["Other Logic"] for s in own.samples] == [3.0 - 1.0, 3.0 - 1.0000000000000002]
+    saved = dataset_to_dict(own)
+    assert saved["samples"]["component_power"]["names"] == ["Front", "Core", "Tail", "Other Logic"]
+    assert dataset_from_dict(saved) == own
+    in_names_order = dataset_from_dict(format2_doc(doc))
+    assert [s.component_power["Other Logic"] for s in in_names_order.samples] == [2.0, 2.0]
+
+
+def test_sum_check_adds_up_in_each_formats_own_order():
+    # Sample 3's labels add up to 1.0000000000000002 in its own key order,
+    # beyond 0.5% of its total, and to 1.0 in the order of the names, within.
+    doc = tiny_doc()
+    doc["samples"][3]["total_power"] = 0.9950248756218907
+    doc["samples"][3]["component_power"] = {"Other Logic": 1e-16, "Core": 1e-16, "Front": 1.0}
+    with pytest.raises(ValidationError, match=r"^sample \(C2, w1\): component powers sum to 1, total is 0.995025 "):
+        dataset_from_dict(doc)
+    assert dataset_from_dict(format2_doc(doc)).samples[3].component_power["Front"] == 1.0
+
+
+def test_samples_from_arrays_refuse_a_nonpositive_label():
+    # The loader's label check: the first sample, then its first component,
+    # whose label is not positive; an absent entry (NaN) is not one.
+    keys = [("C1", "w0"), ("C1", "w1"), ("C2", "w0")]
+    power = np.array([[1.0, np.nan], [2.0, 0.0], [-1.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"^sample \(C1, w1\): nonpositive power label for 'Core'$"):
+        samples_from_arrays(keys, [1.0, 2.0, 3.0], ["Front", "Core"], power, [], np.empty((3, 0)))
+    (sample,) = samples_from_arrays(keys[:1], [1.0], ["Front", "Core"], power[:1], [], np.empty((1, 0)))
+    assert dict(sample.component_power) == {"Front": 1.0}
+
+
+_NUMBERS = st.one_of(st.floats(0.5, 100.0), st.integers(1, 2**70))
+
+
+@st.composite
+def _format1_documents(draw):
+    """tiny_doc with drawn samples: partial or absent component_power, event
+    statistics that differ in keys and order, ints up to 2**70 among the
+    floats, and analytical estimates on some samples or on none."""
+    doc, entries = tiny_doc(), []
+    estimates = draw(st.booleans())
+    for cid in ("C1", "C2", "C3"):
+        for w in range(draw(st.integers(1, 2))):
+            parts = {name: draw(_NUMBERS) for name in _NAMES}
+            order = draw(st.permutations(_NAMES))
+            entry = {"config_id": cid, "workload": f"w{w}", "total_power": sum(parts.values()),
+                     "component_power": {name: parts[name] for name in order[: draw(st.integers(0, 3))]}}
+            order = draw(st.permutations(_EVENTS))[: draw(st.integers(0, 4))]
+            entry["event_stats"] = {name: draw(st.one_of(st.floats(-10.0, 10.0), st.integers(-(2**70), 2**70)))
+                                    for name in order}
+            for key in ("component_power", "event_stats"):
+                if not entry[key] and draw(st.booleans()):
+                    del entry[key]
+            if estimates:
+                entry["analytical_estimate"] = draw(st.one_of(st.none(), _NUMBERS))
+            entries.append(entry)
+    doc["samples"] = entries
+    return doc
+
+
+@given(doc=_format1_documents())
+@example(doc={**tiny_doc(), "samples": [
+    {"config_id": "C1", "workload": "w0", "total_power": 2**70 + 3, "analytical_estimate": 2**53 + 1,
+     "component_power": {"Core": 2**62 + 1, "Front": 2**70 - 2**62}, "event_stats": {"x_act": -(2**70)}},
+    {"config_id": "C2", "workload": "w0", "total_power": 4.5, "component_power": {}},
+]})
+@settings(max_examples=150, deadline=None)
+def test_format2_save_of_a_format1_file_loads_bit_equal(doc):
+    try:
+        ds = dataset_from_dict(doc)
+    except ValidationError:  # a residual that rounds to 0 or below
+        return
+    text = json.dumps(dataset_to_dict(ds))
+    assert json.loads(text)["format_version"] == 2
+    again = dataset_from_dict(json.loads(text))
+    for a, b in ((ds._power, again._power), (ds._events, again._events)):
+        assert list(a.columns.items()) == list(b.columns.items())
+        assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+    assert [s.total_power.hex() for s in ds.samples] == [s.total_power.hex() for s in again.samples]
+    assert [(s.config_id, s.workload, s.analytical_estimate) for s in ds.samples] == [
+        (s.config_id, s.workload, s.analytical_estimate) for s in again.samples]
+    assert again == ds and json.dumps(dataset_to_dict(again)) == text
 
 
 def _reference_label_floats(entry, names):
@@ -448,7 +694,7 @@ def test_sample_mappings_read_as_their_dicts(drawn):
     doc = tiny_doc()
     doc["samples"] = entries
     ds = dataset_from_dict(doc)
-    saved = dataset_to_dict(ds)["samples"]
+    saved = format1_doc(dataset_to_dict(ds))["samples"]
     for i, key in enumerate(("component_power", "event_stats")):
         column_refs = [ref[i] for ref in refs]
         orders = _in_column_order(column_refs)
@@ -476,7 +722,7 @@ def test_sample_mappings_read_as_their_dicts(drawn):
     train, test = few_shot_split(ds, ["C2"])
     assert train.samples == tuple(s for s in ds.samples if s.config_id == "C2")
     assert test.samples == tuple(s for s in ds.samples if s.config_id != "C2")
-    assert dataset_to_dict(train)["samples"] == [e for e in saved if e["config_id"] == "C2"]
+    assert format1_doc(dataset_to_dict(train))["samples"] == [e for e in saved if e["config_id"] == "C2"]
 
 
 def test_sample_mappings_are_read_only():
@@ -703,7 +949,7 @@ def test_edited_references_fail_alike_loaded_or_replaced(edits):
         configurations=tuple(Configuration(cid, ds.architecture, params) for cid, params in configs),
         samples=tuple(dataclasses.replace(ds.samples[k], config_id=cid, workload=w) for cid, w, k in samples),
     ))
-    doc = dataset_to_dict(ds)
+    doc = format1_doc(dataset_to_dict(ds))
     entries = doc["samples"]
     doc["configurations"] = [{"id": cid, "params": params} for cid, params in configs]
     doc["samples"] = [{**entries[k], "config_id": cid, "workload": w} for cid, w, k in samples]

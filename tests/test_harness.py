@@ -95,13 +95,11 @@ def test_analytical_estimate_is_read_by_no_method(synth_pair, tmp_path):
 
     def with_estimates(ds, name):
         doc = dataset_to_dict(ds)
-        for sample in doc["samples"]:
-            sample["analytical_estimate"] = 0.8 * sample["total_power"]
+        samples = doc["samples"]
+        samples["analytical_estimate"] = [0.8 * total for total in samples["total_power"]]
         save_dataset(dataset_from_dict(doc), tmp_path / name)
         loaded = load_dataset(tmp_path / name)
-        assert [s.analytical_estimate for s in loaded.samples] == [
-            sample["analytical_estimate"] for sample in doc["samples"]
-        ]
+        assert [s.analytical_estimate for s in loaded.samples] == samples["analytical_estimate"]
         return loaded
 
     known, target = with_estimates(ds_known, "known.json"), with_estimates(ds_target, "target.json")

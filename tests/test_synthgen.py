@@ -18,6 +18,8 @@ from firepower.synthgen import (
     spec_to_dict,
 )
 
+from conftest import format1_doc
+
 
 def test_default_spec_counts():
     spec = default_spec(seed=0)
@@ -207,8 +209,9 @@ def test_structural_fidelity_noise_free(small_hp):
 )
 def test_generated_pair_is_pinned(seed, options, digest):
     # The spec and both datasets, byte for byte: a change to the draw
-    # layout or to any generating function shows here.
+    # layout or to any generating function shows here.  The datasets are
+    # hashed in format 1's layout, which holds the same numbers.
     spec = default_spec(seed=seed, **options)
     known, target, _ = generate_pair(spec)
-    doc = [spec_to_dict(spec), dataset_to_dict(known), dataset_to_dict(target)]
+    doc = [spec_to_dict(spec), format1_doc(dataset_to_dict(known)), format1_doc(dataset_to_dict(target))]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
