@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,20 +56,78 @@ class GbtHyperparams:
             raise ModelError(f"hyperparameter l2_leaf_reg {l2!r} is negative")
 
 
+# The `feature` entry of a leaf.
+LEAF = -1
+
+
 @dataclass
 class GbtModel:
+    """The trees are preorder arrays (a node, its left subtree, its right
+    subtree), tree after tree: ``feature`` holds each node's split feature
+    (LEAF for a leaf), ``value`` its threshold or leaf value, ``right`` a
+    split's right child (a leaf's own index); a split's left child follows
+    it.  ``tree_sizes`` holds each tree's node count.  These are the lists
+    that format 2 writes (see gbt_to_dict)."""
+
     base_prediction: float
-    trees: list[TreeNode]
+    tree_sizes: np.ndarray
+    feature: np.ndarray
+    value: np.ndarray
+    right: np.ndarray
     hyperparams: GbtHyperparams
     feature_count: int
     cumulative_gain: np.ndarray
     training_sse: list[float] = field(default_factory=list)
 
+    @cached_property
+    def trees(self) -> list[TreeNode]:
+        """The roots of the trees as linked TreeNodes, built on first read:
+        the view that the one-row walk of ``predict`` reads."""
+        nodes = [
+            TreeNode(value=v) if j == LEAF else TreeNode(j, v)
+            for j, v in zip(self.feature.tolist(), self.value.tolist())
+        ]
+        for i, (node, k) in enumerate(zip(nodes, self.right.tolist())):
+            if node.feature_index != LEAF:
+                node.left, node.right = nodes[i + 1], nodes[k]
+        starts = np.add.accumulate(self.tree_sizes) - self.tree_sizes
+        return [nodes[s] for s in starts.tolist()]
+
     def predict(self, x) -> float:
-        return self._walk([self._checked(x, 1).tolist()])[0]
+        """The base plus lr times x's leaf in each tree, in tree order.  The
+        row is a list of Python floats, which compare and add as float64
+        does, for speed on one row."""
+        row = self._checked(x, 1).tolist()
+        lr = self.hyperparams.learning_rate
+        total = self.base_prediction
+        for node in self.trees:
+            while node.left is not None:
+                node = node.left if row[node.feature_index] <= node.threshold else node.right
+            total += lr * node.value
+        return total
 
     def predict_many(self, X) -> np.ndarray:
-        return np.array(self._walk(self._checked(X, 2).tolist()))
+        """``predict`` of each row, bit for bit.  All rows walk all trees at
+        once, one step per level, and leaves loop to themselves; then each
+        row's terms, the base and lr times its leaves, are added in tree
+        order, the walk's sequence of additions."""
+        X = self._checked(X, 2)
+        split = self.feature != LEAF
+        # From node i a row goes to child[2i] unless its feature is <= the
+        # threshold (NaN is not), then to child[2i + 1].
+        child = np.stack((self.right, np.arange(split.size) + split), axis=1).ravel()
+        column = np.maximum(self.feature, 0)
+        starts = np.add.accumulate(self.tree_sizes) - self.tree_sizes
+        node = np.tile(starts, X.shape[0])
+        row_start = (np.arange(X.shape[0]) * X.shape[1]).repeat(starts.size)
+        while split.take(node).any():
+            goes_left = X.take(row_start + column.take(node)) <= self.value.take(node)
+            node = child.take(2 * node + goes_left)
+        terms = np.empty((X.shape[0], starts.size + 1))
+        terms[:, 0] = self.base_prediction
+        leaves = self.value.take(node).reshape(X.shape[0], starts.size)
+        np.multiply(self.hyperparams.learning_rate, leaves, out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
     def _checked(self, X, ndim: int) -> np.ndarray:
         """X as floats; ModelError unless ndim-D with feature_count columns."""
@@ -77,23 +135,6 @@ class GbtModel:
         if X.ndim != ndim or X.shape[-1] != self.feature_count:
             raise ModelError(f"expected {self.feature_count} features, got shape {X.shape}")
         return X
-
-    def _walk(self, rows: list) -> list[float]:
-        """Per row, the base plus lr times its leaf in each tree, in tree order.
-
-        The only walk from a row to a leaf.  Rows are lists of Python floats,
-        which compare and add as float64 does, for speed on small batches.
-        """
-        lr = self.hyperparams.learning_rate
-        out = []
-        for row in rows:
-            total = self.base_prediction
-            for node in self.trees:
-                while node.left is not None:
-                    node = node.left if row[node.feature_index] <= node.threshold else node.right
-                total += lr * node.value
-            out.append(total)
-        return out
 
 
 def _leaf_value(residual_sum, count, l2):
@@ -299,31 +340,31 @@ def _level_splits(chunk: _Chunk, r, sums):
     return pick, best.take(pick), chunk.mids[pick, at.take(pick)]
 
 
-def _grow_trees(search: _SplitSearch, r, gains: list[np.ndarray]):
+def _grow_trees(search: _SplitSearch, r):
     """Grow one tree per model of the batch, all level by level at once.
 
-    ``r`` holds the residuals as a flat per-row array.  Returns the roots
-    and each flat row's value in its model's tree.  The search is exact:
-    every midpoint between distinct consecutive values of every feature,
-    ties going to the lowest feature index, then the lowest threshold.
-    Each tree is the one a node-by-node recursion grows from its model
-    alone, bit for bit: node sums are numpy's pairwise sums over the node's
-    rows in sample order, the leaf values and parent SSEs are the same
-    float operations in the same order, and the split gains are added to
-    the model's ``gains`` in preorder, the recursion's order.  A node too
-    small to split is searched too; no split is allowed in it, so it closes
-    as a leaf, as the recursion leaves it.
+    ``r`` holds the residuals as a flat per-row array.  Returns each flat
+    row's value in its model's tree and the tree's levels: per level, its
+    nodes' models, which split, and each node's split feature, threshold,
+    gain and leaf value, in the order _preorder reads.  The search is
+    exact: every midpoint between distinct consecutive values of every
+    feature, ties going to the lowest feature index, then the lowest
+    threshold.  Each tree is the one a node-by-node recursion grows from
+    its model alone, bit for bit: node sums are numpy's pairwise sums over
+    the node's rows in sample order, and the leaf values and parent SSEs
+    are the same float operations in the same order.  A node too small to
+    split is searched too; no split is allowed in it, so it closes as a
+    leaf, as the recursion leaves it.
     """
     hp = search.hp
     l2 = hp.l2_leaf_reg
-    roots = [TreeNode() for _ in gains]
     # Entries r.size on are the -0.0 heads of the nodes' runs (see runs());
     # ``values`` has room for them too, and what lands there is dropped.
     r_heads = np.concatenate((r, search.neg_zeros))
     values = np.empty(2 * r.size)
-    nodes, (node_model, counts, slot) = roots, search.root
+    node_model, counts, slot = search.root
     open_rows = r.size
-    split_gain: dict[int, float] = {}
+    levels = []
     for depth in range(hp.max_depth + 1):
         memo = search.root_memo if depth == 0 else search.memo(node_model, counts, slot)
         if "runs" not in memo:
@@ -338,63 +379,88 @@ def _grow_trees(search: _SplitSearch, r, gains: list[np.ndarray]):
         leaf = _leaf_value(sums[0], counts, l2)
         if last:
             values[order] = leaf.repeat(runs)
-            for node, value in zip(nodes, leaf.tolist()):
-                node.value = value
+            # No node splits; the other fields are read only where one does.
+            levels.append((node_model, np.zeros(counts.size, bool), counts, leaf, leaf, leaf))
             break
-        children, parts, splits = [], [], []
         if "level" not in memo:
             memo["level"] = search.level(node_model, counts, slot)
-        for chunk in memo["level"]:
-            k0, k1, first, rows, xs = chunk.k0, chunk.k1, chunk.first, chunk.rows, chunk.xs
-            pick, gain, threshold = _level_splits(chunk, r, sums[:, k0:k1])
-            split = gain > MIN_SPLIT_GAIN
-            splits.append(split)
-            for node, s, value, p, c, j, g, t in zip(
-                nodes[k0:k1],
-                split.tolist(),
-                leaf[k0:k1].tolist(),
-                pick.tolist(),
-                counts[k0:k1].tolist(),
-                (pick - first).tolist(),
-                gain.tolist(),
-                threshold.tolist(),
-            ):
-                if not s:
-                    node.value = value
-                    continue
-                node.feature_index = j
-                node.threshold = t
-                node.left = TreeNode()
-                node.right = TreeNode()
-                split_gain[id(node)] = g
-                children += (node.left, node.right)
-                parts.append((rows[p, :c], xs[p, :c], t))
-        if len(parts) < len(nodes):
+        chunks = memo["level"]
+        found = [_level_splits(c, r, sums[:, c.k0 : c.k1]) for c in chunks]
+        pick, gain, threshold = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+        first = chunks[0].first if len(chunks) == 1 else np.concatenate([c.first for c in chunks])
+        feature = pick - first
+        split = gain > MIN_SPLIT_GAIN
+        levels.append((node_model, split, feature, threshold, gain, leaf))
+        at = np.flatnonzero(split)
+        if at.size < counts.size:
             # The rows of the nodes that close keep their leaf value; the
             # others take their child's at the next level.
             values[order] = leaf.repeat(runs)
-        if not parts:
+        if not at.size:
             break
         # The rows of the q-th split node, in its split feature's lane, go
         # to children 2q and 2q + 1; every other row is closed.
-        slot = np.full(r.size, 2 * len(children) + 1)
-        child_counts = []
-        for q, (rows, xs, t) in enumerate(parts):
+        slot = np.full(r.size, 4 * at.size + 1)
+        child_counts: list[int] = []
+        chunk, *later = chunks
+        for k, p, c, t in zip(
+            at.tolist(), pick.take(at).tolist(), counts.take(at).tolist(), threshold.take(at).tolist()
+        ):
+            while k >= chunk.k1:
+                chunk, *later = later
+            rows, xs = chunk.rows[p, :c], chunk.xs[p, :c]
             left = int(xs.searchsorted(t, side="right"))
-            slot[rows[:left]] = 4 * q + 1
-            slot[rows[left:]] = 4 * q + 3
-            child_counts += (left, rows.size - left)
-        split = splits[0] if len(splits) == 1 else np.concatenate(splits)
-        nodes, node_model, counts = children, node_model[split].repeat(2), np.array(child_counts)
+            slot[rows[:left]] = 2 * len(child_counts) + 1
+            slot[rows[left:]] = 2 * len(child_counts) + 3
+            child_counts += (left, c - left)
+        node_model, counts = node_model[split].repeat(2), np.array(child_counts)
         open_rows = sum(child_counts)
-    for root, model_gains in zip(roots, gains):
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.left is not None:
-                model_gains[node.feature_index] += split_gain[id(node)]
-                stack += [node.right, node.left]
-    return roots, values[: r.size]
+    return values[: r.size], levels
+
+
+def _preorder(rounds: list[list[tuple]], widths: np.ndarray) -> list[tuple]:
+    """Per model, its tree_sizes, feature, value, right and cumulative_gain,
+    from the levels _grow_trees recorded in each boosting round, with a
+    fixed number of numpy calls per depth.  Level d of all rounds is one
+    array; the children of its q-th split are nodes 2q and 2q + 1 of level
+    d + 1.  Subtree sizes run bottom up, preorder positions top down.  The
+    gains are added one by one by np.add.at, by model, tree and preorder:
+    the node-by-node recursion's order of additions."""
+    levels = [
+        [np.concatenate(field) for field in zip(*(tree[d] for tree in rounds if d < len(tree)))]
+        for d in range(max(map(len, rounds)))
+    ]
+    sizes = [np.ones(levels[-1][1].size, dtype=np.int64)]
+    for _, split, *_ in reversed(levels[:-1]):
+        sizes.insert(0, np.ones(split.size, dtype=np.int64))
+        sizes[0][split] += sizes[1][0::2] + sizes[1][1::2]
+    tree_sizes = sizes[0].reshape(len(rounds), widths.size).T
+    flat = tree_sizes.ravel()
+    model_sizes = tree_sizes.sum(axis=1)
+    feature = np.full(flat.sum(), LEAF)
+    value = np.empty(feature.size)
+    gain = np.empty(feature.size)
+    right = np.arange(feature.size)
+    pos = (np.add.accumulate(flat) - flat).reshape(tree_sizes.shape).T.ravel()
+    for d, (_, split, j, threshold, g, leaf) in enumerate(levels):
+        at = pos[split]
+        value[pos] = leaf
+        value[at] = threshold[split]
+        feature[at] = j[split]
+        gain[at] = g[split]
+        if d + 1 < len(levels):
+            pos = np.empty(2 * at.size, dtype=np.int64)
+            pos[0::2] = at + 1
+            pos[1::2] = at + 1 + sizes[d + 1][0::2]
+            right[at] = pos[1::2]
+    right -= (np.add.accumulate(model_sizes) - model_sizes).repeat(model_sizes)
+    inner = feature != LEAF
+    lane = (np.add.accumulate(widths) - widths).repeat(model_sizes) + feature
+    gains = np.zeros(widths.sum())
+    np.add.at(gains, lane[inner], gain[inner])
+    cut = np.add.accumulate(model_sizes)[:-1]
+    per_model = (np.split(a, cut) for a in (feature, value, right))
+    return list(zip(tree_sizes, *per_model, np.split(gains, np.add.accumulate(widths)[:-1])))
 
 
 def _checked_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -427,35 +493,25 @@ def fit_gbt_many(Xs, ys, hp: GbtHyperparams | None = None) -> list[GbtModel]:
         raise ModelError("the models of a batch must share their row count")
     n = Xs[0].shape[0]
     bases = [float(y.mean()) for y in ys]
-    gains = [np.zeros(X.shape[1]) for X in Xs]
     search = _SplitSearch(list(Xs), hp)
     Y = np.array(ys)
     pred = np.repeat(bases, n).reshape(Y.shape)
     residual = Y - pred
-    trees: list[list[TreeNode]] = [[] for _ in Xs]
-    sse_traces: list[list[float]] = [[] for _ in Xs]
+    rounds, sse = [], []
     lr = hp.learning_rate
     # Padded slots of the split search may divide by zero (see _level_splits).
     with np.errstate(all="ignore"):
         for _ in range(hp.n_estimators):
-            roots, values = _grow_trees(search, residual.ravel(), gains)
+            values, levels = _grow_trees(search, residual.ravel())
+            rounds.append(levels)
             pred += lr * values.reshape(Y.shape)
             residual = Y - pred
-            for model_trees, root, trace, sse in zip(
-                trees, roots, sse_traces, (residual**2).sum(axis=1).tolist()
-            ):
-                model_trees.append(root)
-                trace.append(sse)
+            sse.append((residual**2).sum(axis=1))
     return [
-        GbtModel(
-            base_prediction=base,
-            trees=model_trees,
-            hyperparams=hp,
-            feature_count=X.shape[1],
-            cumulative_gain=model_gains,
-            training_sse=trace,
+        GbtModel(base, sizes, feature, value, right, hp, X.shape[1], gains, trace)
+        for X, base, (sizes, feature, value, right, gains), trace in zip(
+            Xs, bases, _preorder(rounds, search.widths), np.array(sse).T.tolist()
         )
-        for X, base, model_trees, model_gains, trace in zip(Xs, bases, trees, gains, sse_traces)
     ]
 
 
@@ -507,8 +563,6 @@ def fit_linear_one_feature(x, y, feature_index: int = 0) -> LinearModel:
 # without it is format 1, which nests every tree node as a JSON object.
 # Format 2 writes each GBT's trees as three flat lists (see gbt_to_dict).
 FORMAT_VERSION = 2
-# The `feature` entry of a leaf in format 2.
-LEAF = -1
 
 
 def format_version(doc: dict, kind: str) -> int:
@@ -521,18 +575,22 @@ def format_version(doc: dict, kind: str) -> int:
     return version
 
 
-def _node_from_dict(doc: dict, feature_count: int) -> TreeNode:
-    """One format-1 node and its subtree, checked so the walk cannot fail on it."""
+def _node_from_dict(doc: dict, feature_count: int, feature: list, value: list) -> int:
+    """Appends one format-1 node and its subtree to format 2's preorder
+    lists, checked so the walk cannot fail on it; returns their size."""
     if type(doc) is not dict:
         raise SchemaError(f"GBT tree node {doc!r} is missing or not a mapping")
     if "value" in doc:
-        return TreeNode(value=finite_number(doc["value"], "GBT leaf value"))
+        feature.append(LEAF)
+        value.append(finite_number(doc["value"], "GBT leaf value"))
+        return 1
     j = doc["feature_index"]
     if type(j) is not int or not 0 <= j < feature_count:
         raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
-    threshold = finite_number(doc["threshold"], "GBT threshold")
-    left = _node_from_dict(doc.get("left"), feature_count)
-    return TreeNode(j, threshold, left, _node_from_dict(doc.get("right"), feature_count))
+    feature.append(j)
+    value.append(finite_number(doc["threshold"], "GBT threshold"))
+    left = _node_from_dict(doc.get("left"), feature_count, feature, value)
+    return 1 + left + _node_from_dict(doc.get("right"), feature_count, feature, value)
 
 
 def gbt_to_dict(m: GbtModel) -> dict:
@@ -540,27 +598,14 @@ def gbt_to_dict(m: GbtModel) -> dict:
     tree's node count, then per node in preorder (node, left subtree, right
     subtree), tree after tree, its split ``feature`` (LEAF for a leaf) and
     its ``value``: the threshold of a split, the value of a leaf."""
-    sizes, feature, value = [], [], []
-    for root in m.trees:
-        start, stack = len(feature), [root]
-        while stack:
-            node = stack.pop()
-            if node.left is None:
-                feature.append(LEAF)
-                value.append(node.value)
-            else:
-                feature.append(node.feature_index)
-                value.append(node.threshold)
-                stack += (node.right, node.left)
-        sizes.append(len(feature) - start)
     return {
         "base_prediction": m.base_prediction,
         "hyperparams": asdict(m.hyperparams),
         "feature_count": m.feature_count,
         "cumulative_gain": m.cumulative_gain.tolist(),
-        "tree_sizes": sizes,
-        "feature": feature,
-        "value": value,
+        "tree_sizes": m.tree_sizes.tolist(),
+        "feature": m.feature.tolist(),
+        "value": m.value.tolist(),
     }
 
 
@@ -586,10 +631,10 @@ def all_finite(values: list) -> bool:
         return False
 
 
-def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNode]:
-    """Format 2's trees, with the checks _node_from_dict makes on format 1,
-    and without recursion.  The entries are checked in bulk; only a GBT that
-    fails is searched node by node for the entry to name."""
+def _trees_from_lists(sizes, feature, value, feature_count: int) -> tuple:
+    """Format 2's trees as GbtModel's arrays, with the checks
+    _node_from_dict makes on format 1.  The entries are checked in bulk;
+    only a GBT that fails is searched node by node for the entry to name."""
     for name, entries in (("tree_sizes", sizes), ("feature", feature), ("value", value)):
         if type(entries) is not list:
             raise SchemaError(f"GBT {name} is a {type(entries).__name__}, not a list")
@@ -610,26 +655,30 @@ def _trees_from_lists(sizes, feature, value, feature_count: int) -> list[TreeNod
             if type(j) is not int or not LEAF <= j < feature_count:
                 raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
             finite_number(v, "GBT leaf value" if j == LEAF else "GBT threshold")
-    roots, nodes = [], zip(feature, value)
-    for t, size in enumerate(sizes):
-        pending: list[TreeNode] = []  # splits still short of a child, innermost last
-        for k, (j, v) in enumerate(islice(nodes, size)):
-            node = TreeNode(LEAF, 0.0, None, None, v) if j == LEAF else TreeNode(j, v)
-            if pending:
-                parent = pending[-1]
-                if parent.left is None:
-                    parent.left = node
-                else:
-                    pending.pop().right = node
-            elif k:
-                raise SchemaError(f"GBT tree {t} closes after {k} of its {size} nodes")
-            else:
-                roots.append(node)
-            if j != LEAF:
-                pending.append(node)
-        if pending:
-            raise SchemaError(f"GBT tree {t} does not close within its {size} nodes")
-    return roots
+    sizes = np.array(sizes, dtype=np.int64)
+    feature = np.array(feature, dtype=np.int64)
+    split = feature != LEAF
+    # Read in preorder, a split fills one open child slot and opens two, a
+    # leaf fills one: ``opened`` counts, from node 0 on, the slots opened
+    # less those filled.  A tree closes at its first node whose count falls
+    # one below the count at its start, which must be its last node.
+    opened = np.concatenate(([0], np.add.accumulate(np.where(split, 1, -1))))
+    starts = np.add.accumulate(sizes) - sizes
+    closes = opened[1:] == opened[starts].repeat(sizes) - 1
+    first = np.minimum.reduceat(np.where(closes, np.arange(closes.size), closes.size), starts)
+    bad = np.flatnonzero(first != starts + sizes - 1)
+    if bad.size:
+        t = bad[0]
+        if first[t] < starts[t] + sizes[t] - 1:
+            raise SchemaError(f"GBT tree {t} closes after {first[t] - starts[t] + 1} of its {sizes[t]} nodes")
+        raise SchemaError(f"GBT tree {t} does not close within its {sizes[t]} nodes")
+    # A split's right child is the next node whose count before it equals
+    # the split's: the one after the left subtree.
+    order = opened[:-1].argsort(kind="stable")
+    following = np.zeros_like(order)
+    following[order[:-1]] = order[1:]
+    right = np.where(split, following, np.arange(feature.size))
+    return sizes, feature, np.array(value, dtype=float), right
 
 
 def _hyperparams_from_dict(doc: dict, what: str) -> GbtHyperparams:
@@ -658,19 +707,17 @@ def gbt_from_dict(
     if not all_finite(gains):
         raise SchemaError(f"GBT cumulative_gain {gains!r} holds a value that is not a finite number")
     if version == 1:
+        feature, value = [], []
         try:
-            roots = [_node_from_dict(t, d) for t in doc["trees"]]
+            lists = [_node_from_dict(t, d, feature, value) for t in doc["trees"]], feature, value
         except RecursionError:
             raise SchemaError("GBT tree is nested too deeply to decode") from None
     else:
-        roots = _trees_from_lists(doc["tree_sizes"], doc["feature"], doc["value"], d)
-    return GbtModel(
-        base_prediction=finite_number(doc["base_prediction"], "GBT base prediction"),
-        trees=roots,
-        hyperparams=_hyperparams_from_dict(doc["hyperparams"], what),
-        feature_count=d,
-        cumulative_gain=np.array(gains, dtype=float),
-    )
+        lists = doc["tree_sizes"], doc["feature"], doc["value"]
+    arrays = _trees_from_lists(*lists, d)
+    base = finite_number(doc["base_prediction"], "GBT base prediction")
+    hp = _hyperparams_from_dict(doc["hyperparams"], what)
+    return GbtModel(base, *arrays, hp, d, np.array(gains, dtype=float))
 
 
 def linear_to_dict(m: LinearModel) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from firepower import trees
@@ -410,9 +410,10 @@ _junk = st.one_of(
 @st.composite
 def _mutation(draw):
     """One edit of one of a GBT's three lists: set, insert or delete an
-    entry, truncate, or replace the whole list."""
+    entry, truncate, replace the whole list, flip a node between leaf and
+    split, or move one unit from an entry to the next."""
     key = draw(st.sampled_from(_LISTS))
-    op = draw(st.sampled_from(["set", "insert", "delete", "truncate", "replace"]))
+    op = draw(st.sampled_from(["set", "insert", "delete", "truncate", "replace", "flip", "shift"]))
     index = draw(st.integers(0, 200))
     value = draw(_junk)
 
@@ -430,24 +431,101 @@ def _mutation(draw):
             entries[index % len(entries)] = value
         elif op == "insert":
             entries.insert(index % (len(entries) + 1), value)
+        elif op == "flip":  # a leaf becomes a split and a split a leaf: trees end early or late
+            i = index % len(entries)
+            entries[i] = 0 if entries[i] == trees.LEAF else trees.LEAF
+        elif op == "shift":  # one entry up, the next down: a node moves between trees
+            i = index % len(entries)
+            if i + 1 < len(entries) and {type(entries[i]), type(entries[i + 1])} <= {int, float}:
+                entries[i] += 1
+                entries[i + 1] -= 1
         else:
             del entries[index % len(entries)]
 
     return apply
 
 
+def _linked_trees(sizes, feature, value, feature_count):
+    """The linked decoder of format 2 that the array decoder replaced: the
+    roots of the trees as TreeNodes, or its SchemaError."""
+    for name, entries in (("tree_sizes", sizes), ("feature", feature), ("value", value)):
+        if type(entries) is not list:
+            raise SchemaError(f"GBT {name} is a {type(entries).__name__}, not a list")
+    for size in sizes:
+        if type(size) is not int or size < 1:
+            raise SchemaError(f"GBT tree size {size!r} is not a positive integer")
+    total = sum(sizes)
+    if len(feature) != total or len(value) != total:
+        raise SchemaError(
+            f"GBT tree_sizes add up to {total} nodes, but feature holds {len(feature)} and value {len(value)}"
+        )
+    for j, v in zip(feature, value):
+        if type(j) is not int or not trees.LEAF <= j < feature_count:
+            raise SchemaError(f"GBT tree node reads feature {j!r}, not one of {feature_count}")
+        trees.finite_number(v, "GBT leaf value" if j == trees.LEAF else "GBT threshold")
+    roots, nodes = [], iter(zip(feature, value))
+    for t, size in enumerate(sizes):
+        pending = []  # splits still short of a child, innermost last
+        for k in range(size):
+            j, v = next(nodes)
+            node = trees.TreeNode(value=v) if j == trees.LEAF else trees.TreeNode(j, v)
+            if pending:
+                parent = pending[-1]
+                if parent.left is None:
+                    parent.left = node
+                else:
+                    pending.pop().right = node
+            elif k:
+                raise SchemaError(f"GBT tree {t} closes after {k} of its {size} nodes")
+            else:
+                roots.append(node)
+            if j != trees.LEAF:
+                pending.append(node)
+        if pending:
+            raise SchemaError(f"GBT tree {t} does not close within its {size} nodes")
+    return roots
+
+
+def _preorder_nodes(root):
+    """A linked tree's nodes in preorder, each as (feature_index, threshold, value) reprs."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature_index, repr(float(node.threshold)), repr(float(node.value))))
+        if node.left is not None:
+            stack += [node.right, node.left]
+    return out
+
+
+def _linked_error(doc) -> str | None:
+    """The message of the linked decoder's SchemaError on a GBT document, or None."""
+    try:
+        _linked_trees(doc["tree_sizes"], doc["feature"], doc["value"], doc["feature_count"])
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
 @given(st.lists(_mutation(), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_format2_decoder_raises_only_data_errors(mutations):
+    # Each mutant either raises the SchemaError the linked decoder raised,
+    # or loads the linked decoder's trees, and then predict_many is the
+    # scalar walk of every row, a NaN entry's included.
     doc = copy.deepcopy(_BASE)
     for apply in mutations:
         apply(doc)
-    try:
-        m = trees.gbt_from_dict(doc)
-    except (SchemaError, ModelError):
+    message = _linked_error(doc)
+    if message is not None:
+        with pytest.raises(SchemaError) as got:
+            trees.gbt_from_dict(doc)
+        assert str(got.value) == message
         return
-    # What loads predicts, and writes back what it read.
-    assert m.predict_many(_X).shape == (_X.shape[0],)
+    m = trees.gbt_from_dict(doc)
+    want = _linked_trees(doc["tree_sizes"], doc["feature"], doc["value"], doc["feature_count"])
+    assert [_preorder_nodes(root) for root in m.trees] == [_preorder_nodes(root) for root in want]
+    X = np.concatenate((_X, [[np.nan, 5.0, 5.0], [5.0, np.nan, 5.0]]))
+    assert m.predict_many(X).tobytes() == np.array([m.predict(x) for x in X]).tobytes()
     assert trees.gbt_to_dict(m)["tree_sizes"] == doc["tree_sizes"]
 
 
@@ -466,3 +544,21 @@ def test_cli_predict_on_fuzzed_model_exits_cleanly(mutations, component):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert (code == EXIT_OK) == (err == "")
+
+
+@given(st.lists(_mutation(), min_size=1, max_size=3))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_cli_predict_on_a_rejected_mutant_is_a_data_error(mutations):
+    # A model whose event GBT the linked decoder rejects exits 2, naming
+    # what it named, without a traceback.
+    doc = json.loads(_MODEL2)
+    gbt = doc["per_component"]["BPTAGE"]["event"]
+    for apply in mutations:
+        apply(gbt)
+    message = _linked_error(gbt)
+    assume(message is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _predict(_write(Path(tmp) / "model.json", doc), Path(tmp) / "preds.csv")
+        assert not (Path(tmp) / "preds.csv").exists()
+    assert code == EXIT_DATA and "Traceback" not in err
+    assert err.startswith("error:") and message in err

@@ -1,9 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +13,6 @@ from firepower.errors import ModelError
 from firepower.trees import (
     MIN_SPLIT_GAIN,
     GbtHyperparams,
-    GbtModel,
     TreeNode,
     feature_importance,
     _run_sums,
@@ -135,22 +135,6 @@ def test_fit_quality_on_smooth_function():
     assert float(np.abs(preds - y).mean()) < 0.05
 
 
-@given(st.integers(0, 500), st.integers(0, 300))
-@example(0, 0)
-@example(1, 300)
-@settings(max_examples=20, deadline=None)
-def test_predict_many_matches_predict(seed, rows):
-    X, y = random_problem(seed, n=15, d=3)
-    m = fit_gbt(X, y, GbtHyperparams(n_estimators=8))
-    # Fresh rows of any batch size, on the fitted and on a decoded model.
-    Z = np.random.default_rng(seed).uniform(-1, 11, size=(rows, 3))
-    for model in (m, gbt_from_dict(json.loads(json.dumps(gbt_to_dict(m))))):
-        for batch in (X, Z):
-            many = model.predict_many(batch)
-            assert many.shape == (batch.shape[0],)
-            assert np.array_equal(many, np.array([m.predict(x) for x in batch]))
-
-
 def test_predict_validates_feature_count():
     X, y = random_problem(1)
     m = fit_gbt(X, y, small_hp)
@@ -261,6 +245,7 @@ def _leaf_values(root, X):
 
 
 def _reference_fit(X, y, hp):
+    """The base, the trees, the cumulative gains and the SSE trace."""
     n, d = X.shape
     base = float(y.mean())
     gains = np.zeros(d)
@@ -272,7 +257,18 @@ def _reference_fit(X, y, hp):
         trees.append(root)
         pred += hp.learning_rate * _leaf_values(root, X)
         sse.append(float(((y - pred) ** 2).sum()))
-    return GbtModel(base, trees, hp, d, gains, sse)
+    return base, trees, gains, sse
+
+
+def _preorder_nodes(root):
+    """A linked tree's nodes in preorder, each as (feature_index, threshold, value) reprs."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature_index, repr(float(node.threshold)), repr(float(node.value))))
+        if node.left is not None:
+            stack += [node.right, node.left]
+    return out
 
 
 def _draw_xy(draw, n):
@@ -321,9 +317,18 @@ def tree_batches(draw):
 
 
 def _assert_reference_fit(got, X, y, hp):
-    want = _reference_fit(X, y, hp)
-    assert json.dumps(gbt_to_dict(got)) == json.dumps(gbt_to_dict(want))
-    assert repr(got.training_sse) == repr(want.training_sse)
+    base, roots, gains, sse = _reference_fit(X, y, hp)
+    want = [_preorder_nodes(root) for root in roots]
+    # The linked view, the arrays and the file all hold the reference's trees.
+    assert [_preorder_nodes(root) for root in got.trees] == want
+    doc = gbt_to_dict(got)
+    assert doc["tree_sizes"] == [len(tree) for tree in want]
+    assert [(j, repr(v)) for j, v in zip(doc["feature"], doc["value"])] == [
+        (j, t if j != trees.LEAF else v) for tree in want for j, t, v in tree
+    ]
+    assert repr(got.base_prediction) == repr(base)
+    assert repr(got.cumulative_gain.tolist()) == repr(gains.tolist())
+    assert repr(got.training_sse) == repr(sse)
 
 
 @given(tree_problems())
@@ -349,6 +354,82 @@ def test_batched_fits_match_node_by_node_reference(search_cells, batch):
     finally:
         trees.SEARCH_CELLS = default
     assert len(models) == len(problems)
+    for got, (X, y) in zip(models, problems):
+        _assert_reference_fit(got, X, y, hp)
+
+
+def _assert_predict_many_is_the_walk(model, X):
+    """predict_many of X, of its first row and of none of it equal the
+    scalar walk of each row, bit for bit."""
+    for rows in (X, X[:1], X[:0]):
+        many = model.predict_many(rows)
+        walked = np.array([model.predict(row) for row in rows], dtype=float)
+        assert many.shape == (rows.shape[0],) and many.tobytes() == walked.tobytes()
+
+
+@given(batch=tree_batches(), seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 300))
+@settings(max_examples=60, deadline=None)
+def test_predict_many_matches_predict(batch, seed, rows):
+    # Fits of depth 1-6 with min_samples_leaf up to 5, duplicated and
+    # constant columns, single-leaf trees and batches of mixed widths, on
+    # the fitted and on a decoded model; fresh rows in half steps, on and
+    # between the integer columns' thresholds, and a NaN entry, which goes
+    # right in both paths.
+    problems, hp = batch
+    models = fit_gbt_many([X for X, _ in problems], [y for _, y in problems], hp)
+    rng = np.random.default_rng(seed)
+    for m, (X, _) in zip(models, problems):
+        Z = np.concatenate((X, rng.integers(-2, 20, size=(rows, X.shape[1])) / 2.0))
+        Z[rng.integers(Z.shape[0]), rng.integers(Z.shape[1])] = np.nan
+        for model in (m, gbt_from_dict(json.loads(json.dumps(gbt_to_dict(m))))):
+            _assert_predict_many_is_the_walk(model, Z)
+
+
+def test_nan_goes_right_in_both_paths():
+    doc = gbt_to_dict(fit_gbt(np.arange(4.0)[:, None], np.arange(4.0), small_hp))
+    doc.update(tree_sizes=[3], feature=[0, -1, -1], value=[0.5, 1.0, 2.0])
+    m = gbt_from_dict(doc)
+    want = doc["base_prediction"] + m.hyperparams.learning_rate * 2.0
+    assert m.predict([np.nan]) == want and m.predict_many([[np.nan]]).tolist() == [want]
+
+
+def test_predict_many_on_decoded_format1_and_deep_format2_trees():
+    format1 = json.loads((Path(__file__).parent / "data" / "format1" / "model.json").read_text())
+    rng = np.random.default_rng(5)
+    for entry in format1["per_component"].values():
+        for doc in (entry["event"], entry["hw"].get("gbt")):
+            if doc is None:
+                continue
+            m = gbt_from_dict(doc, 1)
+            assert gbt_to_dict(gbt_from_dict(gbt_to_dict(m))) == gbt_to_dict(m)
+            X = rng.uniform(0, 2 * max(map(abs, m.value.tolist()), default=1.0), size=(30, m.feature_count))
+            X[3, 0] = np.nan
+            _assert_predict_many_is_the_walk(m, X)
+    # A 5000-deep left spine: row -1e9 walks all of it.
+    depth = 5000
+    doc = gbt_to_dict(fit_gbt(np.arange(4.0)[:, None], np.arange(4.0), small_hp))
+    doc.update(
+        tree_sizes=[2 * depth + 1, 1],
+        feature=[0] * depth + [-1] * (depth + 2),
+        value=[float(-i) for i in range(depth)] + [1.0] + [2.0 + i for i in range(depth)] + [0.25],
+    )
+    m = gbt_from_dict(json.loads(json.dumps(doc)))
+    _assert_predict_many_is_the_walk(m, np.array([[-1e9], [-2500.5], [0.5], [np.nan], [-4999.0]]))
+
+
+def test_batch_models_grow_trees_of_different_shapes_in_one_round():
+    # One round of one batch: a constant target stays a leaf, a step is a
+    # stump, a smooth target fills every level; widths differ too.
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 9, size=(24, 3)).astype(float)
+    problems = [
+        (X, 3.0 * X[:, 0] + X[:, 1] ** 2 + rng.normal(0, 0.1, 24)),
+        (X[:, :1], np.full(24, 2.5)),
+        (X[:, 1:], np.where(X[:, 1] <= 4.0, 1.0, 5.0)),
+    ]
+    hp = GbtHyperparams(n_estimators=3, max_depth=3, learning_rate=1.0, l2_leaf_reg=0.0)
+    models = fit_gbt_many([X for X, _ in problems], [y for _, y in problems], hp)
+    assert [m.tree_sizes[0] for m in models] == [15, 1, 3]
     for got, (X, y) in zip(models, problems):
         _assert_reference_fit(got, X, y, hp)
 
