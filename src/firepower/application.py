@@ -94,7 +94,7 @@ class FirePowerModel:
     def predict_components(self, ds: Dataset) -> np.ndarray:
         """(n_samples, n_components) predictions, columns in table order;
         each entry equals predict_component_power on that sample."""
-        out = np.empty((len(ds.samples), len(self.component_table)))
+        out = np.empty((len(ds.keys), len(self.component_table)))
         for j, comp in enumerate(self.component_table):
             hw, event = self.per_component[comp.name]
             out[:, j] = hw.predict_samples(ds) * event.predict_many(design_matrix(ds, comp))
@@ -159,7 +159,7 @@ def _plan(kb: KnowledgeBase, ds_target_train: Dataset, flags: list[bool]):
     is fit once, and the models that share it share the GBT and its
     EffectiveHardwareModel."""
     check_component_tables(kb.component_table, ds_target_train.component_table)
-    if not ds_target_train.samples:
+    if not ds_target_train.keys:
         raise ValidationError("no training samples for the event model")
     fits, index, picks = [], {}, []
     for flag in flags:

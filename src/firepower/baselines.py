@@ -39,18 +39,19 @@ def core_component(ds: Dataset) -> ComponentDef:
     every event statistic, component-table order first, else sorted."""
     events = dict.fromkeys(stat for comp in ds.component_table for stat in comp.event_stats)
     if not events:
-        events = sorted({k for s in ds.samples for k in s.event_stats})
+        given = ~np.isnan(ds.events.values).all(axis=0)  # a split keeps its parent's empty columns
+        events = sorted(name for name, j in ds.events.columns.items() if given[j])
     return ComponentDef("core", ds.registry.canonical, tuple(events))
 
 
 def calib_parts(ds: Dataset, per_component: bool) -> list[tuple[ComponentDef, np.ndarray]]:
     """McPAT-Calib's parts of ds as (component, labels): the whole core with
     the total power, or each component of the table with its own power."""
-    if not ds.samples:
+    if not ds.keys:
         raise ValidationError("empty training dataset")
     if per_component:
         return [(comp, component_labels(ds, comp.name)) for comp in ds.component_table]
-    return [(core_component(ds), np.array([s.total_power for s in ds.samples]))]
+    return [(core_component(ds), np.array(ds.totals))]
 
 
 def _train_parts(ds_train: Dataset, hp: GbtHyperparams, per_component: bool) -> CalibModel:

@@ -209,22 +209,21 @@ def cmd_predict(args) -> int:
     rows = [PER_SAMPLE_HEADER]
     totals_pred = []
     totals_label = []
-    for sample, labels, events in ds.entries():
-        cfg = ds.config(sample.config_id)
+    for i, ((cid, workload), total_label) in enumerate(zip(ds.keys, ds.totals)):
+        cfg = ds.config(cid)
+        labels, events = ds.power.row_dict(i), ds.events.row_dict(i)
         total = 0.0
         for comp in model.component_table:
             pred = model.predict_component_power(comp, cfg, events)
             total += pred
             label = labels.get(comp.name)
             rows.append(
-                f"{sample.config_id},{sample.workload},{comp.name},{pred!r},"
+                f"{cid},{workload},{comp.name},{pred!r},"
                 f"{'' if label is None else repr(label)}"
             )
-        rows.append(
-            f"{sample.config_id},{sample.workload},Total,{total!r},{sample.total_power!r}"
-        )
+        rows.append(f"{cid},{workload},Total,{total!r},{total_label!r}")
         totals_pred.append(total)
-        totals_label.append(sample.total_power)
+        totals_label.append(total_label)
     write_text_atomic(args.out, "\n".join(rows) + "\n")
     if len(totals_pred) >= 2:
         m = mape(totals_pred, totals_label)

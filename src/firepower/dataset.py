@@ -178,14 +178,15 @@ def _matrix(names, rows: list[list]) -> np.ndarray:
 
 class _Table:
     """A samples x names float64 matrix, NaN where a sample has no entry,
-    and its name -> column dict, columns in first-seen order.  Read-only."""
+    and its name -> column dict, columns in first-seen order.  Read-only;
+    two tables are equal if their names and values are, NaN equal to NaN."""
 
     __slots__ = ("values", "columns", "dense")
 
-    def __init__(self, values: np.ndarray, columns: dict[str, int]):
+    def __init__(self, names, values: np.ndarray):
         values.flags.writeable = False
         self.values = values
-        self.columns = columns
+        self.columns = {name: j for j, name in enumerate(names)}
         self.dense = not np.isnan(values).any()  # no absent entry
 
     @classmethod
@@ -196,7 +197,11 @@ class _Table:
         values = _matrix(names, rows)
         if np.count_nonzero(~np.isnan(values)) != given:
             raise ValidationError("a sample's component_power or event_stats value is NaN or None")
-        return cls(values, {name: j for j, name in enumerate(names)})
+        return cls(names, values)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _Table) and self.columns == other.columns
+                and np.array_equal(self.values, other.values, equal_nan=True))
 
     def column(self, name: str) -> np.ndarray:
         """A copy of name's column, all NaN if no sample has it."""
@@ -242,8 +247,8 @@ class PowerSample:
     """(configuration, workload) power labels in mW, plus optional extras.
 
     component_power and event_stats are read-only mappings.  A sample made
-    from plain mappings holds a one-row table of its own; a Dataset keeps
-    its samples' entries in two shared tables."""
+    from plain mappings holds a one-row table of its own; the samples of a
+    Dataset are views of rows of its two tables."""
 
     config_id: str
     workload: str
@@ -259,95 +264,45 @@ class PowerSample:
             object.__setattr__(self, "event_stats", _RowView(_Table.of([self.event_stats]), 0))
 
 
-def _packed_samples(keys, totals, analytical, power: _Table, events: _Table) -> tuple[PowerSample, ...]:
-    """Sample i is (config_id, workload) keys[i], with total totals[i],
-    analytical estimate analytical[i] and row i of both tables."""
-    return tuple(
-        PowerSample(cid, workload, total, _RowView(power, i), _RowView(events, i), estimate)
-        for i, ((cid, workload), total, estimate) in enumerate(zip(keys, totals, analytical))
-    )
-
-
-def samples_from_arrays(
-    keys: list[tuple[str, str]],
-    totals: list[float],
-    power_names: list[str],
-    power: np.ndarray,
-    event_names: list[str],
-    events: np.ndarray,
-) -> tuple[PowerSample, ...]:
-    """Samples with (config_id, workload) keys[i] and total totals[i], whose
-    component powers and event statistics are row i of the samples x names
-    matrices power and events (NaN where a sample has no entry).  A Dataset
-    of these samples, in this order, keeps the two matrices as they are.
-    ValidationError, as a loader gives it, if a power label is not positive."""
-    labels = np.asarray(power, dtype=float)
-    bad = np.argwhere(labels <= 0)  # row by row: the first sample, then its first component
-    if bad.size:
-        (cid, workload), j = keys[bad[0, 0]], bad[0, 1]
-        raise ValidationError(f"sample ({cid}, {workload}): nonpositive power label for {power_names[j]!r}")
-    return _packed_samples(
-        keys,
-        totals,
-        [None] * len(keys),
-        _Table(labels, {n: j for j, n in enumerate(power_names)}),
-        _Table(np.asarray(events, dtype=float), {n: j for j, n in enumerate(event_names)}),
-    )
-
-
-def _shared_tables(samples: tuple[PowerSample, ...]) -> tuple[_Table, _Table] | None:
-    """The two tables of samples, rows gathered in sample order, if every
-    sample is one row of the same pair of tables; else None."""
-    if not samples:
-        return None
-    power, events = samples[0].component_power._table, samples[0].event_stats._table
-    if any(s.component_power._table is not power or s.event_stats._table is not events for s in samples):
-        return None
-    rows = [s.component_power._row for s in samples]
-    if rows != [s.event_stats._row for s in samples]:
-        return None
-    if rows == list(range(len(power.values))) and len(events.values) == len(rows):
-        return power, events
-    return _Table(power.values[rows], power.columns), _Table(events.values[rows], events.columns)
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Configurations and their power samples.  The samples' component
-    powers and event statistics are stored column-wise, in two samples x
-    names float64 tables (NaN where a sample has no entry) that are packed
-    once, here; each sample's mappings are read-only views of its row.
-    Here too, and only here, its references are checked: distinct
-    configuration ids, each with every parameter the table reads, and
-    distinct (configuration, workload) samples of known configurations."""
+    """Configurations and their power samples, stored as columns: per
+    sample, its (config_id, workload) key, its total power and its
+    analytical estimate (None if it has none), and its row of two samples
+    x names float64 tables (NaN where it has no entry), the component
+    powers and the event statistics.  Here, and only here, the samples are
+    checked, in sample order: a positive total, then positive power labels.
+    So are their references: distinct configuration ids, each with every
+    parameter the table reads, and distinct (configuration, workload)
+    samples of known configurations."""
 
     architecture: str
     configurations: tuple[Configuration, ...]
-    samples: tuple[PowerSample, ...]
     component_table: tuple[ComponentDef, ...]
+    keys: tuple[tuple[str, str], ...] = field(repr=False)
+    totals: tuple[float, ...] = field(repr=False)
+    estimates: tuple[float | None, ...] = field(repr=False)
+    power: _Table = field(repr=False)
+    events: _Table = field(repr=False)
     registry: ParameterRegistry = field(default_factory=builtin_registry)
-    _power: _Table = field(init=False, repr=False, compare=False)
-    _events: _Table = field(init=False, repr=False, compare=False)
     _config_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _config_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        tables = _shared_tables(samples)
-        if tables is None:
-            tables = (
-                _Table.of([s.component_power for s in samples]),
-                _Table.of([s.event_stats for s in samples]),
-            )
-            samples = _packed_samples(
-                [(s.config_id, s.workload) for s in samples],
-                [s.total_power for s in samples],
-                [s.analytical_estimate for s in samples],
-                *tables,
-            )
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_power", tables[0])
-        object.__setattr__(self, "_events", tables[1])
+        for name in ("keys", "totals", "estimates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.keys)
+        if not n == len(self.totals) == len(self.estimates) == len(self.power.values) == len(self.events.values):
+            raise ValidationError("a dataset's sample columns differ in length")
+        totals = np.array(self.totals, dtype=float)
+        bad = np.flatnonzero(~(totals > 0) | (self.power.values <= 0).any(axis=1))
+        if bad.size:
+            i = bad[0]
+            context = "sample ({}, {})".format(*self.keys[i])
+            if not totals[i] > 0:
+                raise ValidationError(f"{context}: total_power must be positive")
+            name = list(self.power.columns)[np.argmax(self.power.values[i] <= 0)]
+            raise ValidationError(f"{context}: nonpositive power label for {name!r}")
         index = {cfg.id: j for j, cfg in enumerate(self.configurations)}
         if len(index) != len(self.configurations):
             raise ValidationError("duplicate configuration ids")
@@ -356,17 +311,52 @@ class Dataset:
             if not needed.keys() <= cfg.params.keys():
                 hw_row(tuple(needed), cfg)  # raises, naming the first parameter cfg lacks
         try:
-            positions = np.array([index[s.config_id] for s in samples], dtype=np.intp)
+            positions = np.array([index[cid] for cid, _ in self.keys], dtype=np.intp)
         except KeyError:
-            s = next(s for s in samples if s.config_id not in index)
-            message = f"sample ({s.config_id}, {s.workload}): unknown configuration id {s.config_id!r}"
-            raise ValidationError(message) from None
-        if len({(s.config_id, s.workload) for s in samples}) < len(samples):
+            cid, workload = next(key for key in self.keys if key[0] not in index)
+            raise ValidationError(f"sample ({cid}, {workload}): unknown configuration id {cid!r}") from None
+        if len(set(self.keys)) < n:
             seen: set[tuple[str, str]] = set()  # set.add returns None: next() stops at a repeat
-            key = next(k for k in ((s.config_id, s.workload) for s in samples) if k in seen or seen.add(k))
+            key = next(k for k in self.keys if k in seen or seen.add(k))
             raise ValidationError(f"duplicate sample for {key}")
         object.__setattr__(self, "_config_index", index)
         object.__setattr__(self, "_config_positions", positions)
+
+    @classmethod
+    def of_columns(cls, architecture, configurations, component_table, registry, keys, totals, power, events,
+                   estimates=None) -> "Dataset":
+        """Sample i has key keys[i], total totals[i], analytical estimate
+        estimates[i] (default none) and row i of power and events, each a
+        (names, samples x names float64 matrix) pair, NaN where it has no entry."""
+        return cls(architecture, configurations, component_table, keys, totals,
+                   [None] * len(keys) if estimates is None else estimates,
+                   _Table(*power), _Table(*events), registry)
+
+    @classmethod
+    def of_samples(cls, architecture, configurations, samples, component_table, registry=None) -> "Dataset":
+        """A Dataset of PowerSamples made by hand, in their order: the one
+        place where samples are packed into tables."""
+        samples = tuple(samples)
+        return cls(
+            architecture,
+            configurations,
+            component_table,
+            [(s.config_id, s.workload) for s in samples],
+            [s.total_power for s in samples],
+            [s.analytical_estimate for s in samples],
+            _Table.of([s.component_power for s in samples]),
+            _Table.of([s.event_stats for s in samples]),
+            builtin_registry() if registry is None else registry,
+        )
+
+    @cached_property
+    def samples(self) -> tuple[PowerSample, ...]:
+        """The samples as PowerSamples, made on first read, their mappings
+        read-only views of their rows of the two tables."""
+        return tuple(
+            PowerSample(cid, workload, total, _RowView(self.power, i), _RowView(self.events, i), estimate)
+            for i, ((cid, workload), total, estimate) in enumerate(zip(self.keys, self.totals, self.estimates))
+        )
 
     @cached_property
     def _rows_by_config(self) -> list[np.ndarray]:
@@ -390,13 +380,6 @@ class Dataset:
 
     def config_ids(self) -> list[str]:
         return [cfg.id for cfg in self.configurations]
-
-    def entries(self):
-        """(sample, component_power, event_stats) per sample, in sample
-        order, the two mappings as plain dicts in column order, made one
-        sample at a time."""
-        for i, s in enumerate(self.samples):
-            yield s, self._power.row_dict(i), self._events.row_dict(i)
 
 
 def left_sum(values) -> float:
@@ -584,13 +567,13 @@ def _format1_entry(samples: dict, i: int) -> dict:
 
 
 def _validated(totals: list, estimates: list, power: tuple, events: tuple, names: set[str], entry) -> tuple:
-    """(totals, estimates, power, events) as float lists and _Tables, of a
-    file's sample columns: power and events as (names, rows, how many
-    entries are given), entry(i) sample i in format 1's form.  The columns
-    are checked all at once for what _check_sample checks, and the samples
-    that may be at fault go to _check_sample, in file order, to be named.
-    A sample that lacks only Other Logic gets the residual of its labels
-    added up in column order."""
+    """(totals, estimates, power, events) as float lists and (names, matrix)
+    pairs, of a file's sample columns: power and events as (names, rows,
+    how many entries are given), entry(i) sample i in format 1's form.
+    The columns are checked all at once for what _check_sample checks, and
+    the samples that may be at fault go to _check_sample, in file order, to
+    be named.  A sample that lacks only Other Logic gets the residual of its
+    labels added up in column order."""
     (power_names, power_rows, power_given), (event_names, event_rows, event_given) = power, events
 
     def numbers():
@@ -634,8 +617,8 @@ def _validated(totals: list, estimates: list, power: tuple, events: tuple, names
     if unknown:  # a name that no sample labels
         name = power_names[unknown[0]]
         raise SchemaError(f"dataset: samples component_power name {name!r} is not a component of the table")
-    events = _Table(event_values, {name: j for j, name in enumerate(event_names)})
-    return totals.tolist(), [v if v == v else None for v in estimates.tolist()], _Table(power, index), events
+    estimates = [v if v == v else None for v in estimates.tolist()]
+    return totals.tolist(), estimates, (list(index), power), (event_names, event_values)
 
 
 def read_json_file(path: str | os.PathLike, kind: str):
@@ -692,13 +675,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
     config_ids = {c.id: c.id for c in configurations}
     workloads: dict[str, str] = {}
     keys = [(config_ids.get(c, c), workloads.setdefault(w, w)) for c, w in keys]
-    return Dataset(
-        architecture=architecture,
-        configurations=configurations,
-        samples=_packed_samples(keys, totals, estimates, power, events),
-        component_table=table,
-        registry=registry,
-    )
+    return Dataset.of_columns(architecture, configurations, table, registry, keys, totals, power, events, estimates)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
@@ -714,15 +691,14 @@ def _named_rows_to_dict(table: _Table) -> dict:
 def dataset_to_dict(ds: Dataset) -> dict:
     """ds as a format-2 document, the sample columns read from its matrices."""
     samples = {
-        "config_id": [s.config_id for s in ds.samples],
-        "workload": [s.workload for s in ds.samples],
-        "total_power": [s.total_power for s in ds.samples],
-        "component_power": _named_rows_to_dict(ds._power),
-        "event_stats": _named_rows_to_dict(ds._events),
+        "config_id": [cid for cid, _ in ds.keys],
+        "workload": [workload for _, workload in ds.keys],
+        "total_power": list(ds.totals),
+        "component_power": _named_rows_to_dict(ds.power),
+        "event_stats": _named_rows_to_dict(ds.events),
     }
-    estimates = [s.analytical_estimate for s in ds.samples]
-    if any(e is not None for e in estimates):
-        samples["analytical_estimate"] = estimates
+    if any(e is not None for e in ds.estimates):
+        samples["analytical_estimate"] = list(ds.estimates)
     return {
         "format_version": FORMAT_VERSION,
         "architecture": ds.architecture,
@@ -760,17 +736,17 @@ def save_dataset(ds: Dataset, path: str | os.PathLike):
     write_text_atomic(path, json.dumps(dataset_to_dict(ds)) + "\n")
 
 
-def _lacks_label(s: PowerSample, component: str) -> ValidationError:
-    return ValidationError(f"sample ({s.config_id}, {s.workload}) lacks a label for {component!r}")
+def _lacks_label(key: tuple[str, str], component: str) -> ValidationError:
+    return ValidationError("sample ({}, {}) lacks a label for {!r}".format(*key, component))
 
 
 def component_labels(ds: Dataset, component: str) -> np.ndarray:
     """Each sample's label for one component, in sample order;
     ValidationError naming the first sample that lacks it."""
-    labels = ds._power.column(component)
+    labels = ds.power.column(component)
     missing = np.flatnonzero(np.isnan(labels))
     if missing.size:
-        raise _lacks_label(ds.samples[missing[0]], component)
+        raise _lacks_label(ds.keys[missing[0]], component)
     return labels
 
 
@@ -778,7 +754,7 @@ def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
     """Arithmetic mean of a component's power over each configuration's
     workloads: a left fold over its samples in sample order."""
     comp = ds.component(component)
-    labels = ds._power.column(comp.name)
+    labels = ds.power.column(comp.name)
     result: dict[str, float] = {}
     for cfg, rows in zip(ds.configurations, ds._rows_by_config):
         if not rows.size:
@@ -786,13 +762,14 @@ def average_power_per_config(ds: Dataset, component: str) -> dict[str, float]:
         values = labels[rows]
         missing = np.flatnonzero(np.isnan(values))
         if missing.size:
-            raise _lacks_label(ds.samples[rows[missing[0]]], comp.name)
+            raise _lacks_label(ds.keys[rows[missing[0]]], comp.name)
         result[cfg.id] = left_sum(values.tolist()) / len(rows)
     return result
 
 
 def few_shot_split(ds: Dataset, labeled_config_ids: list[str]) -> tuple[Dataset, Dataset]:
-    """Split into (labeled-train, held-out-test) datasets by configuration id."""
+    """Split into (labeled-train, held-out-test) datasets by configuration
+    id, each with its samples' rows in sample order under ds's names."""
     labeled = list(dict.fromkeys(labeled_config_ids))
     all_ids = set(ds.config_ids())
     unknown = [cid for cid in labeled if cid not in all_ids]
@@ -803,16 +780,22 @@ def few_shot_split(ds: Dataset, labeled_config_ids: list[str]) -> tuple[Dataset,
     if len(labeled) >= len(all_ids):
         raise ValidationError("labeled set leaves no configurations for testing")
     labeled_set = set(labeled)
+    is_labeled = [c.id in labeled_set for c in ds.configurations]
+    labeled_rows = np.array(is_labeled, dtype=bool)[ds._config_positions]
 
     def subset(keep: bool) -> Dataset:
-        configs = tuple(c for c in ds.configurations if (c.id in labeled_set) == keep)
-        samples = tuple(s for s in ds.samples if (s.config_id in labeled_set) == keep)
+        rows = np.flatnonzero(labeled_rows == keep)
+        picked = rows.tolist()
         return Dataset(
-            architecture=ds.architecture,
-            configurations=configs,
-            samples=samples,
-            component_table=ds.component_table,
-            registry=ds.registry,
+            ds.architecture,
+            tuple(c for c, flag in zip(ds.configurations, is_labeled) if flag == keep),
+            ds.component_table,
+            [ds.keys[i] for i in picked],
+            [ds.totals[i] for i in picked],
+            [ds.estimates[i] for i in picked],
+            _Table(ds.power.columns, ds.power.values[rows]),
+            _Table(ds.events.columns, ds.events.values[rows]),
+            ds.registry,
         )
 
     return subset(True), subset(False)
@@ -846,14 +829,14 @@ def design_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
     columns; a sample that lacks an event statistic raises feature_row's
     ValidationError, the first such sample in sample order."""
     hw = np.array([hw_row(comp.hw_params, cfg) for cfg in ds.configurations])
-    X = np.empty((len(ds.samples), len(comp.hw_params) + len(comp.event_stats)))
+    X = np.empty((len(ds.keys), len(comp.hw_params) + len(comp.event_stats)))
     X[:, : len(comp.hw_params)] = hw.reshape(-1, len(comp.hw_params))[ds._config_positions]
     for j, name in enumerate(comp.event_stats, start=len(comp.hw_params)):
-        X[:, j] = ds._events.column(name)
+        X[:, j] = ds.events.column(name)
     for i in np.flatnonzero(np.isnan(X).any(axis=1)):
-        s = ds.samples[i]
+        cid, workload = ds.keys[i]
         try:
-            feature_row(comp, ds.config(s.config_id), s.event_stats)
+            feature_row(comp, ds.config(cid), ds.events.row_dict(i))
         except ValidationError as exc:
-            raise ValidationError(f"sample ({s.config_id}, {s.workload}): {exc}") from None
+            raise ValidationError(f"sample ({cid}, {workload}): {exc}") from None
     return X

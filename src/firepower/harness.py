@@ -72,7 +72,7 @@ def _method_predictions(
         columns = [model.predict_many(design_matrix(test, comp)) for comp, model in models]
     else:
         raise ValidationError(f"unknown method {method!r}")
-    totals = np.zeros(len(test.samples))
+    totals = np.zeros(len(test.keys))
     # Column by column in part order: the sums CLI predict forms per sample.
     for column in columns:
         totals += column
@@ -129,12 +129,12 @@ def run_experiment(
         for seed in seeds:
             labeled = choose_labeled_configs(ds_target, k, seed)
             train, test = few_shot_split(ds_target, labeled)
-            labels = [s.total_power for s in test.samples]
+            labels = list(test.totals)
             for method, target_model in _cell_models(methods, kb, train, hp):
                 preds = _method_predictions(method, train, test, hp, sources, target_model)
                 per_sample = [
-                    (s.config_id, s.workload, float(p), float(s.total_power))
-                    for s, p in zip(test.samples, preds)
+                    (cid, workload, float(p), float(total))
+                    for (cid, workload), total, p in zip(test.keys, test.totals, preds)
                 ]
                 metrics = (mape(preds, labels), pearson_r(preds, labels))
                 results.append(EvalResult(method, k, seed, *metrics, per_sample))

@@ -91,7 +91,7 @@ def extract_knowledge(
     hp: GbtHyperparams | None = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> KnowledgeBase:
-    if not ds_known.samples:
+    if not ds_known.keys:
         raise ValidationError("known-architecture dataset has no samples")
     if len(ds_known.configurations) < 2:
         raise ValidationError("need at least 2 configurations to train a hardware model")

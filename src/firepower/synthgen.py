@@ -27,7 +27,6 @@ from .dataset import (
     builtin_registry,
     left_sum,
     read_json_file,
-    samples_from_arrays,
     schema_errors,
     write_text_atomic,
 )
@@ -287,7 +286,7 @@ def _sample_configs(rng, arch: str, prefix: str, count: int) -> list[Configurati
     return configs
 
 
-def _generate_samples(spec: SynthSpec, rng, arch: str, configs: list[Configuration]):
+def _generate_dataset(spec: SynthSpec, rng, arch: str, configs: list[Configuration], table, registry) -> Dataset:
     # Each configuration over all workloads at once.  The noise draw follows the scalar loop's
     # (configuration, workload, component) order and each product its scalar order.
     gens = spec.components
@@ -306,13 +305,15 @@ def _generate_samples(spec: SynthSpec, rng, arch: str, configs: list[Configurati
         events[c] = np.array(event_columns).T
     power = power.reshape(-1, len(gens))
     workloads = [f"w{w}" for w in range(spec.n_workloads)]
-    return samples_from_arrays(
+    return Dataset.of_columns(
+        spec.known_arch if arch == "known" else spec.target_arch,
+        tuple(configs),
+        table,
+        registry,
         [(cfg.id, w) for cfg in configs for w in workloads],
         [left_sum(row) for row in power.tolist()],
-        [gen.name for gen in gens],
-        power,
-        [gen.event_stat for gen in gens],
-        events.reshape(-1, len(gens)),
+        ([gen.name for gen in gens], power),
+        ([gen.event_stat for gen in gens], events.reshape(-1, len(gens))),
     )
 
 
@@ -327,20 +328,8 @@ def generate_pair(spec: SynthSpec) -> tuple[Dataset, Dataset, GroundTruth]:
 
     known_configs = _sample_configs(rng, spec.known_arch, "K", spec.n_known_configs)
     target_configs = _sample_configs(rng, spec.target_arch, "T", spec.n_target_configs)
-    ds_known = Dataset(
-        architecture=spec.known_arch,
-        configurations=tuple(known_configs),
-        samples=_generate_samples(spec, rng, "known", known_configs),
-        component_table=table,
-        registry=registry,
-    )
-    ds_target = Dataset(
-        architecture=spec.target_arch,
-        configurations=tuple(target_configs),
-        samples=_generate_samples(spec, rng, "target", target_configs),
-        component_table=table,
-        registry=registry,
-    )
+    ds_known = _generate_dataset(spec, rng, "known", known_configs, table, registry)
+    ds_target = _generate_dataset(spec, rng, "target", target_configs, table, registry)
     return ds_known, ds_target, GroundTruth(spec=spec)
 
 

@@ -87,6 +87,13 @@ def tiny_doc():
     }
 
 
+def with_samples(ds, samples, configurations=None):
+    """ds with these hand-built samples, in their order, and optionally
+    other configurations, packed by Dataset.of_samples."""
+    configurations = ds.configurations if configurations is None else configurations
+    return fp.Dataset.of_samples(ds.architecture, configurations, samples, ds.component_table, ds.registry)
+
+
 @pytest.fixture
 def tiny_dataset():
     return dataset_from_dict(tiny_doc())

@@ -5,7 +5,6 @@ asserts the same condition, so the suite doubles as a readable report.
 """
 
 import copy
-import dataclasses
 import time
 
 import numpy as np
@@ -49,7 +48,7 @@ from firepower.knowledge import (
 from firepower.metrics import mape, pearson_r
 from firepower.trees import GbtHyperparams, fit_gbt, fit_linear_one_feature, gbt_to_dict
 
-from conftest import tiny_doc
+from conftest import tiny_doc, with_samples
 
 SEEDS = list(range(10))
 KS = [2, 3, 4]
@@ -176,9 +175,9 @@ def test_generalization_gate():
         )
         good_seeds += ok
         if seed == 0:
-            scaled_ds = dataclasses.replace(
+            scaled_ds = with_samples(
                 accessible,
-                samples=tuple(
+                tuple(
                     PowerSample(
                         config_id=s.config_id,
                         workload=s.workload,
@@ -204,9 +203,7 @@ def test_generalization_gate():
 def test_event_model_ratio_contract():
     ds = dataset_from_dict(tiny_doc())
     comp = ds.component("Front")
-    flat = dataclasses.replace(
-        ds, samples=tuple(s for s in ds.samples if s.workload == "w0")
-    )
+    flat = with_samples(ds, tuple(s for s in ds.samples if s.workload == "w0"))
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
     y = [
         [s for s in flat.samples if s.config_id == cfg.id][0].component_power["Front"]

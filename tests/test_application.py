@@ -28,7 +28,7 @@ from firepower.knowledge import RETRAIN
 from firepower.metrics import mape
 from firepower.trees import GbtHyperparams, LinearModel, fit_gbt, fit_linear_one_feature, gbt_to_dict
 
-from conftest import tiny_doc
+from conftest import tiny_doc, with_samples
 
 
 @pytest.fixture(scope="module")
@@ -122,16 +122,16 @@ def test_event_ratio_contract(tiny_dataset, small_hp):
     # When the hardware model reproduces per-sample power exactly, the
     # ratio labels are all 1 and the event model must stay within 1%.
     comp = tiny_dataset.component("Front")
-    flat = Dataset(
-        architecture=tiny_dataset.architecture,
-        configurations=tiny_dataset.configurations,
-        samples=tuple(
+    flat = Dataset.of_samples(
+        tiny_dataset.architecture,
+        tiny_dataset.configurations,
+        tuple(
             s
             for s in tiny_dataset.samples
             if s.workload == "w0"
         ),
-        component_table=tiny_dataset.component_table,
-        registry=tiny_dataset.registry,
+        tiny_dataset.component_table,
+        tiny_dataset.registry,
     )
     x = [float(cfg.params["FetchWidth"]) for cfg in flat.configurations]
     y = [
@@ -326,7 +326,7 @@ def test_a_sample_of_an_unknown_configuration_is_named(target_model):
 
 def test_sampleless_dataset_predicts_an_empty_table(target_model):
     model, _, test = target_model
-    empty = dataclasses.replace(test, samples=())
+    empty = with_samples(test, ())
     comp = model.component_table[0]
     assert design_matrix(empty, comp).shape == (0, len(comp.hw_params) + len(comp.event_stats))
     assert model.predict_components(empty).shape == (0, len(model.component_table))

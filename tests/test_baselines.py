@@ -16,10 +16,12 @@ from firepower.baselines import (
     train_monolithic,
     train_monolithic_per_component,
 )
-from firepower.dataset import component_labels, design_matrix, feature_row, few_shot_split
+from firepower.dataset import component_labels, dataset_from_dict, design_matrix, feature_row, few_shot_split
 from firepower.errors import ModelError
 from firepower.harness import _method_predictions, choose_labeled_configs
 from firepower.trees import GbtHyperparams, fit_gbt, gbt_to_dict
+
+from conftest import tiny_doc
 
 
 def test_method_keys():
@@ -40,6 +42,24 @@ def test_event_names_follow_component_table(tiny_dataset):
     core = core_component(tiny_dataset)
     assert core.hw_params == tiny_dataset.registry.canonical
     assert core.event_stats == ("front_act", "core_act")
+
+
+def test_core_events_of_a_ragged_split():
+    # With no event statistics in the table, the core reads every event that
+    # some sample carries.  A split side keeps its parent's columns, so an
+    # event that only C1's samples carry is an empty column of the other side.
+    doc = tiny_doc()
+    for comp in doc["component_table"]:
+        comp["event_stats"] = []
+    for s in doc["samples"]:
+        if s["config_id"] == "C1":
+            s["event_stats"] = {"c1_act": 0.5, **s["event_stats"]}
+    ds = dataset_from_dict(doc)
+    sides = [ds, *few_shot_split(ds, ["C1"]), *few_shot_split(ds, ["C2"])]
+    for side in sides:
+        union = tuple(sorted({name for s in side.samples for name in s.event_stats}))
+        assert core_component(side).event_stats == union
+    assert [len(core_component(side).event_stats) for side in sides] == [3, 3, 2, 2, 3]
 
 
 def test_sample_features_layout(tiny_dataset):

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from firepower import dataset as dataset_module
+from firepower.cli import main
 from firepower.dataset import (
     BUILTIN_ALIASES,
     CANONICAL_PARAMETERS,
@@ -30,13 +32,14 @@ from firepower.dataset import (
     feature_row,
     few_shot_split,
     load_dataset,
-    samples_from_arrays,
     save_dataset,
 )
 from firepower.errors import AliasError, FirePowerError, SchemaError, ValidationError
+from firepower.harness import run_experiment
 from firepower.synthgen import default_spec, generate_pair
+from firepower.trees import GbtHyperparams
 
-from conftest import format1_doc, tiny_doc
+from conftest import format1_doc, tiny_doc, with_samples
 
 
 def test_canonical_parameter_count():
@@ -263,12 +266,12 @@ def test_sums_are_left_folds_on_every_python():
 
 
 def test_average_power_sample_order_invariant(tiny_dataset):
-    shuffled = Dataset(
-        architecture=tiny_dataset.architecture,
-        configurations=tiny_dataset.configurations,
-        samples=tuple(reversed(tiny_dataset.samples)),
-        component_table=tiny_dataset.component_table,
-        registry=tiny_dataset.registry,
+    shuffled = Dataset.of_samples(
+        tiny_dataset.architecture,
+        tiny_dataset.configurations,
+        tuple(reversed(tiny_dataset.samples)),
+        tiny_dataset.component_table,
+        tiny_dataset.registry,
     )
     assert average_power_per_config(shuffled, "Core") == average_power_per_config(
         tiny_dataset, "Core"
@@ -548,15 +551,49 @@ def test_sum_check_adds_up_in_each_formats_own_order():
     assert dataset_from_dict(format2_doc(doc)).samples[3].component_power["Front"] == 1.0
 
 
-def test_samples_from_arrays_refuse_a_nonpositive_label():
+def test_column_builder_refuses_a_nonpositive_label(tiny_dataset):
     # The loader's label check: the first sample, then its first component,
     # whose label is not positive; an absent entry (NaN) is not one.
     keys = [("C1", "w0"), ("C1", "w1"), ("C2", "w0")]
     power = np.array([[1.0, np.nan], [2.0, 0.0], [-1.0, 1.0]])
+
+    def build(totals, power):
+        return Dataset.of_columns(
+            tiny_dataset.architecture, tiny_dataset.configurations, tiny_dataset.component_table,
+            tiny_dataset.registry, keys[: len(totals)], totals, (["Front", "Core"], power),
+            ([], np.empty((len(totals), 0))))
+
     with pytest.raises(ValidationError, match=r"^sample \(C1, w1\): nonpositive power label for 'Core'$"):
-        samples_from_arrays(keys, [1.0, 2.0, 3.0], ["Front", "Core"], power, [], np.empty((3, 0)))
-    (sample,) = samples_from_arrays(keys[:1], [1.0], ["Front", "Core"], power[:1], [], np.empty((1, 0)))
+        build([1.0, 2.0, 3.0], power)
+    with pytest.raises(ValidationError, match=r"^sample \(C1, w1\): total_power must be positive$"):
+        build([1.0, -2.0, 3.0], power)
+    (sample,) = build([1.0], power[:1]).samples
     assert dict(sample.component_power) == {"Front": 1.0}
+
+
+@pytest.mark.parametrize("edits", [
+    pytest.param({3: {"Front": -1.0}}, id="label"),
+    pytest.param({3: {"total_power": -5.0}}, id="total"),
+    pytest.param({3: {"total_power": -5.0, "Front": -1.0}}, id="total-before-label"),
+    pytest.param({3: {"total_power": 0.0}, 1: {"Core": -1.0}}, id="sample-order"),
+])
+def test_hand_built_dataset_refuses_what_a_file_is_refused_for(tiny_dataset, edits):
+    # Construction checks the labels of every Dataset, with the message the
+    # loader gives a file that holds the same numbers.
+    doc, samples = tiny_doc(), list(tiny_dataset.samples)
+    for i, edit in edits.items():
+        edit = dict(edit)
+        total = edit.pop("total_power", samples[i].total_power)
+        power = {**samples[i].component_power, **edit}
+        samples[i] = dataclasses.replace(samples[i], total_power=total, component_power=power)
+        doc["samples"][i].update(total_power=total, component_power=power)
+    with pytest.raises(ValidationError) as loaded:
+        dataset_from_dict(doc)
+    with pytest.raises(ValidationError) as built:
+        with_samples(tiny_dataset, samples)
+    assert str(built.value) == str(loaded.value)
+    assert re.match(r"^sample \(C\d, w\d\): (total_power must be positive|nonpositive power label for)",
+                    str(built.value))
 
 
 _NUMBERS = st.one_of(st.floats(0.5, 100.0), st.integers(1, 2**70))
@@ -603,7 +640,7 @@ def test_format2_save_of_a_format1_file_loads_bit_equal(doc):
     text = json.dumps(dataset_to_dict(ds))
     assert json.loads(text)["format_version"] == 2
     again = dataset_from_dict(json.loads(text))
-    for a, b in ((ds._power, again._power), (ds._events, again._events)):
+    for a, b in ((ds.power, again.power), (ds.events, again.events)):
         assert list(a.columns.items()) == list(b.columns.items())
         assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
     assert [s.total_power.hex() for s in ds.samples] == [s.total_power.hex() for s in again.samples]
@@ -713,7 +750,7 @@ def test_sample_mappings_read_as_their_dicts(drawn):
             # A file whose samples order their keys differently is saved in column order.
             assert entry[key] == ref and list(entry[key]) == order
     # The same samples made from plain dicts pack to the same dataset.
-    rebuilt = dataclasses.replace(ds, samples=tuple(
+    rebuilt = with_samples(ds, tuple(
         PowerSample(s.config_id, s.workload, s.total_power, dict(p), dict(e))
         for s, (p, e) in zip(ds.samples, refs)
     ))
@@ -813,7 +850,7 @@ def test_bulk_readers_bit_equal_to_per_sample_loops(synth_pair, tiny_dataset):
     ds_known, ds_target, _ = synth_pair
     train, test = few_shot_split(ds_target, [c.id for c in ds_target.configurations[::3]])
     order = np.random.default_rng(0).permutation(len(ds_known.samples))
-    shuffled = dataclasses.replace(ds_known, samples=tuple(ds_known.samples[i] for i in order))
+    shuffled = with_samples(ds_known, tuple(ds_known.samples[i] for i in order))
     for ds in (ds_known, train, test, shuffled, tiny_dataset):
         _bulk_readers_match_references(ds)
 
@@ -825,7 +862,7 @@ def _without(ds, index, key, name):
     entries = {k: dict(getattr(s, k)) for k in ("component_power", "event_stats")}
     del entries[key][name]
     samples[index] = dataclasses.replace(s, **entries)
-    return dataclasses.replace(ds, samples=tuple(samples))
+    return with_samples(ds, tuple(samples))
 
 
 def _lacking_parameter(ds, config_id, param):
@@ -853,7 +890,7 @@ def test_bulk_reader_errors_match_per_sample_loops(tiny_dataset):
         with pytest.raises(ValidationError) as exc:
             reader(ds, "Front" if name == "label" else front)
         assert str(exc.value) == message, name
-    no_samples = dataclasses.replace(tiny_dataset, samples=tiny_dataset.samples[2:])
+    no_samples = with_samples(tiny_dataset, tiny_dataset.samples[2:])
     assert _outcome(average_power_per_config, no_samples, "Front") == \
         "ValidationError: configuration 'C1' has no samples"
     _bulk_readers_match_references(no_samples)
@@ -944,10 +981,10 @@ def _first_fault(build):
 def test_edited_references_fail_alike_loaded_or_replaced(edits):
     ds = _EDIT_BASE
     configs, samples = _edited(edits)
-    replaced = _first_fault(lambda: dataclasses.replace(
+    replaced = _first_fault(lambda: with_samples(
         ds,
+        tuple(dataclasses.replace(ds.samples[k], config_id=cid, workload=w) for cid, w, k in samples),
         configurations=tuple(Configuration(cid, ds.architecture, params) for cid, params in configs),
-        samples=tuple(dataclasses.replace(ds.samples[k], config_id=cid, workload=w) for cid, w, k in samples),
     ))
     doc = format1_doc(dataset_to_dict(ds))
     entries = doc["samples"]
@@ -989,6 +1026,36 @@ def test_built_dataset_retains_under_1kb_per_sample(tmp_path):
         tracemalloc.stop()
     assert built / 4000 < 1024
     assert len(loaded.samples) == 2000 and kept / 2000 < 1024
+
+
+def test_production_paths_make_no_power_sample(tmp_path, monkeypatch):
+    # A Dataset is its columns: generating, saving, loading and splitting
+    # one, the CLI chain and run_experiment make no PowerSample.  Reading
+    # `samples` makes them, once.
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[:2])
+        return PowerSample(*args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "PowerSample", counted)
+    known, target, _ = generate_pair(default_spec(seed=0, n_known_configs=4, n_target_configs=5, n_workloads=3))
+    train, test = few_shot_split(target, [c.id for c in target.configurations[:3]])
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("known", "train", "test", "kb", "model")}
+    for name, ds in (("known", known), ("train", train), ("test", test)):
+        save_dataset(ds, paths[name])
+    hp = ["--n-estimators", "5"]
+    assert main(["extract", "--known", paths["known"], "--out", paths["kb"], *hp]) == 0
+    assert main(["build", "--kb", paths["kb"], "--target-train", paths["train"], "--out", paths["model"], *hp]) == 0
+    assert main(["predict", "--model", paths["model"], "--input", paths["test"],
+                 "--out", str(tmp_path / "preds.csv")]) == 0
+    run_experiment(known, target, ks=[2], hp=GbtHyperparams(n_estimators=5))
+    loaded = load_dataset(paths["test"])
+    for ds in (known, target, train, test, loaded, *few_shot_split(loaded, [loaded.configurations[0].id])):
+        assert "samples" not in ds.__dict__
+    assert made == []
+    assert len(loaded.samples) == len(loaded.keys) == len(made)
+    assert loaded.samples is loaded.samples and len(made) == len(loaded.keys)
 
 
 def test_malformed_file(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from firepower.generalization import (
     evaluate_generalization,
     ideal_scaling_factor,
 )
+
+from conftest import with_samples
 
 
 def test_scaling_factor_identity():
@@ -66,7 +67,7 @@ def scale_labels(ds: Dataset, factor: float) -> Dataset:
         )
         for s in ds.samples
     )
-    return dataclasses.replace(ds, samples=samples)
+    return with_samples(ds, samples)
 
 
 def test_self_generalization_is_high(kb0, synth_pair):
@@ -90,7 +91,7 @@ def test_scaling_invariance(kb0, synth_pair):
 
 def test_sample_order_invariance(kb0, synth_pair):
     _, ds_target, _ = synth_pair
-    reordered = dataclasses.replace(ds_target, samples=tuple(reversed(ds_target.samples)))
+    reordered = with_samples(ds_target, tuple(reversed(ds_target.samples)))
     a = evaluate_generalization(kb0, ds_target)
     b = evaluate_generalization(kb0, reordered)
     for name, v in a.per_component.items():

@@ -60,12 +60,12 @@ def test_strategies_follow_dominance_pattern(kb0, synth_pair):
 
 def test_strategies_invariant_to_sample_order(synth_pair, small_hp, kb0):
     ds_known, _, _ = synth_pair
-    shuffled = Dataset(
-        architecture=ds_known.architecture,
-        configurations=ds_known.configurations,
-        samples=tuple(reversed(ds_known.samples)),
-        component_table=ds_known.component_table,
-        registry=ds_known.registry,
+    shuffled = Dataset.of_samples(
+        ds_known.architecture,
+        ds_known.configurations,
+        tuple(reversed(ds_known.samples)),
+        ds_known.component_table,
+        ds_known.registry,
     )
     kb2 = extract_knowledge(shuffled, small_hp)
     for name, ck in kb0.per_component.items():
@@ -98,12 +98,12 @@ def test_extract_needs_two_configs(tiny_dataset, small_hp):
 
 
 def test_extract_rejects_empty_dataset(tiny_dataset, small_hp):
-    empty = Dataset(
-        architecture="Tiny",
-        configurations=tiny_dataset.configurations,
-        samples=(),
-        component_table=tiny_dataset.component_table,
-        registry=tiny_dataset.registry,
+    empty = Dataset.of_samples(
+        "Tiny",
+        tiny_dataset.configurations,
+        (),
+        tiny_dataset.component_table,
+        tiny_dataset.registry,
     )
     with pytest.raises(ValidationError):
         extract_knowledge(empty, small_hp)
