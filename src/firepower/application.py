@@ -53,8 +53,7 @@ class EffectiveHardwareModel:
 
     hw_params: tuple[str, ...]  # the component's H_i names, in row order
     model: GbtModel | LinearModel
-    # The unclamped output per H_i row: the factor depends on the row alone,
-    # and every sample of a configuration shares its row.
+    # predict's memo: the factor per H_i row, which all samples of a configuration share.
     _factors: dict[tuple[float, ...], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -63,18 +62,16 @@ class EffectiveHardwareModel:
     def variant(self) -> str:
         return RETRAINED if isinstance(self.model, LinearModel) else INHERITED
 
+    def factors(self, H) -> np.ndarray:
+        """F_hw of each H_i row of H, clamped at DEFAULT_EPSILON, in one batched call."""
+        return np.maximum(self.model.predict_many(H), DEFAULT_EPSILON)
+
     def predict(self, config: Configuration) -> float:
         """F_hw(H_i) of config, clamped at DEFAULT_EPSILON."""
         row = tuple(hw_row(self.hw_params, config))
-        raw = self._factors.get(row)
-        if raw is None:
-            raw = self._factors[row] = self.model.predict(row)
-        return max(raw, DEFAULT_EPSILON)
-
-    def predict_samples(self, ds: Dataset) -> np.ndarray:
-        """The clamped factor of each sample of ds, in sample order."""
-        # The hardware factor depends on the configuration alone.
-        return np.array([self.predict(cfg) for cfg in ds.configurations])[ds._config_positions]
+        if row not in self._factors:
+            self._factors[row] = float(self.factors([row])[0])
+        return self._factors[row]
 
 
 @dataclass
@@ -97,7 +94,8 @@ class FirePowerModel:
         out = np.empty((len(ds.keys), len(self.component_table)))
         for j, comp in enumerate(self.component_table):
             hw, event = self.per_component[comp.name]
-            out[:, j] = hw.predict_samples(ds) * event.predict_many(design_matrix(ds, comp))
+            X = design_matrix(ds, comp)
+            out[:, j] = hw.factors(X[:, : len(comp.hw_params)]) * event.predict_many(X)
         return out
 
 
@@ -123,9 +121,9 @@ def _event_training_data(
     ds_target_train: Dataset, comp: ComponentDef, hw: EffectiveHardwareModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """The event GBT's (X, y): comp's design matrix and the ratio labels P_i / F_hw."""
-    factors = hw.predict_samples(ds_target_train)
     power = component_labels(ds_target_train, comp.name)
-    return design_matrix(ds_target_train, comp), power / factors
+    X = design_matrix(ds_target_train, comp)
+    return X, power / hw.factors(X[:, : len(comp.hw_params)])
 
 
 def train_event_model(

@@ -1,7 +1,7 @@
 """Baseline power models: McPAT-Calib-style GBTs over a list of parts (the
 whole core, or every component) and the pseudo-label transfer wrapper.  The
-no-retraining ablation of the main method is
-`build_target_model(..., force_no_retrain=True)`."""
+no-retraining ablation of the main method is the
+`force_no_retrain=True` model of `build_target_models`."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ MCPAT_CALIB_METHODS = {
     "mcpat_calib_transfer": (False, True),
     "mcpat_calib_component_transfer": (True, True),
 }
-# FirePower and its ablation, each with its build_target_model
+# FirePower and its ablation, each with its build_target_models
 # force_no_retrain flag.
 FIREPOWER_METHODS = {"firepower_no_retrain": True, "firepower": False}
 METHOD_KEYS = (*MCPAT_CALIB_METHODS, *FIREPOWER_METHODS)

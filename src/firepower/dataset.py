@@ -713,22 +713,24 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def write_text_atomic(path: str | os.PathLike, text: str):
-    """Write via a temp file in the same directory, then rename.  The file
-    gets the mode a plain open() would give it (0o666 less the umask)."""
+    """Write via a temp file in the same directory, then rename; an OSError
+    names path.  The file gets the mode of a plain open(): 0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike):

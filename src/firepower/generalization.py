@@ -68,9 +68,8 @@ def evaluate_generalization(
         raise ValidationError("no target configurations to evaluate against")
     per_component: dict[str, ComponentVerdict] = {}
     for comp in kb.component_table:
-        _, labels = hardware_training_matrix(ds_target_train, comp)
-        hw = EffectiveHardwareModel(comp.hw_params, kb.per_component[comp.name].hardware_model)
-        preds = np.array([hw.predict(cfg) for cfg in ds_target_train.configurations])
+        X, labels = hardware_training_matrix(ds_target_train, comp)
+        preds = EffectiveHardwareModel(comp.hw_params, kb.per_component[comp.name].hardware_model).factors(X)
         s = ideal_scaling_factor(preds, labels)
         observed = mape(s * preds, labels)
         verdict = HIGH if observed < threshold else LOW

@@ -534,8 +534,8 @@ class LinearModel:
     intercept: float
     is_constant: bool = False
 
-    def predict(self, row) -> float:
-        return self.slope * float(row[self.feature_index]) + self.intercept
+    def predict_many(self, X) -> np.ndarray:
+        return self.slope * np.asarray(X, dtype=float)[:, self.feature_index] + self.intercept
 
 
 def fit_linear_one_feature(x, y, feature_index: int = 0) -> LinearModel:

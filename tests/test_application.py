@@ -20,13 +20,15 @@ from firepower.application import (
     save_model,
     train_event_model,
 )
-from firepower.dataset import Dataset, dataset_from_dict, design_matrix, few_shot_split
+from firepower.cli import main
+from firepower.dataset import Dataset, dataset_from_dict, design_matrix, few_shot_split, save_dataset
 from firepower.errors import ValidationError
 from firepower import harness, trees
-from firepower.harness import _method_predictions, choose_labeled_configs
+from firepower.harness import _method_predictions, choose_labeled_configs, run_experiment
 from firepower.knowledge import RETRAIN
 from firepower.metrics import mape
-from firepower.trees import GbtHyperparams, LinearModel, fit_gbt, fit_linear_one_feature, gbt_to_dict
+from firepower.synthgen import default_spec, generate_pair
+from firepower.trees import GbtHyperparams, LinearModel, TreeNode, fit_gbt, fit_linear_one_feature, gbt_to_dict
 
 from conftest import tiny_doc, with_samples
 
@@ -165,35 +167,78 @@ _HW_MODELS = {
 )
 @settings(max_examples=60, deadline=None)
 def test_memoised_hardware_factor_is_the_clamped_model_output(kind, calls):
-    # Rows repeat and differ: the memo keeps the unclamped output and
-    # clamps on every call.
+    # Rows repeat and differ: the memo keeps the clamped factor of each row,
+    # a Python float, which equals the model's output clamped at epsilon.
+    # The GBT's reference is its one-row walk, the linear one the formula.
     model = _HW_MODELS[kind]
     hw = EffectiveHardwareModel(("FetchWidth", "DecodeWidth"), model)
     for i, (a, b) in enumerate(calls):
         cfg = fp.Configuration(id=f"C{i}", architecture="a", params={"FetchWidth": a, "DecodeWidth": b})
-        want = max(model.predict([float(a), float(b)]), DEFAULT_EPSILON)
-        assert repr(hw.predict(cfg)) == repr(want)
+        if kind == "gbt":
+            raw = model.predict([float(a), float(b)])
+        else:
+            raw = model.slope * float(b) + model.intercept
+        got = hw.predict(cfg)
+        assert type(got) is float
+        assert repr(got) == repr(max(raw, DEFAULT_EPSILON))
+        assert repr(float(hw.factors([[a, b]])[0])) == repr(got)
 
 
 def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
     # Two datasets name a configuration alike with different parameters;
-    # one model scoring both must use each one's own H_i row.
+    # one model scoring both must use each one's own H_i row, batched from
+    # the design matrix's H_i columns or memoised per configuration, in
+    # either order.
     doc = tiny_doc()
     doc["configurations"][0]["params"]["FetchWidth"] = 2
     other = dataset_from_dict(doc)
     comp = tiny_dataset.component("Front")
     model = _HW_MODELS["gbt"]
-    hw = EffectiveHardwareModel(comp.hw_params, model)
-    for ds in (tiny_dataset, other, tiny_dataset):
-        want = [
-            max(model.predict([float(ds.config(s.config_id).params[p]) for p in comp.hw_params]), DEFAULT_EPSILON)
-            for s in ds.samples
-        ]
-        assert hw.predict_samples(ds).tolist() == want
-    assert hw.predict_samples(tiny_dataset)[0] != hw.predict_samples(other)[0]
+
+    def want(ds, cid):
+        return max(model.predict([float(ds.config(cid).params[p]) for p in comp.hw_params]), DEFAULT_EPSILON)
+
+    def batched(ds):
+        return hw.factors(design_matrix(ds, comp)[:, : len(comp.hw_params)])
+
+    for order in ((tiny_dataset, other, tiny_dataset), (other, tiny_dataset, other)):
+        hw = EffectiveHardwareModel(comp.hw_params, model)
+        for ds in order:
+            assert batched(ds).tolist() == [want(ds, s.config_id) for s in ds.samples]
+            assert [hw.predict(cfg) for cfg in ds.configurations] == [want(ds, c.id) for c in ds.configurations]
+    assert batched(tiny_dataset)[0] != batched(other)[0]
+    assert hw.predict(tiny_dataset.configurations[0]) != hw.predict(other.configurations[0])
     with pytest.raises(ValidationError):
         bare = fp.Configuration(id="C1", architecture="Tiny", params={"BranchCount": 8})
         hw.predict(bare)
+
+
+def test_hardware_models_are_never_walked_node_by_node(tmp_path, monkeypatch):
+    # Every hardware factor comes from predict_many: generating a pair, the
+    # CLI's extract and build, and run_experiment build no TreeNode, and CLI
+    # predict builds exactly the nodes of the event GBTs it walks.
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return TreeNode(*args, **kwargs)
+
+    monkeypatch.setattr(trees, "TreeNode", counted)
+    known, target, _ = generate_pair(default_spec(seed=0, n_known_configs=6, n_target_configs=5, n_workloads=3))
+    train, test = few_shot_split(target, [c.id for c in target.configurations[:3]])
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("known", "train", "test", "kb", "model")}
+    for name, ds in (("known", known), ("train", train), ("test", test)):
+        save_dataset(ds, paths[name])
+    hp = ["--n-estimators", "5"]
+    assert main(["extract", "--known", paths["known"], "--out", paths["kb"], *hp]) == 0
+    assert main(["build", "--kb", paths["kb"], "--target-train", paths["train"], "--out", paths["model"], *hp]) == 0
+    run_experiment(known, target, ks=[2], hp=GbtHyperparams(n_estimators=5))
+    assert made == []
+    model = load_model(paths["model"])
+    assert INHERITED in {hw.variant for hw, _ in model.per_component.values()}
+    assert main(["predict", "--model", paths["model"], "--input", paths["test"],
+                 "--out", str(tmp_path / "preds.csv")]) == 0
+    assert len(made) == sum(int(event.tree_sizes.sum()) for _, event in model.per_component.values())
 
 
 def _demoting_pair(ds_target):

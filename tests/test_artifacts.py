@@ -206,6 +206,19 @@ def test_deep_format1_tree_is_schema_error():
         trees.gbt_from_dict(doc, 1)
 
 
+def test_format1_tree_nested_3000_deep_is_schema_error():
+    # A file this deep stops in the JSON parser (the CLI test above); a
+    # document built in Python reaches the decoder's own check.
+    tree = {"value": 1.0}
+    for _ in range(3000):
+        tree = {"feature_index": 0, "threshold": 0.5, "left": tree, "right": {"value": 2.0}}
+    doc = trees.gbt_to_dict(trees.fit_gbt(np.arange(4.0)[:, None], np.arange(4.0), _HP))
+    del doc["tree_sizes"], doc["feature"], doc["value"]
+    doc["trees"] = [tree]
+    with pytest.raises(SchemaError, match="^GBT tree is nested too deeply to decode$"):
+        trees.gbt_from_dict(doc, 1)
+
+
 def test_deep_format2_tree_round_trips():
     depth = 5000
     doc = trees.gbt_to_dict(trees.fit_gbt(np.arange(4.0)[:, None], np.arange(4.0), _HP))

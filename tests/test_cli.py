@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -1010,3 +1011,92 @@ def test_synth_names_a_bad_seed_or_spec_field(tmp_path, capsys, flags, edit, cod
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _output_flags(workspace, tmp_path, target):
+    """Per output flag, the argv that writes that output to target and any
+    other output into tmp_path."""
+    data, kb, model = workspace / "data", str(workspace / "kb.json"), str(workspace / "model.json")
+    build = ["build", "--kb", kb, "--target-train", str(data / "target.json")]
+    return {
+        "extract --out": ["extract", "--known", str(data / "known.json"), "--out", target, *HP_FLAGS],
+        "build --out": [*build, "--out", target, *HP_FLAGS],
+        "build --report": [*build, "--out", str(tmp_path / "model.json"), "--report", target, *HP_FLAGS],
+        "predict --out": ["predict", "--model", model, "--input", str(data / "target.json"), "--out", target],
+    }
+
+
+@pytest.mark.parametrize("flag", ["extract --out", "build --out", "build --report", "predict --out"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_failed_output_write_names_the_users_path(workspace, tmp_path, capsys, flag, where):
+    # The error names the path given, not the temp file written beside it,
+    # and no temp file is left: a missing directory fails before one is
+    # made, a directory in the way of the rename after.
+    out = tmp_path / "out"
+    out.mkdir()
+    if where == "missing-directory":
+        target, errno = out / "missing" / "file.csv", 2
+    else:
+        target, errno = out / "taken", 21
+        target.mkdir()
+    assert main(_output_flags(workspace, tmp_path, str(target))[flag]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno}] {os.strerror(errno)}: {str(target)!r}\n"
+    assert [p.name for p in out.rglob("*")] == ([] if where == "missing-directory" else ["taken"])
+
+
+def _set_param(value):
+    def edit(doc):
+        doc["configurations"][0]["params"]["FetchWidth"] = value
+    return edit
+
+
+_NOT_A_COUNT = "configuration T01: parameter 'FetchWidth' must be a positive integer"
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        pytest.param("dataset", _set_param(0), _NOT_A_COUNT, id="param-zero"),
+        pytest.param("dataset", _set_param(2.0), _NOT_A_COUNT, id="param-float"),
+        pytest.param("dataset", _set_param(True), _NOT_A_COUNT, id="param-bool"),
+        pytest.param("dataset", lambda d: d["parameters"]["canonical"].append("FetchWidth"),
+                     "duplicate canonical parameter names", id="canonical-repeat"),
+        pytest.param("dataset", lambda d: d["parameters"]["aliases"].update(Foo="Bar"),
+                     "alias 'Foo' maps to unknown parameter 'Bar'", id="alias-unknown"),
+        pytest.param("dataset", lambda d: d["component_table"][0].update(hw_params=[]),
+                     "component 'BPTAGE' has no hardware parameters", id="hw-params-empty"),
+        pytest.param("kb", lambda d: d["component_table"][0]["hw_params"].append("FetchWidth"),
+                     "component 'BPTAGE' repeats a hardware parameter", id="kb-hw-param-repeat"),
+        pytest.param("dataset", lambda d: d["component_table"][1].update(name="BPTAGE"),
+                     "duplicate component names in component_table", id="component-repeat"),
+        pytest.param("dataset", lambda d: d.update(configurations=[]), "dataset has no configurations",
+                     id="no-configurations"),
+        pytest.param("dataset", lambda d: [d], "dataset document must be a mapping", id="top-level-list"),
+        pytest.param("spec", lambda d: d["components"].__setitem__(0, 1),
+                     "synthetic spec: a component is not a mapping", id="spec-component-not-mapping"),
+        pytest.param("spec", lambda d: d.update(components=d["components"][:-1]),
+                     "synthetic spec: components must name each built-in component once", id="spec-drops-component"),
+    ],
+)
+def test_input_checks_name_the_fault(workspace, tmp_path, capsys, kind, edit, message):
+    # Each file is refused with exit 2 and the check's own message; an edit
+    # that returns a value replaces the document with it.
+    from firepower.synthgen import default_spec, spec_to_dict
+
+    doc = {"dataset": lambda: json.loads((workspace / "data" / "target.json").read_text()),
+           "kb": lambda: json.loads((workspace / "kb.json").read_text()),
+           "spec": lambda: spec_to_dict(default_spec(seed=0))}[kind]()
+    replaced = edit(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc if replaced is None else replaced))
+    out = tmp_path / "out"
+    argv = {
+        "dataset": ["predict", "--model", str(workspace / "model.json"), "--input", str(path), "--out", str(out)],
+        "kb": ["build", "--kb", str(path), "--target-train", str(workspace / "data" / "target.json"),
+               "--out", str(out), *HP_FLAGS],
+        "spec": ["synth", "--spec", str(path), "--out-dir", str(out)],
+    }[kind]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
