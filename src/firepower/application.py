@@ -17,14 +17,11 @@ import numpy as np
 from . import trees
 from .dataset import (
     ComponentDef,
-    Configuration,
     Dataset,
     component_from_dict,
     component_labels,
     component_to_dict,
     design_matrix,
-    feature_row,
-    hw_row,
     read_json_file,
     schema_errors,
     write_text_atomic,
@@ -49,9 +46,9 @@ RETRAINED = "retrained"
 @dataclass
 class EffectiveHardwareModel:
     """F_hw for one component: the inherited GBT over H_i, or a retrained
-    one-parameter linear model reading H_i[feature_index]."""
+    one-parameter linear model reading H_i[feature_index].  An H_i row is
+    the first len(comp.hw_params) entries of a design_matrix row."""
 
-    hw_params: tuple[str, ...]  # the component's H_i names, in row order
     model: GbtModel | LinearModel
     # predict's memo: the factor per H_i row, which all samples of a configuration share.
     _factors: dict[tuple[float, ...], float] = field(
@@ -66,9 +63,9 @@ class EffectiveHardwareModel:
         """F_hw of each H_i row of H, clamped at DEFAULT_EPSILON, in one batched call."""
         return np.maximum(self.model.predict_many(H), DEFAULT_EPSILON)
 
-    def predict(self, config: Configuration) -> float:
-        """F_hw(H_i) of config, clamped at DEFAULT_EPSILON."""
-        row = tuple(hw_row(self.hw_params, config))
+    def predict(self, h) -> float:
+        """F_hw of one H_i row, clamped at DEFAULT_EPSILON: factors([h]) as a Python float."""
+        row = tuple(h)
         if row not in self._factors:
             self._factors[row] = float(self.factors([row])[0])
         return self._factors[row]
@@ -82,11 +79,10 @@ class FirePowerModel:
     per_component: dict[str, tuple[EffectiveHardwareModel, GbtModel]]
     component_table: tuple[ComponentDef, ...]
 
-    def predict_component_power(
-        self, comp: ComponentDef, config: Configuration, event_stats: dict
-    ) -> float:
+    def predict_component_power(self, comp: ComponentDef, x) -> float:
+        """comp's power on x, one row of design_matrix(ds, comp)."""
         hw, event = self.per_component[comp.name]
-        return hw.predict(config) * event.predict(feature_row(comp, config, event_stats))
+        return hw.predict(x[: len(comp.hw_params)]) * event.predict(x)
 
     def predict_components(self, ds: Dataset) -> np.ndarray:
         """(n_samples, n_components) predictions, columns in table order;
@@ -167,7 +163,7 @@ def _plan(kb: KnowledgeBase, ds_target_train: Dataset, flags: list[bool]):
             key = (comp.name, id(hw_model))
             if key not in index:
                 index[key] = len(fits)
-                fits.append((comp, EffectiveHardwareModel(comp.hw_params, hw_model)))
+                fits.append((comp, EffectiveHardwareModel(hw_model)))
             row.append(index[key])
         picks.append(row)
     return fits, picks
@@ -239,7 +235,7 @@ def _hw_from_dict(doc: dict, comp: ComponentDef, version: int) -> EffectiveHardw
     if variant == INHERITED:
         what = f"model: component {comp.name!r} hardware model"
         gbt = trees.gbt_from_dict(doc["gbt"], version, len(comp.hw_params), what)
-        return EffectiveHardwareModel(comp.hw_params, gbt)
+        return EffectiveHardwareModel(gbt)
     if variant != RETRAINED:
         raise SchemaError(f"model: component {comp.name!r} has unknown hw variant {variant!r}")
     linear = trees.linear_from_dict(doc["linear"], f"model: component {comp.name!r} linear model")
@@ -249,7 +245,7 @@ def _hw_from_dict(doc: dict, comp: ComponentDef, version: int) -> EffectiveHardw
             f"model: component {comp.name!r} retrained hw model reads feature {j!r}, "
             f"not its important parameter {doc['important_param']!r} among {comp.hw_params}"
         )
-    return EffectiveHardwareModel(comp.hw_params, linear)
+    return EffectiveHardwareModel(linear)
 
 
 def model_to_dict(m: FirePowerModel) -> dict:

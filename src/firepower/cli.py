@@ -8,6 +8,7 @@ synth.  Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 from . import synthgen
 from .application import build_target_model, load_model, save_model
 from .baselines import METHOD_KEYS
-from .dataset import load_dataset, save_dataset, write_text_atomic
+from .dataset import design_matrix, load_dataset, save_dataset, write_text_atomic
 from .errors import FirePowerError, GateError, ModelError
 from .generalization import DEFAULT_GATE_THRESHOLD, evaluate_generalization
 from .harness import DEFAULT_KS, run_experiment, summarize
@@ -169,8 +170,21 @@ def _add_gbt_flags(sub):
     sub.add_argument("--learning-rate", type=float, default=hp.learning_rate)
 
 
+def _check_outputs(*paths: str):
+    """Before any input is read: the OSError that writing each path would
+    raise, naming it, if its directory is missing or it is a directory."""
+    for path in paths:
+        try:
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the trailing "/" wants a directory
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_extract(args) -> int:
     hp = _gbt_hyperparams(args)
+    _check_outputs(args.out)
     ds = load_dataset(args.known)
     kb = extract_knowledge(ds, hp, args.threshold)
     save_knowledge_base(kb, args.out)
@@ -186,12 +200,13 @@ def cmd_extract(args) -> int:
 
 def cmd_build(args) -> int:
     hp = _gbt_hyperparams(args)
+    report_path = args.report if args.report else args.out + ".generalization.csv"
+    _check_outputs(args.out, report_path)
     kb = load_knowledge_base(args.kb)
     train = load_dataset(args.target_train)
     report = evaluate_generalization(kb, train, args.gate_threshold)
     model = build_target_model(kb, train, hp)
     save_model(model, args.out)
-    report_path = args.report if args.report else args.out + ".generalization.csv"
     write_text_atomic(report_path, "\n".join(report.csv_rows()) + "\n")
     print(f"{'Component':<16} {'Scale':>10} {'MAPE%':>8} Verdict")
     for v in report.per_component.values():
@@ -204,31 +219,28 @@ def cmd_build(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_outputs(args.out)
     model = load_model(args.model)
     ds = load_dataset(args.input)
+    # Each component's design matrix, as predict_components builds it, and its labels (NaN if absent).
+    inputs = [(comp, design_matrix(ds, comp), ds.power.column(comp.name).tolist())
+              for comp in model.component_table]
     rows = [PER_SAMPLE_HEADER]
     totals_pred = []
-    totals_label = []
     for i, ((cid, workload), total_label) in enumerate(zip(ds.keys, ds.totals)):
-        cfg = ds.config(cid)
-        labels, events = ds.power.row_dict(i), ds.events.row_dict(i)
         total = 0.0
-        for comp in model.component_table:
-            pred = model.predict_component_power(comp, cfg, events)
+        for comp, X, labels in inputs:
+            pred = model.predict_component_power(comp, X[i])
             total += pred
-            label = labels.get(comp.name)
-            rows.append(
-                f"{cid},{workload},{comp.name},{pred!r},"
-                f"{'' if label is None else repr(label)}"
-            )
+            label = labels[i]
+            rows.append(f"{cid},{workload},{comp.name},{pred!r},{'' if label != label else repr(label)}")
         rows.append(f"{cid},{workload},Total,{total!r},{total_label!r}")
         totals_pred.append(total)
-        totals_label.append(total_label)
     write_text_atomic(args.out, "\n".join(rows) + "\n")
     if len(totals_pred) >= 2:
-        m = mape(totals_pred, totals_label)
+        m = mape(totals_pred, ds.totals)
         try:
-            r = pearson_r(totals_pred, totals_label)
+            r = pearson_r(totals_pred, ds.totals)
         except ModelError:  # the predicted or the labeled totals do not vary
             r = None
         summary_path = args.out + ".summary.csv"

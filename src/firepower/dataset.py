@@ -811,34 +811,26 @@ def hw_row(hw_params: tuple[str, ...], cfg: Configuration) -> list[float]:
     return [float(cfg.params[p]) for p in hw_params]
 
 
-def feature_row(comp: ComponentDef, cfg: Configuration, event_stats: dict) -> list[float]:
-    """[H_i values in comp.hw_params order] then [E_i values in comp.event_stats order]."""
-    row = hw_row(comp.hw_params, cfg)
-    for name in comp.event_stats:
-        if name not in event_stats:
-            raise ValidationError(
-                f"configuration {cfg.id!r} lacks event statistic {name!r} "
-                f"for component {comp.name!r}"
-            )
-        row.append(float(event_stats[name]))
-    return row
+def hw_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
+    """comp's H_i row of each configuration, in configuration order (n_configurations
+    x |H_i|); hw_row's ValidationError for the first one that lacks a parameter."""
+    rows = [hw_row(comp.hw_params, cfg) for cfg in ds.configurations]
+    return np.array(rows, dtype=float).reshape(len(rows), len(comp.hw_params))
 
 
 def design_matrix(ds: Dataset, comp: ComponentDef) -> np.ndarray:
-    """One feature_row per sample, in sample order: n_samples x (|H_i| + |E_i|).
-
-    Built from the configurations' H_i rows and the event-statistic
-    columns; a sample that lacks an event statistic raises feature_row's
-    ValidationError, the first such sample in sample order."""
-    hw = np.array([hw_row(comp.hw_params, cfg) for cfg in ds.configurations])
-    X = np.empty((len(ds.keys), len(comp.hw_params) + len(comp.event_stats)))
-    X[:, : len(comp.hw_params)] = hw.reshape(-1, len(comp.hw_params))[ds._config_positions]
-    for j, name in enumerate(comp.event_stats, start=len(comp.hw_params)):
+    """Per sample, in sample order, the row [H_i | E_i]: its configuration's hw_matrix
+    row, then its comp.event_stats values in order.  ValidationError naming the
+    first sample that lacks an event statistic, and the first one it lacks."""
+    n_hw = len(comp.hw_params)
+    X = np.empty((len(ds.keys), n_hw + len(comp.event_stats)))
+    X[:, :n_hw] = hw_matrix(ds, comp)[ds._config_positions]
+    for j, name in enumerate(comp.event_stats, start=n_hw):
         X[:, j] = ds.events.column(name)
-    for i in np.flatnonzero(np.isnan(X).any(axis=1)):
+    missing = np.argwhere(np.isnan(X[:, n_hw:]))  # row-major: by sample, then by statistic
+    if missing.size:
+        i, j = missing[0]
         cid, workload = ds.keys[i]
-        try:
-            feature_row(comp, ds.config(cid), ds.events.row_dict(i))
-        except ValidationError as exc:
-            raise ValidationError(f"sample ({cid}, {workload}): {exc}") from None
+        raise ValidationError(f"sample ({cid}, {workload}): configuration {cid!r} lacks event statistic "
+                              f"{comp.event_stats[j]!r} for component {comp.name!r}")
     return X

@@ -69,7 +69,7 @@ def evaluate_generalization(
     per_component: dict[str, ComponentVerdict] = {}
     for comp in kb.component_table:
         X, labels = hardware_training_matrix(ds_target_train, comp)
-        preds = EffectiveHardwareModel(comp.hw_params, kb.per_component[comp.name].hardware_model).factors(X)
+        preds = EffectiveHardwareModel(kb.per_component[comp.name].hardware_model).factors(X)
         s = ideal_scaling_factor(preds, labels)
         observed = mape(s * preds, labels)
         verdict = HIGH if observed < threshold else LOW

@@ -21,7 +21,7 @@ from .dataset import (
     average_power_per_config,
     component_from_dict,
     component_to_dict,
-    hw_row,
+    hw_matrix,
     read_json_file,
     schema_errors,
     write_text_atomic,
@@ -70,9 +70,7 @@ class KnowledgeBase:
 def hardware_training_matrix(ds: Dataset, comp: ComponentDef):
     """One row per configuration (H_i values), y = workload-averaged power."""
     averages = average_power_per_config(ds, comp.name)
-    X = np.array([hw_row(comp.hw_params, cfg) for cfg in ds.configurations])
-    y = np.array([averages[cfg.id] for cfg in ds.configurations])
-    return X, y
+    return hw_matrix(ds, comp), np.array([averages[cfg.id] for cfg in ds.configurations])
 
 
 def select_strategy(importance: dict[str, float], threshold: float) -> Strategy:

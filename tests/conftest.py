@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import firepower as fp
-from firepower.dataset import dataset_from_dict
+from firepower.dataset import dataset_from_dict, hw_row
+from firepower.errors import ValidationError
 from firepower.trees import GbtHyperparams
 
 
@@ -92,6 +93,20 @@ def with_samples(ds, samples, configurations=None):
     other configurations, packed by Dataset.of_samples."""
     configurations = ds.configurations if configurations is None else configurations
     return fp.Dataset.of_samples(ds.architecture, configurations, samples, ds.component_table, ds.registry)
+
+
+def feature_row(comp, cfg, event_stats) -> list[float]:
+    """The per-sample oracle of a design_matrix row: [H_i values in
+    comp.hw_params order] then [E_i values in comp.event_stats order]."""
+    row = hw_row(comp.hw_params, cfg)
+    for name in comp.event_stats:
+        if name not in event_stats:
+            raise ValidationError(
+                f"configuration {cfg.id!r} lacks event statistic {name!r} "
+                f"for component {comp.name!r}"
+            )
+        row.append(float(event_stats[name]))
+    return row
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ from firepower.knowledge import (
 from firepower.metrics import mape, pearson_r
 from firepower.trees import GbtHyperparams, fit_gbt, fit_linear_one_feature, gbt_to_dict
 
-from conftest import tiny_doc, with_samples
+from conftest import feature_row, tiny_doc, with_samples
 
 SEEDS = list(range(10))
 KS = [2, 3, 4]
@@ -210,7 +210,7 @@ def test_event_model_ratio_contract():
         for cfg in flat.configurations
     ]
     j = comp.hw_params.index("FetchWidth")
-    hw = EffectiveHardwareModel(comp.hw_params, fit_linear_one_feature(x, y, feature_index=j))
+    hw = EffectiveHardwareModel(fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, GbtHyperparams())
     preds = list(ev.predict_many(design_matrix(flat, comp)))
     ok = all(0.99 <= p <= 1.01 for p in preds)
@@ -286,7 +286,7 @@ def test_metrics_against_oracles(tmp_path, synth_pair, kb0, small_hp):
         for i, sample in enumerate(test.samples):
             cfg = test.config(sample.config_id)
             for j, comp in enumerate(m.component_table):
-                scalar = m.predict_component_power(comp, cfg, sample.event_stats)
+                scalar = m.predict_component_power(comp, feature_row(comp, cfg, sample.event_stats))
                 mismatches += int(again[i, j] != scalar or batched[i, j] != scalar)
     # The harness total is the row sum in component-table order.
     totals = _method_predictions("firepower", train, test, small_hp, {}, model)

@@ -21,7 +21,7 @@ from firepower.application import (
     train_event_model,
 )
 from firepower.cli import main
-from firepower.dataset import Dataset, dataset_from_dict, design_matrix, few_shot_split, save_dataset
+from firepower.dataset import Dataset, dataset_from_dict, design_matrix, few_shot_split, hw_row, save_dataset
 from firepower.errors import ValidationError
 from firepower import harness, trees
 from firepower.harness import _method_predictions, choose_labeled_configs, run_experiment
@@ -30,7 +30,7 @@ from firepower.metrics import mape
 from firepower.synthgen import default_spec, generate_pair
 from firepower.trees import GbtHyperparams, LinearModel, TreeNode, fit_gbt, fit_linear_one_feature, gbt_to_dict
 
-from conftest import tiny_doc, with_samples
+from conftest import feature_row, tiny_doc, with_samples
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_total_is_sum_of_components(target_model, small_hp):
         cfg = test.config(sample.config_id)
         parts = 0.0
         for c in model.component_table:
-            parts += model.predict_component_power(c, cfg, sample.event_stats)
+            parts += model.predict_component_power(c, feature_row(c, cfg, sample.event_stats))
         assert total == parts
 
 
@@ -73,7 +73,7 @@ def test_predictions_nonnegative(target_model):
     for sample in test.samples:
         cfg = test.config(sample.config_id)
         for comp in model.component_table:
-            assert model.predict_component_power(comp, cfg, sample.event_stats) >= 0.0
+            assert model.predict_component_power(comp, feature_row(comp, cfg, sample.event_stats)) >= 0.0
     assert (model.predict_components(test) >= 0.0).all()
 
 
@@ -141,16 +141,16 @@ def test_event_ratio_contract(tiny_dataset, small_hp):
         for cfg in flat.configurations
     ]
     j = comp.hw_params.index("FetchWidth")
-    hw = EffectiveHardwareModel(comp.hw_params, fit_linear_one_feature(x, y, feature_index=j))
+    hw = EffectiveHardwareModel(fit_linear_one_feature(x, y, feature_index=j))
     ev = train_event_model(flat, comp, hw, small_hp)
     preds = ev.predict_many(design_matrix(flat, comp))
     assert ((0.99 <= preds) & (preds <= 1.01)).all()
 
 
 def test_epsilon_clamp():
-    hw = EffectiveHardwareModel(("FetchWidth",), fit_linear_one_feature([1.0, 2.0], [1.0, 0.0]))
+    hw = EffectiveHardwareModel(fit_linear_one_feature([1.0, 2.0], [1.0, 0.0]))
     cfg = fp.Configuration(id="c", architecture="a", params={"FetchWidth": 50})
-    assert hw.predict(cfg) == DEFAULT_EPSILON == 1e-9
+    assert hw.predict(hw_row(("FetchWidth",), cfg)) == DEFAULT_EPSILON == 1e-9
 
 
 _GRID = np.array([[a, b] for a in range(1, 7) for b in range(1, 7)], dtype=float)
@@ -171,17 +171,19 @@ def test_memoised_hardware_factor_is_the_clamped_model_output(kind, calls):
     # a Python float, which equals the model's output clamped at epsilon.
     # The GBT's reference is its one-row walk, the linear one the formula.
     model = _HW_MODELS[kind]
-    hw = EffectiveHardwareModel(("FetchWidth", "DecodeWidth"), model)
+    hw = EffectiveHardwareModel(model)
     for i, (a, b) in enumerate(calls):
         cfg = fp.Configuration(id=f"C{i}", architecture="a", params={"FetchWidth": a, "DecodeWidth": b})
         if kind == "gbt":
             raw = model.predict([float(a), float(b)])
         else:
             raw = model.slope * float(b) + model.intercept
-        got = hw.predict(cfg)
+        got = hw.predict(hw_row(("FetchWidth", "DecodeWidth"), cfg))
         assert type(got) is float
         assert repr(got) == repr(max(raw, DEFAULT_EPSILON))
         assert repr(float(hw.factors([[a, b]])[0])) == repr(got)
+        # A numpy slice of a design_matrix row, as CLI predict passes it, gives the same Python float.
+        assert repr(hw.predict(np.array([a, b], dtype=float))) == repr(got)
 
 
 def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
@@ -202,15 +204,17 @@ def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
         return hw.factors(design_matrix(ds, comp)[:, : len(comp.hw_params)])
 
     for order in ((tiny_dataset, other, tiny_dataset), (other, tiny_dataset, other)):
-        hw = EffectiveHardwareModel(comp.hw_params, model)
+        hw = EffectiveHardwareModel(model)
         for ds in order:
             assert batched(ds).tolist() == [want(ds, s.config_id) for s in ds.samples]
-            assert [hw.predict(cfg) for cfg in ds.configurations] == [want(ds, c.id) for c in ds.configurations]
+            assert [hw.predict(hw_row(comp.hw_params, cfg)) for cfg in ds.configurations] == \
+                [want(ds, c.id) for c in ds.configurations]
     assert batched(tiny_dataset)[0] != batched(other)[0]
-    assert hw.predict(tiny_dataset.configurations[0]) != hw.predict(other.configurations[0])
+    first = [hw_row(comp.hw_params, ds.configurations[0]) for ds in (tiny_dataset, other)]
+    assert hw.predict(first[0]) != hw.predict(first[1])
     with pytest.raises(ValidationError):
         bare = fp.Configuration(id="C1", architecture="Tiny", params={"BranchCount": 8})
-        hw.predict(bare)
+        hw.predict(hw_row(comp.hw_params, bare))
 
 
 def test_hardware_models_are_never_walked_node_by_node(tmp_path, monkeypatch):

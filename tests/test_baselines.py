@@ -16,12 +16,12 @@ from firepower.baselines import (
     train_monolithic,
     train_monolithic_per_component,
 )
-from firepower.dataset import component_labels, dataset_from_dict, design_matrix, feature_row, few_shot_split
+from firepower.dataset import component_labels, dataset_from_dict, design_matrix, few_shot_split
 from firepower.errors import ModelError
 from firepower.harness import _method_predictions, choose_labeled_configs
 from firepower.trees import GbtHyperparams, fit_gbt, gbt_to_dict
 
-from conftest import tiny_doc
+from conftest import feature_row, tiny_doc
 
 
 def test_method_keys():

@@ -1045,6 +1045,94 @@ def test_failed_output_write_names_the_users_path(workspace, tmp_path, capsys, f
     assert [p.name for p in out.rglob("*")] == ([] if where == "missing-directory" else ["taken"])
 
 
+@pytest.mark.parametrize("flag", ["extract --out", "build --out", "build --report", "predict --out"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_bad_output_fails_before_any_input_is_read(workspace, tmp_path, capsys, monkeypatch, flag, where):
+    import firepower.cli
+
+    loads = []
+    for name in ("load_dataset", "load_knowledge_base", "load_model"):
+        monkeypatch.setattr(firepower.cli, name, lambda path, name=name: loads.append(name))
+    target = tmp_path / "missing" / "file.csv" if where == "missing-directory" else tmp_path
+    assert main(_output_flags(workspace, tmp_path, str(target))[flag]) == EXIT_DATA
+    errno = 2 if where == "missing-directory" else 21
+    assert capsys.readouterr().err == f"error: [Errno {errno}] {os.strerror(errno)}: {str(target)!r}\n"
+    assert loads == []
+
+
+def test_bad_report_leaves_no_model(workspace, tmp_path, capsys):
+    argv = _output_flags(workspace, tmp_path, str(tmp_path / "missing" / "r.csv"))["build --report"]
+    assert main(argv) == EXIT_DATA
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _predict_target(workspace, out) -> int:
+    return main(["predict", "--model", str(workspace / "model.json"),
+                 "--input", str(workspace / "data" / "target.json"), "--out", str(out)])
+
+
+def test_predict_rows_are_the_batched_predictions(workspace, tmp_path):
+    # Each component row is the repr of predict_components' entry, with the
+    # sample's label, empty where it has none; the Total row sums them in
+    # table order.
+    from firepower.application import load_model
+    from firepower.dataset import load_dataset
+
+    def drop_a_label(doc):
+        doc["samples"]["component_power"]["rows"][1][0] = None
+
+    data = _edited_copy(workspace / "data" / "target.json", tmp_path / "target.json", drop_a_label)
+    assert main(["predict", "--model", str(workspace / "model.json"), "--input", data,
+                 "--out", str(tmp_path / "preds.csv")]) == EXIT_OK
+    model = load_model(workspace / "model.json")
+    test = load_dataset(data)
+    batched = model.predict_components(test)
+    want = ["config_id,workload,component,predicted_mw,label_mw"]
+    for i, sample in enumerate(test.samples):
+        total = 0.0
+        for j, comp in enumerate(model.component_table):
+            total += batched[i, j].item()
+            label = sample.component_power.get(comp.name)
+            want.append(f"{sample.config_id},{sample.workload},{comp.name},{batched[i, j].item()!r},"
+                        f"{'' if label is None else repr(label)}")
+        want.append(f"{sample.config_id},{sample.workload},Total,{total!r},{sample.total_power!r}")
+    assert (tmp_path / "preds.csv").read_text().splitlines() == want
+    assert sum(line.endswith(",") for line in want) == 1  # the dropped label
+
+
+def test_predict_names_the_sample_that_lacks_an_event_statistic(workspace, tmp_path, capsys):
+    from firepower.application import load_model
+
+    doc = json.loads((workspace / "data" / "target.json").read_text())
+    events = doc["samples"]["event_stats"]
+    name = events["names"][0]
+    events["rows"][5][0] = None
+    cid, workload = doc["samples"]["config_id"][5], doc["samples"]["workload"][5]
+    comp = next(c for c in load_model(workspace / "model.json").component_table if name in c.event_stats)
+    data = tmp_path / "target.json"
+    data.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(workspace / "model.json"), "--input", str(data),
+                 "--out", str(tmp_path / "preds.csv")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: sample ({cid}, {workload}): configuration {cid!r} lacks event statistic "
+        f"{name!r} for component {comp.name!r}\n"
+    )
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_predict_builds_each_design_matrix_once(workspace, tmp_path, monkeypatch):
+    import firepower.cli
+
+    calls = []
+    design_matrix = firepower.cli.design_matrix
+    monkeypatch.setattr(firepower.cli, "design_matrix",
+                        lambda ds, comp: calls.append(comp.name) or design_matrix(ds, comp))
+    assert _predict_target(workspace, tmp_path / "preds.csv") == EXIT_OK
+    assert calls == [c.name for c in firepower.cli.load_model(workspace / "model.json").component_table]
+
+
 def _set_param(value):
     def edit(doc):
         doc["configurations"][0]["params"]["FetchWidth"] = value

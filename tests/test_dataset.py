@@ -29,7 +29,6 @@ from firepower.dataset import (
     dataset_from_dict,
     dataset_to_dict,
     design_matrix,
-    feature_row,
     few_shot_split,
     load_dataset,
     save_dataset,
@@ -39,7 +38,7 @@ from firepower.harness import run_experiment
 from firepower.synthgen import default_spec, generate_pair
 from firepower.trees import GbtHyperparams
 
-from conftest import format1_doc, tiny_doc, with_samples
+from conftest import feature_row, format1_doc, tiny_doc, with_samples
 
 
 def test_canonical_parameter_count():
@@ -896,6 +895,27 @@ def test_bulk_reader_errors_match_per_sample_loops(tiny_dataset):
     _bulk_readers_match_references(no_samples)
 
 
+def test_design_matrix_names_the_first_sample_then_its_first_gap(tiny_dataset):
+    # tiny_dataset's samples: C1 w0, C1 w1, C2 w0, C2 w1, C3 w0, C3 w1.
+    # The first sample that lacks a statistic is named, with the first
+    # statistic it lacks in the component's order, even when a later
+    # sample lacks an earlier statistic.
+    later = _without(_without(tiny_dataset, 2, "event_stats", "core_act"), 4, "event_stats", "front_act")
+    both = _without(_without(tiny_dataset, 2, "event_stats", "front_act"), 2, "event_stats", "core_act")
+    cases = [
+        (later, ("front_act", "core_act"), "core_act"),
+        (both, ("front_act", "core_act"), "front_act"),
+        (both, ("core_act", "front_act"), "core_act"),
+    ]
+    for ds, order, lacked in cases:
+        comp = ComponentDef("Both", ("FetchWidth",), order)
+        assert _outcome(design_matrix, ds, comp) == _outcome(_reference_design_matrix, ds, comp) == (
+            f"ValidationError: sample (C2, w0): configuration 'C2' lacks event statistic "
+            f"{lacked!r} for component 'Both'"
+        )
+        _bulk_readers_match_references(ds)
+
+
 def test_broken_references_raise_at_construction(tiny_dataset):
     # A missing parameter or an unknown configuration is refused as the
     # Dataset is built, before any reader sees it.
@@ -1085,3 +1105,18 @@ def test_atomic_write_honours_umask(tmp_path, tiny_dataset, umask):
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(tmp_path / "ds.json").st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_failed_atomic_write_names_the_path_and_leaves_no_temp_file(tmp_path, tiny_dataset, where):
+    # The CLI refuses such outputs before reading any input; this is the
+    # write's own handling of a failure, which the CLI no longer reaches.
+    if where == "missing-directory":
+        target, errno = tmp_path / "missing" / "ds.json", 2
+    else:
+        target, errno = tmp_path / "taken", 21
+        target.mkdir()
+    with pytest.raises(OSError) as exc:
+        save_dataset(tiny_dataset, target)
+    assert str(exc.value) == f"[Errno {errno}] {os.strerror(errno)}: {str(target)!r}"
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if where == "missing-directory" else ["taken"])
