@@ -12,7 +12,9 @@ identity check of a change that must not alter any output:
   design-space size (60+40 x 100, k = 4): every file written and every
   table printed;
 * ``run_experiment`` on the paper-size pair, six methods, k = 2, 3, 4,
-  seeds 0-1: the repr of each result's metrics and per-sample predictions.
+  seeds 0-1: the repr of each result's metrics and per-sample predictions;
+* the format-2 save of each format-1 dataset fixture,
+  ``tests/data/format1/{train,test}.json``, which covers the loader.
 
 The labeled configurations are drawn with ``choose_labeled_configs``.
 Files are written to a temporary directory and addressed by relative
@@ -95,6 +97,17 @@ def experiment(seed: int, ks: list[int], seeds: list[int]) -> list[tuple[str, st
     ]
 
 
+def format1_saves() -> list[tuple[str, str]]:
+    """Digests of the format-2 saves of the format-1 dataset fixtures."""
+    digests = []
+    for name in ("train", "test"):
+        path = f"format1-{name}.json"
+        save_dataset(load_dataset(os.path.join(ROOT, "tests", "data", "format1", f"{name}.json")), path)
+        with open(path, "rb") as fh:
+            digests.append((f"format1/{name}.json", sha(fh.read())))
+    return digests
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="synth seed and labeled-draw seed (default 0)")
@@ -107,6 +120,7 @@ def main(argv=None) -> int:
             for name, sizes, k in SCALES:
                 digests += chain(name, sizes, k, args.seed)
             digests += experiment(args.seed, [2, 3, 4], [0, 1])
+            digests += format1_saves()
         finally:
             os.chdir(here)
     for name, digest in digests:

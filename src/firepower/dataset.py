@@ -5,7 +5,10 @@ A dataset file is a JSON document with top-level keys `architecture`,
 `configurations` and `samples`.  save_dataset writes format 2, whose
 samples are columns: a list per field and, per mapping, one `names` list
 and one row per sample, null where it has no entry.  A file without
-`format_version` is format 1, a list of sample objects, and still loads.
+`format_version` is format 1, a list of sample objects, which loads through
+an adapter into format 2's columns.  The loader only parses: it names a
+value that is not a number and derives the Other Logic residual.  The rules
+a sample must meet are checked by Dataset construction, however it was made.
 All hardware-parameter names are canonicalized through an alias registry
 on load, so that e.g. "ICacheWay" and "DCacheWay" both resolve to the
 merged parameter "DCache/ICacheWay".
@@ -14,13 +17,14 @@ merged parameter "DCache/ICacheWay".
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import tempfile
 from collections.abc import Mapping
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import chain
 
 import numpy as np
@@ -160,20 +164,30 @@ class Configuration:
     params: dict[str, int]
 
 
-def _rows(mappings: list[Mapping]) -> tuple[tuple[str, ...], list[list], int]:
-    """(names, rows, given): the keys of mappings in first-seen order, one
-    list of values per mapping in that order (None where it has no entry),
-    and how many entries the mappings hold."""
-    names = tuple(mappings[0]) if mappings else ()
-    if all(tuple(m) == names for m in mappings):  # the same keys in the same order
-        return names, [list(m.values()) for m in mappings], len(mappings) * len(names)
-    names = tuple(dict.fromkeys(chain.from_iterable(mappings)))
-    return names, [[m.get(name) for name in names] for m in mappings], sum(map(len, mappings))
+# Where a mapping has no entry, _rows puts this NaN of its own: it reads as
+# NaN in a matrix, and `is` tells it from a NaN or a None that a mapping holds.
+_ABSENT = float("nan")
+
+
+def _rows(mappings: list[Mapping]) -> tuple[list[str], list[list]]:
+    """(names, rows): the keys of mappings in first-seen order, and one list
+    of values per mapping in that order, _ABSENT where it has no entry."""
+    names = list(mappings[0]) if mappings else []
+    if all(list(m) == names for m in mappings):  # the same keys in the same order
+        return names, [list(m.values()) for m in mappings]
+    names = list(dict.fromkeys(chain.from_iterable(mappings)))
+    return names, [[m.get(name, _ABSENT) for name in names] for m in mappings]
 
 
 def _matrix(names, rows: list[list]) -> np.ndarray:
-    """rows as a len(rows) x len(names) float64 matrix, NaN for None."""
+    """rows as a len(rows) x len(names) float64 matrix, NaN for None and _ABSENT."""
     return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+def _left_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's entries other than NaN, added one by one from 0.0 in
+    column order, as left_sum adds them."""
+    return reduce(operator.add, np.where(np.isnan(values), 0.0, values).T, np.zeros(len(values)))
 
 
 class _Table:
@@ -193,9 +207,9 @@ class _Table:
     def of(cls, mappings: list[Mapping]) -> "_Table":
         """The rows of mappings; ValidationError if one holds NaN or None,
         which would read as an absent entry."""
-        names, rows, given = _rows(mappings)
+        names, rows = _rows(mappings)
         values = _matrix(names, rows)
-        if np.count_nonzero(~np.isnan(values)) != given:
+        if np.count_nonzero(~np.isnan(values)) != sum(map(len, mappings)):
             raise ValidationError("a sample's component_power or event_stats value is NaN or None")
         return cls(names, values)
 
@@ -271,10 +285,9 @@ class Dataset:
     analytical estimate (None if it has none), and its row of two samples
     x names float64 tables (NaN where it has no entry), the component
     powers and the event statistics.  Here, and only here, the samples are
-    checked, in sample order: a positive total, then positive power labels.
-    So are their references: distinct configuration ids, each with every
-    parameter the table reads, and distinct (configuration, workload)
-    samples of known configurations."""
+    checked (_check_samples), then their references: distinct configuration
+    ids, each with every parameter the table reads, and distinct
+    (configuration, workload) samples of known configurations."""
 
     architecture: str
     configurations: tuple[Configuration, ...]
@@ -285,7 +298,6 @@ class Dataset:
     power: _Table = field(repr=False)
     events: _Table = field(repr=False)
     registry: ParameterRegistry = field(default_factory=builtin_registry)
-    _config_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _config_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -294,15 +306,7 @@ class Dataset:
         n = len(self.keys)
         if not n == len(self.totals) == len(self.estimates) == len(self.power.values) == len(self.events.values):
             raise ValidationError("a dataset's sample columns differ in length")
-        totals = np.array(self.totals, dtype=float)
-        bad = np.flatnonzero(~(totals > 0) | (self.power.values <= 0).any(axis=1))
-        if bad.size:
-            i = bad[0]
-            context = "sample ({}, {})".format(*self.keys[i])
-            if not totals[i] > 0:
-                raise ValidationError(f"{context}: total_power must be positive")
-            name = list(self.power.columns)[np.argmax(self.power.values[i] <= 0)]
-            raise ValidationError(f"{context}: nonpositive power label for {name!r}")
+        self._check_samples()
         index = {cfg.id: j for j, cfg in enumerate(self.configurations)}
         if len(index) != len(self.configurations):
             raise ValidationError("duplicate configuration ids")
@@ -319,8 +323,46 @@ class Dataset:
             seen: set[tuple[str, str]] = set()  # set.add returns None: next() stops at a repeat
             key = next(k for k in self.keys if k in seen or seen.add(k))
             raise ValidationError(f"duplicate sample for {key}")
-        object.__setattr__(self, "_config_index", index)
         object.__setattr__(self, "_config_positions", positions)
+
+    def _check_samples(self):
+        """The sample rules, each checked on whole columns: every number is
+        finite, every total positive, and every power label names a component
+        of the table and is positive; a sample that labels every component
+        adds up, in column order, to within COMPONENT_SUM_RTOL of its total.
+        ValidationError naming the first sample at fault, with its first fault."""
+        totals, power = np.array(self.totals, dtype=float), self.power.values
+        labeled = ~np.isnan(power)
+        names = {c.name for c in self.component_table}
+        unknown = [j for name, j in self.power.columns.items() if name not in names]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a fault named below
+            off = np.abs(_left_sums(power) - totals) > COMPONENT_SUM_RTOL * totals
+        bad = (~(totals > 0) | (totals == np.inf) | np.isinf(self.events.values).any(axis=1)
+               | ((power <= 0) | (power == np.inf)).any(axis=1) | off & (labeled.sum(axis=1) == len(names)))
+        if unknown:
+            bad |= labeled[:, unknown].any(axis=1)
+        if self.estimates.count(None) < len(self.estimates):  # a loop, only where a sample has an estimate
+            bad |= [e is not None and not math.isfinite(e) for e in self.estimates]
+        if bad.any():
+            i = int(np.argmax(bad))
+            self._name_fault(i, totals[i].item(), names)
+
+    def _name_fault(self, i: int, total: float, names: set[str]):
+        """ValidationError on the first fault of sample i, which has one, in _check_samples' order."""
+        context, power = "sample ({}, {})".format(*self.keys[i]), self.power.row_dict(i)
+        _check_numbers(self.keys[i], total, power.items(), self.events.row_dict(i).items(), self.estimates[i],
+                       lambda value, what: finite_number(value, what, ValidationError))
+        if not total > 0:
+            raise ValidationError(f"{context}: total_power must be positive")
+        for name in power:
+            if name not in names:
+                raise ValidationError(f"{context}: unknown component {name!r}")
+        for name, value in power.items():
+            if value <= 0:
+                raise ValidationError(f"{context}: nonpositive power label for {name!r}")
+        parts = left_sum(power.values())
+        raise ValidationError(f"{context}: component powers sum to {parts:.6g}, "
+                              f"total is {total:.6g} (beyond {COMPONENT_SUM_RTOL:.1%} tolerance)")
 
     @classmethod
     def of_columns(cls, architecture, configurations, component_table, registry, keys, totals, power, events,
@@ -365,12 +407,6 @@ class Dataset:
         order = np.argsort(self._config_positions, kind="stable")
         counts = np.bincount(self._config_positions, minlength=len(self.configurations))
         return np.split(order, np.cumsum(counts)[:-1])
-
-    def config(self, config_id: str) -> Configuration:
-        try:
-            return self.configurations[self._config_index[config_id]]
-        except KeyError:
-            raise ValidationError(f"unknown configuration id {config_id!r}") from None
 
     def component(self, name: str) -> ComponentDef:
         for comp in self.component_table:
@@ -472,67 +508,27 @@ def _parse_configuration(entry: dict, architecture: str, registry: ParameterRegi
     return Configuration(id=cid, architecture=architecture, params=params)
 
 
-def _with_residual(power: Mapping, total, names: set[str]) -> Mapping:
-    """power, or a new dict that adds Other Logic last, total less the left
-    fold of power's values in power's own order, if power labels every
-    component of the table but Other Logic, which the table has."""
-    if OTHER_LOGIC in names and OTHER_LOGIC not in power and len(power) == len(names) - 1:
-        return {**power, OTHER_LOGIC: float(total) - left_sum(power.values())}
-    return power
-
-
-def _check_sample(entry: dict, names: set[str]):
-    """Raise on the first fault of one sample in format 1's form, checked
-    against the component names.  _validated calls this on the samples that
-    may be at fault, so that the message names the sample and the field."""
-    cid = str(_require(entry, "config_id", "sample"))
-    workload = str(_require(entry, "workload", f"sample of {cid}"))
-    context = f"sample ({cid}, {workload})"
-    numbers = [("total_power", _require(entry, "total_power", context))]
+def _format1_columns(entries: list) -> dict:
+    """Format 1's sample list as format 2's samples, the two mappings' rows
+    as _rows gives them: _ABSENT, not null, where a sample has no entry, so
+    that a null the file gives is named as a fault."""
+    for entry in entries:  # each sample names its key and its total
+        cid = _require(entry, "config_id", "sample")
+        workload = _require(entry, "workload", f"sample of {cid}")
+        _require(entry, "total_power", f"sample ({cid}, {workload})")
+    keys = ("config_id", "workload", "total_power", "analytical_estimate")
+    samples = {key: [e.get(key) for e in entries] for key in keys}
     for key in ("component_power", "event_stats"):
-        numbers += [(f"{key} of {name}", v) for name, v in entry.get(key, {}).items()]
-    if entry.get("analytical_estimate") is not None:
-        numbers.append(("analytical_estimate", entry["analytical_estimate"]))
-    for name, value in numbers:
-        finite_number(value, f"{context} {name}")
-    total = float(entry["total_power"])
-    if total <= 0:
-        raise ValidationError(f"{context}: total_power must be positive")
-    comp_power = entry.get("component_power", {})
-    for comp_name in comp_power:
-        if comp_name not in names:
-            raise ValidationError(f"{context}: unknown component {comp_name!r}")
-    comp_power = _with_residual(comp_power, total, names)
-    for comp_name, value in comp_power.items():
-        if value <= 0:
-            raise ValidationError(f"{context}: nonpositive power label for {comp_name!r}")
-    parts = left_sum(comp_power.values())
-    if len(comp_power) == len(names) and abs(parts - total) > COMPONENT_SUM_RTOL * total:
-        raise ValidationError(
-            f"{context}: component powers sum to {parts:.6g}, "
-            f"total is {total:.6g} (beyond {COMPONENT_SUM_RTOL:.1%} tolerance)"
-        )
+        samples[key] = dict(zip(("names", "rows"), _rows([e.get(key, {}) for e in entries])))
+    return samples
 
 
-def _format1_columns(entries: list, names: set[str]) -> tuple:
-    """Format 1's sample list as (keys, totals, estimates, power, events),
-    the two mappings as _rows gives them, each sample's Other Logic
-    residual derived in the sample's own key order."""
-    keys, powers = [], []
-    for entry in entries:
-        cid = str(_require(entry, "config_id", "sample"))
-        keys.append((cid, str(_require(entry, "workload", f"sample of {cid}"))))
-        powers.append(entry.get("component_power", {}))
-        with suppress(TypeError, ValueError, OverflowError):  # not a number, which _check_sample names
-            powers[-1] = _with_residual(powers[-1], entry.get("total_power"), names)
-    totals, estimates = ([e.get(key) for e in entries] for key in ("total_power", "analytical_estimate"))
-    return keys, totals, estimates, _rows(powers), _rows([e.get("event_stats", {}) for e in entries])
-
-
-def _format2_columns(samples: dict) -> tuple:
-    """Format 2's samples as (keys, totals, estimates, power, events), the
-    two mappings as (names, rows, how many entries are not null); a list
-    of the wrong length is a SchemaError that names the field."""
+def _format2_columns(samples: dict, absent=None) -> tuple:
+    """Format 2's samples as (keys, totals, estimates, power, events):
+    totals a float array, estimates floats and None, and the two mappings
+    (names, samples x names float64 matrix) pairs, NaN where a row holds
+    `absent`.  A list of the wrong length is a SchemaError that names the
+    field, and so is a value that does not parse as a number (_parsed)."""
     n = len(samples["config_id"])
 
     def column(value, name: str) -> list:
@@ -548,77 +544,77 @@ def _format2_columns(samples: dict) -> tuple:
             if type(row) is not list or len(row) != len(names):
                 message = f"row {i} is not a list of {len(names)} entries, one per name"
                 raise SchemaError(f"dataset: samples {key} {message}")
-        return tuple(names), rows, n * len(names) - sum(row.count(None) for row in rows)
+        return tuple(names), rows
 
     keys = list(zip(*(map(str, column(samples[key], key)) for key in ("config_id", "workload"))))
     totals = column(samples["total_power"], "total_power")
     estimates = column(samples.get("analytical_estimate", [None] * n), "analytical_estimate")
-    return keys, totals, estimates, table("component_power"), table("event_stats")
-
-
-def _format1_entry(samples: dict, i: int) -> dict:
-    """Sample i of format 2's samples in format 1's form."""
-    entry = {key: samples[key][i] for key in ("config_id", "workload", "total_power")}
-    for key in ("component_power", "event_stats"):
-        pairs = zip(samples[key]["names"], samples[key]["rows"][i])
-        entry[key] = {name: v for name, v in pairs if v is not None}
-    entry["analytical_estimate"] = samples["analytical_estimate"][i] if "analytical_estimate" in samples else None
-    return entry
-
-
-def _validated(totals: list, estimates: list, power: tuple, events: tuple, names: set[str], entry) -> tuple:
-    """(totals, estimates, power, events) as float lists and (names, matrix)
-    pairs, of a file's sample columns: power and events as (names, rows,
-    how many entries are given), entry(i) sample i in format 1's form.
-    The columns are checked all at once for what _check_sample checks, and
-    the samples that may be at fault go to _check_sample, in file order, to
-    be named.  A sample that lacks only Other Logic gets the residual of its
-    labels added up in column order."""
-    (power_names, power_rows, power_given), (event_names, event_rows, event_given) = power, events
+    power, events = table("component_power"), table("event_stats")
 
     def numbers():
-        return (np.array(totals, dtype=float), np.array(estimates, dtype=float),
-                _matrix(power_names, power_rows), _matrix(event_names, event_rows))
+        return (np.array(totals, dtype=float), np.array(estimates, dtype=float), _matrix(*power), _matrix(*events))
 
-    # Only ints and floats, finite, and None only for an absent entry.
-    cells = chain(estimates, chain.from_iterable(power_rows), chain.from_iterable(event_rows))
-    present = (len(totals), len(estimates) - estimates.count(None), power_given, event_given)
+    # Only ints and floats, none of them NaN, and None only for an absent entry.
+    cells = chain(estimates, chain.from_iterable(power[1]), chain.from_iterable(events[1]))
+    present = [sum(len(row) - row.count(absent) for row in rows) for _, rows in (power, events)]
+    given = (n, n - estimates.count(None), *present)
     try:
         typed = set(map(type, totals)) <= {int, float} and set(map(type, cells)) <= {int, float, type(None)}
         arrays = typed and numbers()
     except OverflowError:  # an int beyond the float range
         arrays = None
-    if not arrays or any(np.count_nonzero(np.isfinite(a)) != k for a, k in zip(arrays, present)):
-        for i in range(len(totals)):
-            _check_sample(entry(i), names)
-        arrays = numbers()  # of numbers _check_sample takes, such as numpy's floats
-    totals, estimates, power, event_values = arrays
-    index = {name: j for j, name in enumerate(power_names)}
-    unknown = [j for name, j in index.items() if name not in names]
-    # Each sample's labels added up as left_sum adds them, in column order.
-    parts = reduce(operator.add, np.where(np.isnan(power), 0.0, power).T, np.zeros(len(power)))
-    others = [index.get(name) for name in names if name != OTHER_LOGIC]
-    if OTHER_LOGIC in names and None not in others:
-        j = index.get(OTHER_LOGIC)
-        derive = ~np.isnan(power[:, others]).any(axis=1) & (True if j is None else np.isnan(power[:, j]))
-        if derive.any():
-            if j is None:
-                j = index[OTHER_LOGIC] = len(index)
-                power = np.hstack([power, np.full((len(power), 1), np.nan)])
-            power[derive, j] = totals[derive] - parts[derive]
-            parts[derive] += power[derive, j]  # added last, as _with_residual adds it
-    # The sum check's slack leaves a format-1 sample whose keys add up in
-    # an order of their own to _check_sample, which decides.
-    off = (np.count_nonzero(~np.isnan(power), axis=1) == len(names)) & (
-        np.abs(parts - totals) > COMPONENT_SUM_RTOL * (1 - 1e-9) * totals)
-    bad = ~(totals > 0) | ~np.isnan(power[:, unknown]).all(axis=1) | (power <= 0).any(axis=1) | off
-    for i in np.flatnonzero(bad):
-        _check_sample(entry(i), names)
-    if unknown:  # a name that no sample labels
-        name = power_names[unknown[0]]
-        raise SchemaError(f"dataset: samples component_power name {name!r} is not a component of the table")
+    if not arrays or any(np.count_nonzero(~np.isnan(a)) != k for a, k in zip(arrays, given)):
+        for i, key in enumerate(keys):  # name the first value that does not parse, in file order
+            pairs = ([(name, v) for name, v in zip(names, rows[i]) if v is not absent]
+                     for names, rows in (power, events))
+            _check_numbers(key, totals[i], *pairs, estimates[i], _parsed)
+        arrays = numbers()  # of numbers such as numpy's floats
+    totals, estimates, power_values, event_values = arrays
     estimates = [v if v == v else None for v in estimates.tolist()]
-    return totals.tolist(), estimates, (list(index), power), (event_names, event_values)
+    return keys, totals, estimates, (power[0], power_values), (events[0], event_values)
+
+
+def _check_numbers(key, total, power, events, estimate, check):
+    """check(value, what) on each of a sample's numbers, in the order their
+    faults are named: its total, its component powers and event statistics,
+    each an iterable of (name, value) pairs, and its estimate unless None."""
+    context = "sample ({}, {})".format(*key)
+    check(total, f"{context} total_power")
+    for field_name, pairs in (("component_power", power), ("event_stats", events)):
+        for name, value in pairs:
+            check(value, f"{context} {field_name} of {name}")
+    if estimate is not None:
+        check(estimate, f"{context} analytical_estimate")
+
+
+def _parsed(value, what: str):
+    """finite_number's SchemaError naming what, but for an infinity, which
+    parses as a number (and Dataset construction refuses)."""
+    if value not in (math.inf, -math.inf):
+        finite_number(value, what)
+
+
+def _with_residuals(power: tuple, totals: np.ndarray, table) -> tuple:
+    """power, a (names, matrix) pair, with the Other Logic label of each
+    sample that lacks it and labels every other component of the table,
+    if the table has Other Logic: the residual, its total less its labels
+    added up in column order.  An Other Logic column is added last if
+    there is none."""
+    names, values = power
+    index = {name: j for j, name in enumerate(names)}
+    others = [index.get(c.name) for c in table if c.name != OTHER_LOGIC]
+    if len(others) == len(table) or None in others:  # no Other Logic, or no sample labels the others
+        return power
+    j = index.get(OTHER_LOGIC)
+    derive = ~np.isnan(values[:, others]).any(axis=1) & (True if j is None else np.isnan(values[:, j]))
+    if not derive.any():
+        return power
+    if j is None:
+        names, j = (*names, OTHER_LOGIC), len(names)
+        values = np.hstack([values, np.full((len(values), 1), np.nan)])
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite label, which construction names
+        values[derive, j] = totals[derive] - _left_sums(values[derive])
+    return names, values
 
 
 def read_json_file(path: str | os.PathLike, kind: str):
@@ -663,19 +659,19 @@ def dataset_from_dict(doc: dict) -> Dataset:
         _parse_configuration(entry, architecture, registry) for entry in raw_configs
     )
     samples = _require(doc, "samples", "dataset")
+    samples, absent = (_format1_columns(samples), _ABSENT) if version == 1 else (samples, None)
+    keys, totals, estimates, power, events = _format2_columns(samples, absent)
     names = {c.name for c in table}
-    if version == 1:
-        keys, totals, estimates, power, events = _format1_columns(samples, names)
-        entry = samples.__getitem__
-    else:
-        keys, totals, estimates, power, events = _format2_columns(samples)
-        entry = partial(_format1_entry, samples)
-    totals, estimates, power, events = _validated(totals, estimates, power, events, names, entry)
+    for j, name in enumerate(power[0]):
+        if name not in names and np.isnan(power[1][:, j]).all():  # so construction names no sample
+            raise SchemaError(f"dataset: samples component_power name {name!r} is not a component of the table")
+    power = _with_residuals(power, totals, table)
     # Samples share their configuration's id and workload name strings.
     config_ids = {c.id: c.id for c in configurations}
     workloads: dict[str, str] = {}
     keys = [(config_ids.get(c, c), workloads.setdefault(w, w)) for c, w in keys]
-    return Dataset.of_columns(architecture, configurations, table, registry, keys, totals, power, events, estimates)
+    return Dataset.of_columns(architecture, configurations, table, registry, keys, totals.tolist(), power, events,
+                              estimates)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:

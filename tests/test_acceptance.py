@@ -281,10 +281,11 @@ def test_metrics_against_oracles(tmp_path, synth_pair, kb0, small_hp):
     save_model(model, tmp_path / "model.json")
     batched = model.predict_components(test)
     mismatches = 0
+    configs = {c.id: c for c in test.configurations}
     for m in (model, load_model(tmp_path / "model.json")):
         again = m.predict_components(test)
         for i, sample in enumerate(test.samples):
-            cfg = test.config(sample.config_id)
+            cfg = configs[sample.config_id]
             for j, comp in enumerate(m.component_table):
                 scalar = m.predict_component_power(comp, feature_row(comp, cfg, sample.event_stats))
                 mismatches += int(again[i, j] != scalar or batched[i, j] != scalar)

@@ -60,8 +60,9 @@ def test_total_is_sum_of_components(target_model, small_hp):
     # scalar per-component predictions that CLI predict writes.
     model, train, test = target_model
     totals = _method_predictions("firepower", train, test, small_hp, {}, model)
+    configs = {c.id: c for c in test.configurations}
     for sample, total in zip(test.samples[:10], totals):
-        cfg = test.config(sample.config_id)
+        cfg = configs[sample.config_id]
         parts = 0.0
         for c in model.component_table:
             parts += model.predict_component_power(c, feature_row(c, cfg, sample.event_stats))
@@ -70,8 +71,9 @@ def test_total_is_sum_of_components(target_model, small_hp):
 
 def test_predictions_nonnegative(target_model):
     model, _, test = target_model
+    configs = {c.id: c for c in test.configurations}
     for sample in test.samples:
-        cfg = test.config(sample.config_id)
+        cfg = configs[sample.config_id]
         for comp in model.component_table:
             assert model.predict_component_power(comp, feature_row(comp, cfg, sample.event_stats)) >= 0.0
     assert (model.predict_components(test) >= 0.0).all()
@@ -100,7 +102,7 @@ def test_retrain_falls_back_without_parameter_spread(kb0, synth_pair, small_hp):
     found = None
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            a, b = ds_target.config(ids[i]), ds_target.config(ids[j])
+            a, b = ds_target.configurations[i], ds_target.configurations[j]
             shared = [
                 c.name
                 for c in ds_target.component_table
@@ -198,7 +200,8 @@ def test_hardware_factor_follows_parameters_not_ids(tiny_dataset):
     model = _HW_MODELS["gbt"]
 
     def want(ds, cid):
-        return max(model.predict([float(ds.config(cid).params[p]) for p in comp.hw_params]), DEFAULT_EPSILON)
+        (cfg,) = [c for c in ds.configurations if c.id == cid]
+        return max(model.predict([float(cfg.params[p]) for p in comp.hw_params]), DEFAULT_EPSILON)
 
     def batched(ds):
         return hw.factors(design_matrix(ds, comp)[:, : len(comp.hw_params)])
@@ -251,7 +254,7 @@ def _demoting_pair(ds_target):
     ids = ds_target.config_ids()
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            a, b = ds_target.config(ids[i]), ds_target.config(ids[j])
+            a, b = ds_target.configurations[i], ds_target.configurations[j]
             for c in ds_target.component_table:
                 if c.important_param and a.params[c.important_param] == b.params[c.important_param]:
                     return [ids[i], ids[j]]

@@ -67,7 +67,7 @@ def test_sample_features_layout(tiny_dataset):
     X = design_matrix(tiny_dataset, core_component(tiny_dataset))
     assert X.shape == (len(tiny_dataset.samples), 14 + 2)
     sample = tiny_dataset.samples[0]
-    cfg = tiny_dataset.config(sample.config_id)
+    (cfg,) = [c for c in tiny_dataset.configurations if c.id == sample.config_id]
     assert list(X[0, :14]) == [float(cfg.params[p]) for p in tiny_dataset.registry.canonical]
     assert list(X[0, 14:]) == [1.0, 2.0]
 
@@ -133,8 +133,9 @@ def test_per_component_total_additivity(synth_pair, small_hp):
             parts = trainer(train, small_hp)
             predict = lambda part, row: part.predict(row)  # noqa: E731
         assert len(totals) == len(test.samples)
+        configs = {c.id: c for c in test.configurations}
         for total, sample in zip(totals, test.samples):
-            cfg = test.config(sample.config_id)
+            cfg = configs[sample.config_id]
             acc = 0.0
             for c, part in parts:
                 acc += predict(part, feature_row(c, cfg, sample.event_stats))

@@ -264,6 +264,29 @@ def test_sums_are_left_folds_on_every_python():
     assert parsed.component_power["Other Logic"] == 3.0 - _left_fold([1e-16, 1.0, 1e-16])
 
 
+@st.composite
+def _ragged_matrices(draw):
+    """A float matrix of 0-5 rows and 0-24 columns, NaN for an absent entry."""
+    width = draw(st.integers(0, 24))
+    cells = st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False, width=64))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=5))
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+@given(values=_ragged_matrices())
+@example(values=np.array([[1e-16, 1.0, np.nan, 1e-16], [1.0, 1e-16, 1e-16, np.nan]]))
+@example(values=np.array([[1.0] + [1e-16] * 21]))  # a pairwise sum of 22 entries is not 1.0
+@settings(max_examples=200, deadline=None)
+def test_column_order_sums_are_left_folds(values):
+    # The residual and the sum check add up each row's entries in the order
+    # of the loop below, NaN (absent) left out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dataset_module._left_sums(values)
+    want = [_left_fold(v for v in row if v == v) for row in values.tolist()]
+    assert got.dtype == np.float64 and got.shape == (len(values),)
+    assert np.array_equal(got, np.array(want), equal_nan=True)
+
+
 def test_average_power_sample_order_invariant(tiny_dataset):
     shuffled = Dataset.of_samples(
         tiny_dataset.architecture,
@@ -298,7 +321,7 @@ def test_few_shot_split_rejects_degenerate_cases(tiny_dataset):
 def test_feature_vector_ordering(tiny_dataset):
     sample = tiny_dataset.samples[0]
     comp = tiny_dataset.component("Front")
-    cfg = tiny_dataset.config(sample.config_id)
+    cfg = tiny_dataset.configurations[0]  # sample 0's, C1
     assert feature_row(comp, cfg, sample.event_stats) == [4.0, 8.0, 1.0]
     hw_only = ComponentDef(name="Front", hw_params=comp.hw_params)
     assert feature_row(hw_only, cfg, sample.event_stats) == [4.0, 8.0]
@@ -311,7 +334,7 @@ def test_feature_vector_missing_event(tiny_dataset):
     sample = tiny_dataset.samples[0]
     comp = ComponentDef(name="Front", hw_params=("FetchWidth",), event_stats=("absent",))
     with pytest.raises(ValidationError, match="absent"):
-        feature_row(comp, tiny_dataset.config(sample.config_id), sample.event_stats)
+        feature_row(comp, tiny_dataset.configurations[0], sample.event_stats)
     with pytest.raises(ValidationError, match=r"sample \(C1, w0\).*absent"):
         design_matrix(tiny_dataset, comp)
 
@@ -518,36 +541,42 @@ def test_saved_file_is_format2_columns(tiny_dataset):
     assert power["rows"][0] == [tiny_dataset.samples[0].component_power[n] for n in power["names"]]
 
 
-def test_residual_folds_in_each_formats_own_order():
-    # 1.0 + 1e-16 + 1e-16 is 1.0, and 1e-16 + 1e-16 + 1.0 is 1.0000000000000002.
-    # Format 1 adds a sample's labels in its own key order, format 2 in the
-    # order of the names; a saved file keeps the residual it was given.
+@pytest.mark.parametrize("version", [1, 2])
+def test_parse_faults_are_named_before_rule_faults(version):
+    # tiny_doc's samples: C1 w0, C1 w1, C2 w0, C2 w1, C3 w0, C3 w1.  A value
+    # that is not a number is named first, in file order, even after an
+    # earlier sample that breaks a rule; then the rules, in file order.
     doc = tiny_doc()
-    doc["component_table"].insert(0, {"name": "Tail", "hw_params": ["FetchWidth"], "event_stats": []})
-    doc["samples"] = [
-        {"config_id": "C1", "workload": "w0", "total_power": 3.0,
-         "component_power": {"Front": 1.0, "Core": 1e-16, "Tail": 1e-16}},
-        {"config_id": "C1", "workload": "w1", "total_power": 3.0,
-         "component_power": {"Tail": 1e-16, "Core": 1e-16, "Front": 1.0}},
+    kept = copy.deepcopy(doc["samples"])
+    doc["samples"][1]["component_power"]["Front"] = -1.0
+    doc["samples"][2]["event_stats"]["core_act"] = float("inf")
+    doc["samples"][4]["total_power"] = "12.5"
+    doc["samples"][5]["component_power"]["Core"] = float("nan")
+    faults = [
+        (SchemaError, "sample (C3, w0) total_power '12.5' is not a finite number"),
+        (SchemaError, "sample (C3, w1) component_power of Core nan is not a finite number"),
+        (ValidationError, "sample (C1, w1): nonpositive power label for 'Front'"),
+        (ValidationError, "sample (C2, w0) event_stats of core_act inf is not a finite number"),
     ]
-    own = dataset_from_dict(doc)
-    assert [s.component_power["Other Logic"] for s in own.samples] == [3.0 - 1.0, 3.0 - 1.0000000000000002]
-    saved = dataset_to_dict(own)
-    assert saved["samples"]["component_power"]["names"] == ["Front", "Core", "Tail", "Other Logic"]
-    assert dataset_from_dict(saved) == own
-    in_names_order = dataset_from_dict(format2_doc(doc))
-    assert [s.component_power["Other Logic"] for s in in_names_order.samples] == [2.0, 2.0]
+    for (error, message), mended in zip(faults, (4, 5, 1, None)):
+        with pytest.raises(error) as exc:
+            dataset_from_dict(doc if version == 1 else format2_doc(doc))
+        assert type(exc.value) is error and str(exc.value) == message
+        if mended is not None:  # the sample at fault gets its own numbers back
+            doc["samples"][mended] = kept[mended]
 
 
-def test_sum_check_adds_up_in_each_formats_own_order():
-    # Sample 3's labels add up to 1.0000000000000002 in its own key order,
-    # beyond 0.5% of its total, and to 1.0 in the order of the names, within.
-    doc = tiny_doc()
-    doc["samples"][3]["total_power"] = 0.9950248756218907
-    doc["samples"][3]["component_power"] = {"Other Logic": 1e-16, "Core": 1e-16, "Front": 1.0}
-    with pytest.raises(ValidationError, match=r"^sample \(C2, w1\): component powers sum to 1, total is 0.995025 "):
-        dataset_from_dict(doc)
-    assert dataset_from_dict(format2_doc(doc)).samples[3].component_power["Front"] == 1.0
+def test_a_format1_null_is_named_and_a_format2_null_is_absent():
+    # In format 1 a sample leaves out what it lacks, so a null it gives is
+    # named; in format 2 a null marks an absent entry.
+    for key, name in (("component_power", "Front"), ("event_stats", "core_act")):
+        doc = tiny_doc()
+        doc["samples"][3][key][name] = None
+        with pytest.raises(SchemaError) as exc:
+            dataset_from_dict(doc)
+        assert str(exc.value) == f"sample (C2, w1) {key} of {name} None is not a finite number"
+        entries = getattr(dataset_from_dict(format2_doc(doc)).samples[3], key)
+        assert dict(entries) == {k: v for k, v in doc["samples"][3][key].items() if v is not None}
 
 
 def test_column_builder_refuses_a_nonpositive_label(tiny_dataset):
@@ -570,29 +599,92 @@ def test_column_builder_refuses_a_nonpositive_label(tiny_dataset):
     assert dict(sample.component_power) == {"Front": 1.0}
 
 
-@pytest.mark.parametrize("edits", [
-    pytest.param({3: {"Front": -1.0}}, id="label"),
-    pytest.param({3: {"total_power": -5.0}}, id="total"),
-    pytest.param({3: {"total_power": -5.0, "Front": -1.0}}, id="total-before-label"),
-    pytest.param({3: {"total_power": 0.0}, 1: {"Core": -1.0}}, id="sample-order"),
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({3: {"Front": -1.0}}, "sample (C2, w1): nonpositive power label for 'Front'", id="label"),
+    pytest.param({3: {"total_power": -5.0}}, "sample (C2, w1): total_power must be positive", id="total"),
+    pytest.param({3: {"total_power": -5.0, "Front": -1.0}}, "sample (C2, w1): total_power must be positive",
+                 id="total-before-label"),
+    pytest.param({3: {"total_power": 0.0}, 1: {"Core": -1.0}}, "sample (C1, w1): nonpositive power label for 'Core'",
+                 id="sample-order"),
+    pytest.param({3: {"total_power": _INF}}, "sample (C2, w1) total_power inf is not a finite number",
+                 id="inf-total"),
+    pytest.param({3: {"Front": _INF}}, "sample (C2, w1) component_power of Front inf is not a finite number",
+                 id="inf-label"),
+    pytest.param({3: {"core_act": -_INF}}, "sample (C2, w1) event_stats of core_act -inf is not a finite number",
+                 id="inf-event"),
+    pytest.param({3: {"analytical_estimate": _INF}}, "sample (C2, w1) analytical_estimate inf is not a finite number",
+                 id="inf-estimate"),
+    pytest.param({3: {"total_power": -5.0, "front_act": _INF}},
+                 "sample (C2, w1) event_stats of front_act inf is not a finite number", id="inf-before-total"),
+    pytest.param({3: {"Bogus": 1.0}}, "sample (C2, w1): unknown component 'Bogus'", id="unknown-component"),
+    pytest.param({3: {"total_power": 30.0, "Front": 10.0, "Core": 10.0, "Other Logic": 5.0}},
+                 "sample (C2, w1): component powers sum to 25, total is 30 (beyond 0.5% tolerance)", id="sum"),
+    pytest.param({3: {"total_power": 30.0, "Front": 10.0, "Core": 10.0, "Other Logic": 9.9}, 4: {"Bogus": 1.0}},
+                 "sample (C3, w0): unknown component 'Bogus'", id="sum-within-tolerance"),
 ])
-def test_hand_built_dataset_refuses_what_a_file_is_refused_for(tiny_dataset, edits):
-    # Construction checks the labels of every Dataset, with the message the
-    # loader gives a file that holds the same numbers.
+@pytest.mark.filterwarnings("error")  # an infinity makes no RuntimeWarning
+def test_hand_built_dataset_refuses_what_a_file_is_refused_for(tiny_dataset, edits, message):
+    # Construction checks the numbers, labels and component sum of every
+    # Dataset, with the message the loader gives a file that holds the
+    # same numbers, in either format.
     doc, samples = tiny_doc(), list(tiny_dataset.samples)
     for i, edit in edits.items():
         edit = dict(edit)
-        total = edit.pop("total_power", samples[i].total_power)
-        power = {**samples[i].component_power, **edit}
-        samples[i] = dataclasses.replace(samples[i], total_power=total, component_power=power)
-        doc["samples"][i].update(total_power=total, component_power=power)
-    with pytest.raises(ValidationError) as loaded:
-        dataset_from_dict(doc)
+        fields = {key: edit.pop(key) for key in ("total_power", "analytical_estimate") if key in edit}
+        for key, names in (("component_power", edit.keys() - _EVENTS), ("event_stats", edit.keys() & _EVENTS)):
+            fields[key] = {**getattr(samples[i], key), **{name: edit[name] for name in names}}
+        samples[i] = dataclasses.replace(samples[i], **fields)
+        doc["samples"][i].update(fields)
+    for version in (1, 2):
+        with pytest.raises(ValidationError) as loaded:
+            dataset_from_dict(doc if version == 1 else format2_doc(doc))
+        assert str(loaded.value) == message
     with pytest.raises(ValidationError) as built:
         with_samples(tiny_dataset, samples)
-    assert str(built.value) == str(loaded.value)
-    assert re.match(r"^sample \(C\d, w\d\): (total_power must be positive|nonpositive power label for)",
-                    str(built.value))
+    assert str(built.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("version", [1, 2])
+def test_numbers_beyond_the_float_range_are_named_without_a_warning(version):
+    # inf - inf and an overflowing sum make no RuntimeWarning, in the
+    # residual or in the sum check; the first fault is named.
+    doc = tiny_doc()
+    big, inf = doc["samples"][3], doc["samples"][5]
+    for sample in (big, inf):
+        del sample["component_power"]["Other Logic"]
+    big["component_power"].update(Front=1e308, Core=1e308)
+    inf["total_power"] = inf["component_power"]["Front"] = float("inf")
+    doc["samples"][4]["component_power"].update(Front=1e308, Core=1e308)
+    message = "sample (C2, w1) component_power of Other Logic -inf is not a finite number"
+    for mended in (3, 4, None):
+        with pytest.raises(ValidationError) as exc:
+            dataset_from_dict(doc if version == 1 else format2_doc(doc))
+        assert str(exc.value) == message
+        if mended is not None:
+            doc["samples"][mended] = tiny_doc()["samples"][mended]
+            total = doc["samples"][4]["total_power"]
+            message = (f"sample (C3, w0): component powers sum to inf, total is {total:.6g} (beyond 0.5% tolerance)"
+                       if mended == 3 else "sample (C3, w1) total_power inf is not a finite number")
+
+
+def test_hand_built_nan_gets_the_text_a_file_gets():
+    # A file's NaN is a value that is not a number; a hand-built one breaks
+    # construction's rule, with the same text.
+    ds = dataset_from_dict(tiny_doc())
+    for field_name in ("total_power", "analytical_estimate"):
+        doc = tiny_doc()
+        doc["samples"][2][field_name] = float("nan")
+        with pytest.raises(SchemaError) as loaded:
+            dataset_from_dict(doc)
+        samples = list(ds.samples)
+        samples[2] = dataclasses.replace(samples[2], **{field_name: float("nan")})
+        with pytest.raises(ValidationError) as built:
+            with_samples(ds, samples)
+        assert str(built.value) == str(loaded.value) == f"sample (C2, w0) {field_name} nan is not a finite number"
 
 
 _NUMBERS = st.one_of(st.floats(0.5, 100.0), st.integers(1, 2**70))
@@ -622,6 +714,76 @@ def _format1_documents(draw):
             entries.append(entry)
     doc["samples"] = entries
     return doc
+
+
+def _own_order_residual_doc():
+    # 1.0 + 1e-16 + 1e-16 is 1.0, and 1e-16 + 1e-16 + 1.0 is 1.0000000000000002:
+    # added up in its own key order, sample w1 would get another residual.
+    doc = tiny_doc()
+    doc["component_table"].insert(0, {"name": "Tail", "hw_params": ["FetchWidth"], "event_stats": []})
+    doc["samples"] = [
+        {"config_id": "C1", "workload": "w0", "total_power": 3.0,
+         "component_power": {"Front": 1.0, "Core": 1e-16, "Tail": 1e-16}},
+        {"config_id": "C1", "workload": "w1", "total_power": 3.0,
+         "component_power": {"Tail": 1e-16, "Core": 1e-16, "Front": 1.0}},
+    ]
+    return doc
+
+
+def _own_order_sum_doc():
+    # Sample 3's labels add up to 1.0000000000000002 in its own key order,
+    # beyond 0.5% of its total, and to 1.0 in column order, within.
+    doc = tiny_doc()
+    doc["samples"][3]["total_power"] = 0.9950248756218907
+    doc["samples"][3]["component_power"] = {"Other Logic": 1e-16, "Core": 1e-16, "Front": 1.0}
+    return doc
+
+
+@given(doc=_format1_documents())
+@example(doc=_own_order_residual_doc())
+@example(doc=_own_order_sum_doc())
+@settings(max_examples=150, deadline=None)
+def test_format1_reads_as_its_format2_conversion(doc):
+    # A format-1 file is read through format 2's columns, so its residuals
+    # and its sum check add up in column order, not in a sample's own key
+    # order: it loads to the same dataset as its conversion, or fails alike.
+    got, want = _outcome(dataset_from_dict, doc), _outcome(dataset_from_dict, format2_doc(doc))
+    if isinstance(want, str):
+        assert got == want
+        return
+    for a, b in ((got.power, want.power), (got.events, want.events)):
+        assert list(a.columns.items()) == list(b.columns.items())
+        assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+    assert got == want
+
+
+def test_residual_folds_in_each_formats_own_order():
+    # Each format adds up a sample's labels in the order of its columns:
+    # format 1's are those of its format-2 conversion, whatever the key order
+    # of a sample, so both samples get the residual 3.0 - 1.0.  A saved file
+    # keeps the residual it was given.
+    doc = _own_order_residual_doc()
+    own = dataset_from_dict(doc)
+    assert [s.component_power["Other Logic"] for s in own.samples] == [2.0, 2.0]
+    saved = dataset_to_dict(own)
+    assert saved["samples"]["component_power"]["names"] == ["Front", "Core", "Tail", "Other Logic"]
+    assert dataset_from_dict(saved) == own
+    in_names_order = dataset_from_dict(format2_doc(doc))
+    assert [s.component_power["Other Logic"] for s in in_names_order.samples] == [2.0, 2.0]
+    assert in_names_order == own
+
+
+def test_sum_check_adds_up_in_each_formats_own_order():
+    # Sample 3's labels add up to 1.0 in column order, within 0.5% of its
+    # total, in both formats; its own key order would give 1.0000000000000002.
+    doc = _own_order_sum_doc()
+    assert format2_doc(doc)["samples"]["component_power"]["names"] == ["Front", "Core", "Other Logic"]
+    for loaded in (dataset_from_dict(doc), dataset_from_dict(format2_doc(doc))):
+        assert loaded.samples[3].component_power["Front"] == 1.0
+    doc["samples"][3]["total_power"] = 0.99
+    for version in (1, 2):
+        with pytest.raises(ValidationError, match=r"^sample \(C2, w1\): component powers sum to 1, total is 0.99 "):
+            dataset_from_dict(doc if version == 1 else format2_doc(doc))
 
 
 @given(doc=_format1_documents())
@@ -780,10 +942,10 @@ def test_sample_mappings_are_read_only():
 
 
 def _reference_design_matrix(ds, comp):
-    rows = []
+    rows, configs = [], {c.id: c for c in ds.configurations}
     for s in ds.samples:
         try:
-            rows.append(feature_row(comp, ds.config(s.config_id), s.event_stats))
+            rows.append(feature_row(comp, configs[s.config_id], s.event_stats))
         except ValidationError as exc:
             raise ValidationError(f"sample ({s.config_id}, {s.workload}): {exc}") from None
     return np.array(rows).reshape(len(rows), len(comp.hw_params) + len(comp.event_stats))

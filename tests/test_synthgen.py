@@ -75,9 +75,10 @@ def test_total_power_is_the_left_fold_of_the_components():
     # the Python version.
     spec = default_spec(seed=0)
     _, ds_target, truth = generate_pair(spec)
+    configs = {c.id: c for c in ds_target.configurations}
     for s in ds_target.samples:
         assert s.total_power == _left_fold(s.component_power.values())
-        cfg = ds_target.config(s.config_id)
+        cfg = configs[s.config_id]
         parts = [
             truth.component_power("target", g.name, cfg.params, s.workload) for g in spec.components
         ]
@@ -87,8 +88,9 @@ def test_total_power_is_the_left_fold_of_the_components():
 def test_noise_free_samples_match_ground_truth():
     spec = default_spec(seed=2, noise_sigma=0.0)
     _, ds_target, truth = generate_pair(spec)
+    configs = {c.id: c for c in ds_target.configurations}
     for s in ds_target.samples:
-        cfg = ds_target.config(s.config_id)
+        cfg = configs[s.config_id]
         for name, power in s.component_power.items():
             assert power == pytest.approx(
                 truth.component_power("target", name, cfg.params, s.workload), rel=1e-12
@@ -101,8 +103,9 @@ def test_noise_free_samples_match_ground_truth():
 def test_noisy_samples_stay_close_to_truth(synth_pair):
     _, ds_target, truth = synth_pair
     sigma = truth.spec.noise_sigma
+    configs = {c.id: c for c in ds_target.configurations}
     for s in ds_target.samples[:40]:
-        cfg = ds_target.config(s.config_id)
+        cfg = configs[s.config_id]
         for name, power in s.component_power.items():
             expected = truth.component_power("target", name, cfg.params, s.workload)
             assert abs(power / expected - 1.0) <= 5.0 * sigma
